@@ -231,6 +231,12 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     series product. A singular system falls back to a particular solution
     with free variables zeroed and reports the defect in the notes; the
     reduced approximant is returned after cancelling any shared factor.
+
+    This is the general route for an arbitrary series. The controller
+    realizations do not take it for their binomial and lead-lag kernels,
+    whose diagonal approximants have a closed form
+    (controllers._binomial_pade); they call it only at integer exponents,
+    where that closed form carries a common factor.
     """
     if m < 0 or k < 0:
         raise ValidationError("Pade degrees must be non-negative")

@@ -123,7 +123,8 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
 
     Accepts only the numeric rings; a symbolic-tf document does not come
     back (one-way by design). Coefficients re-normalize through make_tf,
-    which is the identity on documents this tool emitted.
+    which is the identity on documents this tool emitted. Non-finite
+    float-ring coefficients and gain values are rejected.
     """
     try:
         doc = json.loads(text)
@@ -137,10 +138,19 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
     if ring not in ("rational", "float"):
         raise ValidationError(f"cannot parse coefficients in ring {ring!r}")
 
-    def coeff(text_value):
+    def finite(text_value, what: str) -> float:
         try:
-            if ring == "float":
-                return float(text_value)
+            value = float(text_value)
+        except (ValueError, TypeError, OverflowError):
+            raise ValidationError(f"bad {what} {text_value!r}") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"non-finite {what} {text_value!r}")
+        return value
+
+    def coeff(text_value):
+        if ring == "float":
+            return finite(text_value, "coefficient")
+        try:
             return Fraction(str(text_value))
         except (ValueError, ZeroDivisionError, TypeError):
             raise ValidationError(f"bad coefficient {text_value!r}") from None
@@ -156,7 +166,7 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
         if not isinstance(gain, dict) or "label" not in gain:
             raise ValidationError("gain must be null or carry a label")
         value = gain.get("value")
-        tag = GainTag(str(gain["label"]), None if value is None else float(value))
+        tag = GainTag(str(gain["label"]), None if value is None else finite(value, "gain value"))
     notes = tuple(str(n) for n in doc.get("notes", ()))
     return make_tf(num, den, gain=tag, notes=notes), doc.get("meta")
 

@@ -3,7 +3,9 @@
 Each builder accepts exact numeric parameters or leaves them symbolic
 (pass None) and produces a normalized TransferFunction. Irrational scalar
 prefactors (Kp^mu, Kc*x^alpha) are carried as opaque gain tags, never
-expanded into coefficients.
+expanded into coefficients. Every family rests on the diagonal Pade
+approximant of (1 + z)^a, which is read off its hypergeometric closed form
+rather than solved for.
 """
 
 from __future__ import annotations
@@ -135,28 +137,74 @@ def _check_order(order: int):
         raise ValidationError("order must be a positive integer")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, Fraction) and value.denominator == 1
+
+
+def _binomial_pade(a, n: int) -> tuple[list, list]:
+    """Coefficient lists (p, q) of the [n/n] Pade approximant of (1 + z)^a.
+
+    Closed form (Baker & Graves-Morris, Pade Approximants, 2nd ed., 1996):
+    P(z) = 2F1(-n, -a-n; -2n; -z) and Q(z) = 2F1(-n, a-n; -2n; -z), so each
+    coefficient follows from the last by the term ratio of the series and
+    no linear system is solved. `a` is an exact scalar, a symbol name or a
+    ParamPoly; coefficient k is then a degree-k polynomial in it. For an
+    integer a with |a| <= n, P and Q share a factor that is not removed
+    here.
+    """
+    if isinstance(a, str):
+        a = ParamPoly.var(a)
+    sides = []
+    for b in (-a - n, a - n):
+        c = Fraction(1)
+        coeffs = [c]
+        for k in range(n):
+            c = c * ((k + b) * Fraction(k - n, (2 * n - k) * (k + 1)))
+            coeffs.append(c)
+        sides.append(coeffs)
+    return sides[0], sides[1]
+
+
+def _rescale(coeffs, r) -> tuple:
+    """Coefficient k times r^k: the substitution z -> r*z."""
+    return tuple(c * r**k for k, c in enumerate(coeffs))
+
+
 def _integrator_tf(lam, freq_range: str, T, order: int) -> TransferFunction:
     """[order/order] realization of s^(-lam); lam exact or a symbol name.
 
-    Shared by the public differintegrator entry point (lam in (0,1]) and
-    the FOPID assembly (lam in (0,2)); no range check here.
+    The low band is the Pade approximant of (1 + v)^lam in v = 1/s with s^n
+    cleared from both sides, the high band that of (1 + sT)^(-lam). Shared
+    by the public differintegrator entry point (lam in (0,1]) and the FOPID
+    assembly (lam in (0,2)); no range check here.
     """
     n = order
-    if freq_range == "low":
-        # expand (1 + v)^lam in v = 1/s, then clear s^n from both sides
-        approx_v = pade(binomial_series(lam, 2 * n), n, n)
-        width = max(len(approx_v.num), len(approx_v.den))
-        num = polys.reverse(approx_v.num, width)
-        den = polys.reverse(approx_v.den, width)
-        return make_tf(num, den, notes=approx_v.notes)
-    exponent = -ParamPoly.var(lam) if isinstance(lam, str) else -lam
-    base = binomial_series(exponent, 2 * n)
-    scaled = PowerSeries(tuple(c * T**k for k, c in enumerate(base.coeffs)))
-    return pade(scaled, n, n)
+    a = ParamPoly.var(lam) if isinstance(lam, str) else lam
+    scale = Fraction(1)
+    if freq_range == "high":
+        a, scale = -a, T
+    if _is_integer(a):
+        # the closed form's shared factor is cancelled by the generic
+        # solve, which also reports it as pade-defect / match-through notes
+        series = PowerSeries(_rescale(binomial_series(a, 2 * n).coeffs, scale))
+        core = pade(series, n, n)
+        num, den, notes = core.num, core.den, core.notes
+    else:
+        p, q = _binomial_pade(a, n)
+        num, den, notes = _rescale(p, scale), _rescale(q, scale), ()
+    if freq_range == "high":
+        return make_tf(num, den, notes=notes)
+    width = max(len(num), len(den))
+    return make_tf(polys.reverse(num, width), polys.reverse(den, width), notes=notes)
 
 
 def realize_differintegrator(spec: Differintegrator, order: int) -> TransferFunction:
-    """Numeric [n/n] realization of the differintegrator."""
+    """Numeric [n/n] realization of the differintegrator.
+
+    Built from the closed-form Pade approximant of the band's binomial
+    kernel (see _integrator_tf); lam = 1 goes through the generic solve
+    and keeps its pade-defect note.
+    """
     _check_order(order)
     if spec.lam is None:
         raise ValidationError("lam must be numeric here; see symbolic_differintegrator")
@@ -171,7 +219,9 @@ def symbolic_differintegrator(
 ) -> TransferFunction:
     """[n/n] realization with the fractional order kept as the symbol lam.
 
-    The high-range form is produced at T = 1. Orders beyond 5 work but are
+    Coefficient k of the kernel's approximant is a degree-k polynomial in
+    lam, read off the closed form without a symbolic linear solve. The
+    high-range form is produced at T = 1. Orders beyond 5 work but are
     marked as exceeding the validated range.
     """
     _check_order(order)
@@ -197,7 +247,8 @@ def realize_fopid(spec: FOPID, freq_range: str, order: int) -> TransferFunction:
 
     Q_int is the [n/n] integrator realization at lam, Q_diff the exact
     reciprocal construction at mu; the result has degree 2n (less when a
-    zero gain drops a branch).
+    zero gain drops a branch). Each branch's Pade notes (an integer order
+    reports its defect) carry over prefixed "int:" or "diff:".
     """
     _check_order(order)
     if freq_range not in _RANGES:
@@ -213,25 +264,30 @@ def realize_fopid(spec: FOPID, freq_range: str, order: int) -> TransferFunction:
     mu = "mu" if spec.mu is None else spec.mu
     num: tuple = ()
     den: tuple = (Fraction(1),)
+    notes: tuple = ()
     if with_i:
         q_int = _integrator_tf(lam, freq_range, Fraction(1), order)
         num = polys.scale(q_int.num, ki)
         den = q_int.den
+        notes += tuple(f"int:{note}" for note in q_int.notes)
     if with_d:
         q_diff = _integrator_tf(mu, freq_range, Fraction(1), order).reciprocal()
         num = polys.add(polys.mul(num, q_diff.den), polys.scale(polys.mul(q_diff.num, den), kd))
         den = polys.mul(den, q_diff.den)
+        notes += tuple(f"diff:{note}" for note in q_diff.notes)
     num = polys.add(num, polys.scale(den, kp))
-    return make_tf(num, den)
+    return make_tf(num, den, notes=notes)
 
 
 def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
     """[n/n]-based realization of (Kp + Kd*s)^mu.
 
     mu splits into integer and fractional parts; the fractional part is
-    the Pade approximant of (1 + (Kd/Kp)s)^frac and the integer part an
-    exact polynomial factor. The scalar Kp^mu stays rational only for
-    integer mu; otherwise it rides along as a gain tag.
+    the closed-form Pade approximant of (1 + (Kd/Kp)s)^frac (see
+    _binomial_pade) and the integer part an exact polynomial factor. With
+    symbolic gains the approximant of (1 + t)^frac is homogenized in Kp and
+    Kd instead. The scalar Kp^mu stays rational only for integer mu;
+    otherwise it rides along as a gain tag.
     """
     _check_order(order)
     numeric = spec.Kp is not None and spec.Kd is not None and spec.mu is not None
@@ -244,12 +300,12 @@ def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
             for _ in range(mu_int):
                 num = polys.mul(num, (spec.Kp, spec.Kd))
             return make_tf(num, (1,))
-        core = pade(_scaled_binomial(mu_frac, ratio, order), order, order)
-        num = core.num
+        p, q = _binomial_pade(mu_frac, order)
+        num = _rescale(p, ratio)
         for _ in range(mu_int):
             num = polys.mul(num, (Fraction(1), ratio))
         gain = GainTag("Kp^mu", float(spec.Kp) ** float(spec.mu))
-        return make_tf(num, core.den, gain=gain, notes=core.notes)
+        return make_tf(num, _rescale(q, ratio), gain=gain)
     if spec.mu is not None:
         mu_int = int(spec.mu)
         mu_frac = spec.mu - mu_int
@@ -267,23 +323,18 @@ def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
         # needs a numeric value
         exponent = "mu"
         mu_int = 0
-    core = pade(binomial_series(exponent, 2 * order), order, order)
+    p, q = _binomial_pade(exponent, order)
     kp = _gain_sym(spec.Kp, "Kp")
     kd = _gain_sym(spec.Kd, "Kd")
-    num = _homogenize(core.num, kp, kd, order)
-    den = _homogenize(core.den, kp, kd, order)
+    num = _homogenize(p, kp, kd, order)
+    den = _homogenize(q, kp, kd, order)
     for _ in range(mu_int):
         num = polys.mul(num, (kp, kd))
         den = polys.scale(den, kp)
     value = None
     if spec.Kp is not None and spec.mu is not None:
         value = float(spec.Kp) ** float(spec.mu)
-    return make_tf(num, den, gain=GainTag("Kp^mu", value), notes=core.notes)
-
-
-def _scaled_binomial(exponent, ratio, order: int) -> PowerSeries:
-    base = binomial_series(exponent, 2 * order)
-    return PowerSeries(tuple(c * ratio**k for k, c in enumerate(base.coeffs)))
+    return make_tf(num, den, gain=GainTag("Kp^mu", value))
 
 
 def _homogenize(coeffs, kp, kd, order: int):
@@ -297,9 +348,15 @@ def _homogenize(coeffs, kp, kd, order: int):
 def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     """[n/n] realization of the fractional lead-lag compensator.
 
-    The kernel ((1+w)/(1+x*w))^alpha is expanded in w and Pade-fitted,
-    then w = lam*s is substituted. The value at s = 0 is Kc*x^alpha,
-    carried as a gain tag unless it is exactly rational.
+    The kernel ((1+w)/(1+x*w))^alpha equals (1+u)^alpha with
+    u = (1-x)w/(1+x*w), and diagonal Pade approximants are covariant under
+    that Moebius map: with p, q the closed-form [n/n] coefficients of
+    (1+u)^alpha, the numerator is sum_k p_k (1-x)^k w^k (1+x*w)^(n-k) and
+    the denominator the same with q_k. Then w = lam*s is substituted. At
+    alpha = 1 the kernel is rational and goes through the generic Pade
+    solve, which cancels the shared factor and notes the defect. The value
+    at s = 0 is Kc*x^alpha, carried as a gain tag unless it is exactly
+    rational.
     """
     _check_order(order)
     alpha = _gain_sym(spec.alpha, "alpha")
@@ -311,12 +368,27 @@ def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     )
     if degenerate:
         return make_tf((kc,), (1,))
-    series = leadlag_kernel_series(alpha, x, 2 * order)
-    core = pade(series, order, order)
-    num = tuple(c * lam**j for j, c in enumerate(core.num))
-    den = tuple(c * lam**j for j, c in enumerate(core.den))
+    if _is_integer(alpha):
+        core = pade(leadlag_kernel_series(alpha, x, 2 * order), order, order)
+        num, den, notes = core.num, core.den, core.notes
+    else:
+        p, q = _binomial_pade(alpha, order)
+        num, den, notes = _moebius(p, x), _moebius(q, x), ()
     value = None
     if spec.Kc is not None and spec.x is not None and spec.alpha is not None:
         value = float(spec.Kc) * float(spec.x) ** float(spec.alpha)
     gain = GainTag("Kc*x^alpha", value)
-    return make_tf(num, den, gain=gain, notes=core.notes)
+    return make_tf(_rescale(num, lam), _rescale(den, lam), gain=gain, notes=notes)
+
+
+def _moebius(coeffs, x) -> tuple:
+    """sum_k c_k (1-x)^k w^k (1+x*w)^(n-k), n = len(coeffs) - 1.
+
+    Built by S_k = S_(k-1) * (1 + x*w) + c_k (1-x)^k w^k.
+    """
+    out: tuple = ()
+    power = Fraction(1)
+    for k, c in enumerate(coeffs):
+        out = polys.add(polys.mul(out, (Fraction(1), x)), (0,) * k + (c * power,))
+        power = power * (1 - x)
+    return out

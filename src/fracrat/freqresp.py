@@ -120,7 +120,12 @@ def _unwrap_deg(phases: np.ndarray) -> np.ndarray:
 
 
 def bode(tf: TransferFunction, grid: FrequencyGrid) -> BodeSweep:
-    """Sweep H(j*omega) over the grid with unwrapped phase."""
+    """Sweep H(j*omega) over the grid with unwrapped phase.
+
+    The coefficients must be numeric: a symbolic TF is a ValidationError.
+    """
+    if tf.ring == "symbolic":
+        raise ValidationError("substitute symbols before evaluating")
     w = grid.omega()
     s = 1j * w
     num = np.polyval([float(c) for c in reversed(tf.num)], s)

@@ -44,6 +44,24 @@ def test_realize_writes_stdout_by_default(capsys):
     assert doc["format"] == "tf-document"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--controller", "diffint", "--lambda", "1"),
+        ("--controller", "diffint", "--lambda", "1", "--range", "high"),
+        ("--controller", "leadlag", "--kc", "1", "--lambda", "1", "--x", "1/2", "--alpha", "1"),
+    ],
+)
+def test_integer_exponent_documents_note_the_pade_defect(tmp_path, flags):
+    # the kernel is rational at an integer exponent: the [3/3] system is
+    # singular and the reduced denominator has degree 1
+    out = tmp_path / "tf.json"
+    assert run("realize", *flags, "--order", "3", "-o", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["notes"] == ["pade-defect=2"]
+    assert len(doc["den"]) == 2
+
+
 def test_output_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -235,6 +253,25 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
                "--alpha", "1/2", "--order", "2", "--sign", "integrator") == 2
     # missing input file
     assert run("ladder", "--tf", str(tmp_path / "missing.json")) == 2
+
+
+def test_bode_rejects_non_finite_documents(tmp_path, capsys):
+    good = json.loads(emit_tf_document(make_tf((1.0,), (1.0, 1.0))))
+    assert good["ring"] == "float"
+    bad_docs = []
+    for text in ("inf", "-inf", "nan", "1e400"):
+        bad_docs.append(dict(good, num=[text]))
+        bad_docs.append(dict(good, den=["1", text]))
+    bad_docs.append(dict(good, gain={"label": "g", "value": "inf"}))
+    bad_docs.append(dict(good, gain={"label": "g", "value": "abc"}))
+    for i, doc in enumerate(bad_docs):
+        tf_file = tmp_path / f"bad{i}.json"
+        tf_file.write_text(json.dumps(doc))
+        out = tmp_path / f"bad{i}.csv"
+        rc = run("bode", "--tf", str(tf_file), "--fmin", "1", "--fmax", "10", "-o", str(out))
+        assert rc == 2, doc
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 def test_symbolic_diffint_requires_unit_time_constant():

@@ -177,6 +177,19 @@ def test_fopid_symbolic_gains_specialize():
     assert tf_equal(sym.substitute(spec), numeric)
 
 
+def test_fopid_carries_branch_pade_notes():
+    # an integer order makes the branch's Pade system singular; the
+    # differintegrator notes the defect, and FOPID keeps it per branch
+    one = Fraction(1)
+    integ = realize_differintegrator(Differintegrator(one), 3)
+    assert integ.notes == ("pade-defect=2",)
+    both = realize_fopid(FOPID(one, HALF, HALF, one, one), "low", 3)
+    assert both.notes == ("int:pade-defect=2", "diff:pade-defect=2")
+    only_i = realize_fopid(FOPID(one, HALF, HALF, one, HALF), "low", 3)
+    assert only_i.notes == ("int:pade-defect=2",)
+    assert realize_fopid(FOPID(one, HALF, HALF, HALF, HALF), "low", 3).notes == ()
+
+
 def test_fopid_orders_may_exceed_one():
     # integro-differential orders live in (0, 2), wider than the plain
     # differintegrator's (0, 1]
@@ -282,6 +295,15 @@ def test_leadlag_symbolic_specializes_to_numeric():
     values = {"lam": HALF, "x": Fraction(1, 4), "alpha": HALF}
     numeric = realize_leadlag(LeadLag(Fraction(2), HALF, Fraction(1, 4), HALF), 2)
     assert tf_equal(sym.substitute(values), numeric)
+
+
+def test_leadlag_symbolic_order_12_specializes_to_numeric():
+    sym = realize_leadlag(LeadLag(None, None, None, None), 12)
+    values = {"lam": Fraction(1, 10), "x": Fraction(1, 20), "alpha": Fraction(2, 7)}
+    numeric = realize_leadlag(LeadLag(Fraction(2), values["lam"], values["x"], values["alpha"]), 12)
+    specialized = sym.substitute(values)
+    assert (specialized.num, specialized.den) == (numeric.num, numeric.den)
+    assert numeric.num_degree == numeric.den_degree == 12
 
 
 def test_leadlag_validation():

@@ -90,6 +90,8 @@ def test_bode_rejects_symbolic_inputs():
         )
     with pytest.raises(ValidationError):
         evaluate(make_tf((ParamPoly.var("lam"),), (1,)), 1j)
+    with pytest.raises(ValidationError):
+        bode(make_tf((ParamPoly.var("lam"),), (1,)), FrequencyGrid((1.0,), "rad"))
 
 
 def test_evaluate_single_point():
