@@ -14,7 +14,6 @@ from .approx import (
     ContinuedFraction,
     GainTag,
     TransferFunction,
-    cfe_order_to_pade,
     cfe_to_tf,
     make_tf,
     pade,
@@ -38,7 +37,6 @@ from .errors import (
     ExactDivisionError,
     FracratError,
     InconsistentSystemError,
-    RankDeficiencyError,
     ValidationError,
 )
 from .exact import ParamPoly
@@ -86,13 +84,11 @@ __all__ = [
     "LeadLag",
     "ParamPoly",
     "PowerSeries",
-    "RankDeficiencyError",
     "TransferFunction",
     "ValidationError",
     "binomial_series",
     "bode",
     "carlson",
-    "cfe_order_to_pade",
     "cfe_to_tf",
     "constant_phase_band",
     "export_netlist",

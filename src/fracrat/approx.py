@@ -1,7 +1,8 @@
 """Pade approximants and continued-fraction expansions of rational functions.
 
 The Pade direction turns a truncated power series into an [m/k] rational
-approximant by solving the Toeplitz coefficient system exactly; the inverse
+approximant by solving the Toeplitz coefficient system exactly, by
+fraction-free elimination when the coefficients are symbolic; the inverse
 direction expands a rational function into a simple continued fraction by
 repeated Euclidean division, which is what ladder synthesis consumes.
 """
@@ -16,16 +17,9 @@ from .errors import (
     DegenerateMathError,
     ExactDivisionError,
     InconsistentSystemError,
-    RankDeficiencyError,
     ValidationError,
 )
-from .exact import (
-    ParamFraction,
-    ParamPoly,
-    poly_normalize,
-    solve_fraction_free,
-    solve_particular,
-)
+from .exact import ParamPoly, poly_normalize, solve_fraction_free, solve_particular
 from .series import PowerSeries
 
 _RINGS = ("rational", "symbolic", "float")
@@ -211,32 +205,29 @@ def tf_equal(a: TransferFunction, b: TransferFunction) -> bool:
     return a.num_poly() * b.den_poly() == b.num_poly() * a.den_poly()
 
 
-def cfe_order_to_pade(order: int) -> tuple[int, int]:
-    """Degree pair of the realization at a given order.
-
-    An order-n realization keeps the continued fraction through its 2n-th
-    convergent, which is the [n/n] Pade approximant.
-    """
-    if order < 0:
-        raise ValidationError("order must be non-negative")
-    return order, order
-
-
 def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     """[m/k] Pade approximant of a truncated series.
 
-    Solves the Toeplitz system for the denominator with q0 = 1 (exact
-    fraction-free elimination when coefficients are symbolic, exact
-    rational elimination when numeric), then reads the numerator off the
-    series product. A singular system falls back to a particular solution
-    with free variables zeroed and reports the defect in the notes; the
-    reduced approximant is returned after cancelling any shared factor.
+    Solves the Toeplitz system for the denominator with q0 = 1, then reads
+    the numerator off the series product. A singular system yields the
+    particular solution with free variables zeroed, and the notes report
+    its defect.
 
-    This is the general route for an arbitrary series. The controller
-    realizations do not take it for their binomial and lead-lag kernels,
-    whose diagonal approximants have a closed form
-    (controllers._binomial_pade); they call it only at integer exponents,
-    where that closed form carries a common factor.
+    Numeric coefficients go through row reduction over the rationals; the
+    shared factor of a singular system is then cancelled, and a
+    match-through note says when the reduced approximant no longer matches
+    the series through order m + k. Symbolic coefficients go through
+    fraction-free elimination, which gives the denominator as Cramer
+    numerators over one determinant. The determinant is divided out when
+    it divides every numerator exactly; otherwise the approximant keeps
+    the Cramer form, which is the same rational function with the
+    determinant multiplied through. No common factor is cancelled on the
+    symbolic path.
+
+    This is the general route for an arbitrary series, and the reference
+    the controller realizations are tested against. They do not take it:
+    their binomial and lead-lag kernels have closed-form diagonal
+    approximants (controllers._binomial_pade).
     """
     if m < 0 or k < 0:
         raise ValidationError("Pade degrees must be non-negative")
@@ -244,8 +235,8 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
         raise ValidationError(
             f"series order {series.truncation_order} is below m+k = {m + k}"
         )
-    c = list(series.coeffs)
-    symbolic = any(isinstance(v, ParamPoly) and not v.is_constant() for v in c)
+    c = [_coerce_exact(v) for v in series.coeffs]
+    symbolic = any(isinstance(v, ParamPoly) for v in c)
     defect = 0
     if k == 0:
         q = [Fraction(1)]
@@ -257,15 +248,13 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
             rhs.append(-_series_at(c, m + 1 + r))
         if symbolic:
             try:
-                sol = solve_fraction_free(rows, rhs)
-            except RankDeficiencyError:
-                try:
-                    sol, defect = solve_particular(rows, rhs)
-                except InconsistentSystemError:
-                    raise DegenerateMathError(
-                        "no valid denominator at this degree"
-                    ) from None
-            q = [_one_like(sol)] + list(sol)
+                numerators, det, defect = solve_fraction_free(rows, rhs)
+            except InconsistentSystemError:
+                raise DegenerateMathError("no valid denominator at this degree") from None
+            try:
+                q = [Fraction(1)] + [v.exact_div(det) for v in numerators]
+            except ExactDivisionError:
+                q = [det] + numerators
         else:
             try:
                 sol, defect = solve_particular(rows, rhs)
@@ -281,28 +270,21 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
             term = q[j] * _series_at(c, i - j)
             acc = term if acc is None else acc + term
         num.append(acc)
-    num, den = _clear_common_denominator(num, q)
     notes = ()
     if defect:
         notes = (f"pade-defect={defect}",)
         if not symbolic:
-            num, den = _cancel_common_factor(num, den)
-            matched = _match_order(c, num, den, m + k)
+            num, q = _cancel_common_factor(num, q)
+            matched = _match_order(c, num, q, m + k)
             if matched < m + k:
                 notes = notes + (f"match-through={matched}",)
-    return make_tf(num, den, notes=notes)
+    return make_tf(num, q, notes=notes)
 
 
 def _series_at(c, idx):
     if idx < 0 or idx >= len(c):
         return Fraction(0)
     return c[idx]
-
-
-def _one_like(solution):
-    if solution and isinstance(solution[0], ParamFraction):
-        return ParamFraction.from_scalar(1)
-    return Fraction(1)
 
 
 def _kernel_denominator(matrix):
@@ -343,40 +325,6 @@ def _kernel_denominator(matrix):
     return [v * inv for v in vec], n - 1 - len(pivot_cols)
 
 
-def _clear_common_denominator(num, den):
-    """Turn ParamFraction coefficient lists into ParamPoly/BigRat lists.
-
-    Multiplies numerator and denominator by the least product of the
-    distinct fraction denominators; for everything in scope the fractions
-    reduce to constant denominators, so this is usually a no-op.
-    """
-    if not any(isinstance(v, ParamFraction) for v in num + den):
-        return polys.trim(num), polys.trim(den)
-    num = [v if isinstance(v, ParamFraction) else ParamFraction._lift(v) for v in num]
-    den = [v if isinstance(v, ParamFraction) else ParamFraction._lift(v) for v in den]
-    common = ParamPoly.one()
-    for f in num + den:
-        if f.den.is_constant():
-            continue
-        try:
-            common.exact_div(f.den)
-        except ExactDivisionError:
-            common = common * f.den
-
-    def clear(f: ParamFraction):
-        # reduced fractions carry den == 1 or a non-constant primitive
-        if f.den.is_constant():
-            scaled = f.num * common / f.den.constant_value()
-        else:
-            scaled = f.num * common.exact_div(f.den)
-        return scaled.constant_value() if scaled.is_constant() else scaled
-
-    return (
-        polys.trim([clear(f) for f in num]),
-        polys.trim([clear(f) for f in den]),
-    )
-
-
 def _cancel_common_factor(num, den):
     """Divide out the field GCD of two BigRat coefficient lists."""
     if polys.degree(num) < 1 or polys.degree(den) < 1:
@@ -415,7 +363,6 @@ class ContinuedFraction:
     """
 
     quotients: tuple
-    simple: bool = True
 
     def __len__(self):
         return len(self.quotients)

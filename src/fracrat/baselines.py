@@ -10,10 +10,10 @@ Three classical constructions, frozen here so results are reproducible:
   correction biquad that continues the recursion one half-step past
   each band edge, (s + z_lo)(s + z_hi) / ((s + p_lo)(s + p_hi)) with
   the extra zeros and poles placed at the k = -(N+1) and k = N+1 rungs
-  of the same geometric pattern. The classical shelf constants b and d
-  stay in the config for interface compatibility but the correction
-  derives from the recursion itself; the gain anchor at omega_u plays
-  the role of the classical leading factor.
+  of the same geometric pattern. The correction derives from the
+  recursion itself rather than from the classical shelf constants b and
+  d; the gain anchor at omega_u plays the role of the classical leading
+  factor.
 * Carlson: the Newton-type fixed-point iteration on H^q = s^m,
   H_{k+1} = H_k * ((q-1)H_k^q + (q+1)s^m) / ((q+1)H_k^q + (q-1)s^m),
   starting from H_0 = 1, carried out in exact rational arithmetic.
@@ -43,8 +43,6 @@ class BaselineConfig:
     omega_b: float
     omega_h: float
     N: int
-    b: float = 10.0
-    d: float = 9.0
 
     def __post_init__(self):
         lam = float(self.lam)
@@ -56,8 +54,6 @@ class BaselineConfig:
             raise ValidationError("need 0 < omega_b < omega_h")
         if self.N < 1:
             raise ValidationError("N must be at least 1")
-        if self.b <= 0 or self.d <= 0:
-            raise ValidationError("shaping constants must be positive")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "omega_b", wb)
         object.__setattr__(self, "omega_h", wh)

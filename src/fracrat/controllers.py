@@ -5,7 +5,7 @@ Each builder accepts exact numeric parameters or leaves them symbolic
 prefactors (Kp^mu, Kc*x^alpha) are carried as opaque gain tags, never
 expanded into coefficients. Every family rests on the diagonal Pade
 approximant of (1 + z)^a, which is read off its hypergeometric closed form
-rather than solved for.
+rather than solved for; at a = +1 or -1 it is (1 + z)^a itself.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .approx import GainTag, TransferFunction, make_tf, pade
+from .approx import GainTag, TransferFunction, make_tf
 from .errors import ValidationError
 from .exact import ParamPoly
-from .series import PowerSeries, binomial_series, leadlag_kernel_series
 
 _SIGNS = ("integrator", "differentiator")
 _RANGES = ("low", "high")
@@ -137,10 +136,6 @@ def _check_order(order: int):
         raise ValidationError("order must be a positive integer")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, Fraction) and value.denominator == 1
-
-
 def _binomial_pade(a, n: int) -> tuple[list, list]:
     """Coefficient lists (p, q) of the [n/n] Pade approximant of (1 + z)^a.
 
@@ -150,7 +145,7 @@ def _binomial_pade(a, n: int) -> tuple[list, list]:
     no linear system is solved. `a` is an exact scalar, a symbol name or a
     ParamPoly; coefficient k is then a degree-k polynomial in it. For an
     integer a with |a| <= n, P and Q share a factor that is not removed
-    here.
+    here; _kernel_pade handles a = +1 and -1 instead.
     """
     if isinstance(a, str):
         a = ParamPoly.var(a)
@@ -165,6 +160,24 @@ def _binomial_pade(a, n: int) -> tuple[list, list]:
     return sides[0], sides[1]
 
 
+def _kernel_pade(a, n: int) -> tuple:
+    """(p, q, notes) of the [n/n] Pade approximant of (1 + z)^a.
+
+    At a = +1 or -1 the kernel is rational and is its own approximant,
+    returned with p and q both of length 2; its n - 1 unused degrees are
+    the defect the generic Pade solve reports, so they go in the notes.
+    Every other exponent takes the closed form of _binomial_pade.
+    """
+    if isinstance(a, Fraction) and abs(a) == 1:
+        one, zero = Fraction(1), Fraction(0)
+        notes = (f"pade-defect={n - 1}",) if n > 1 else ()
+        if a == 1:
+            return (one, one), (one, zero), notes
+        return (one, zero), (one, one), notes
+    p, q = _binomial_pade(a, n)
+    return p, q, ()
+
+
 def _rescale(coeffs, r) -> tuple:
     """Coefficient k times r^k: the substitution z -> r*z."""
     return tuple(c * r**k for k, c in enumerate(coeffs))
@@ -174,24 +187,18 @@ def _integrator_tf(lam, freq_range: str, T, order: int) -> TransferFunction:
     """[order/order] realization of s^(-lam); lam exact or a symbol name.
 
     The low band is the Pade approximant of (1 + v)^lam in v = 1/s with s^n
-    cleared from both sides, the high band that of (1 + sT)^(-lam). Shared
-    by the public differintegrator entry point (lam in (0,1]) and the FOPID
-    assembly (lam in (0,2)); no range check here.
+    cleared from both sides, the high band that of (1 + sT)^(-lam), both
+    from _kernel_pade: the hypergeometric closed form, or at lam = 1 the
+    kernel itself with a pade-defect note. Shared by the public
+    differintegrator entry point (lam in (0,1]) and the FOPID assembly
+    (lam in (0,2)); no range check here.
     """
-    n = order
     a = ParamPoly.var(lam) if isinstance(lam, str) else lam
     scale = Fraction(1)
     if freq_range == "high":
         a, scale = -a, T
-    if _is_integer(a):
-        # the closed form's shared factor is cancelled by the generic
-        # solve, which also reports it as pade-defect / match-through notes
-        series = PowerSeries(_rescale(binomial_series(a, 2 * n).coeffs, scale))
-        core = pade(series, n, n)
-        num, den, notes = core.num, core.den, core.notes
-    else:
-        p, q = _binomial_pade(a, n)
-        num, den, notes = _rescale(p, scale), _rescale(q, scale), ()
+    p, q, notes = _kernel_pade(a, order)
+    num, den = _rescale(p, scale), _rescale(q, scale)
     if freq_range == "high":
         return make_tf(num, den, notes=notes)
     width = max(len(num), len(den))
@@ -202,8 +209,9 @@ def realize_differintegrator(spec: Differintegrator, order: int) -> TransferFunc
     """Numeric [n/n] realization of the differintegrator.
 
     Built from the closed-form Pade approximant of the band's binomial
-    kernel (see _integrator_tf); lam = 1 goes through the generic solve
-    and keeps its pade-defect note.
+    kernel (see _integrator_tf). At lam = 1 the kernel is its own
+    approximant, so the result is (s+1)/s or 1/(1+sT) at every order, noted
+    pade-defect=n-1 for n >= 2.
     """
     _check_order(order)
     if spec.lam is None:
@@ -353,10 +361,10 @@ def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     that Moebius map: with p, q the closed-form [n/n] coefficients of
     (1+u)^alpha, the numerator is sum_k p_k (1-x)^k w^k (1+x*w)^(n-k) and
     the denominator the same with q_k. Then w = lam*s is substituted. At
-    alpha = 1 the kernel is rational and goes through the generic Pade
-    solve, which cancels the shared factor and notes the defect. The value
-    at s = 0 is Kc*x^alpha, carried as a gain tag unless it is exactly
-    rational.
+    alpha = 1 the kernel (1+w)/(1+x*w) is its own approximant; it comes out
+    of the same map from (1+u)/1 and is noted pade-defect=n-1 for n >= 2.
+    The value at s = 0 is Kc*x^alpha, carried as a gain tag unless it is
+    exactly rational.
     """
     _check_order(order)
     alpha = _gain_sym(spec.alpha, "alpha")
@@ -368,12 +376,8 @@ def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     )
     if degenerate:
         return make_tf((kc,), (1,))
-    if _is_integer(alpha):
-        core = pade(leadlag_kernel_series(alpha, x, 2 * order), order, order)
-        num, den, notes = core.num, core.den, core.notes
-    else:
-        p, q = _binomial_pade(alpha, order)
-        num, den, notes = _moebius(p, x), _moebius(q, x), ()
+    p, q, notes = _kernel_pade(alpha, order)
+    num, den = _moebius(p, x), _moebius(q, x)
     value = None
     if spec.Kc is not None and spec.x is not None and spec.alpha is not None:
         value = float(spec.Kc) * float(spec.x) ** float(spec.alpha)

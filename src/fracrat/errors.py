@@ -19,17 +19,6 @@ class ExactDivisionError(FracratError):
     divide the dividend."""
 
 
-class RankDeficiencyError(FracratError):
-    """Linear system is rank-deficient but consistent.
-
-    `defect` is the dimension of the solution space (unknowns minus rank).
-    """
-
-    def __init__(self, defect: int, message: str | None = None):
-        super().__init__(message or f"rank-deficient system, defect {defect}")
-        self.defect = defect
-
-
 class InconsistentSystemError(FracratError):
-    """Rank-deficient system whose right-hand side is not in the column
-    space: no solution exists."""
+    """Linear system whose right-hand side is not in the column space of
+    its matrix: no solution exists."""

@@ -2,8 +2,10 @@
 
 Arbitrary-precision rationals (`BigRat`, backed by `fractions.Fraction`),
 sparse multivariate polynomials over the controller-parameter symbols
-(`ParamPoly`), quotients of those (`ParamFraction`), and a fraction-free
-linear solver used by the Pade machinery.
+(`ParamPoly`), and the two exact linear solvers behind the generic Pade
+construction: fraction-free (Bareiss) elimination over ParamPoly, which
+keeps every entry a polynomial and so needs no quotient type, and
+row reduction over the rationals for numeric systems.
 
 Everything here is immutable after construction and safe to share between
 threads; all operations return new objects.
@@ -14,12 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (
-    ExactDivisionError,
-    InconsistentSystemError,
-    RankDeficiencyError,
-    ValidationError,
-)
+from .errors import ExactDivisionError, InconsistentSystemError, ValidationError
 
 #: Exact rational scalar type used for every coefficient in the package.
 BigRat = Fraction
@@ -133,17 +130,6 @@ class ParamPoly:
 
     def leading_coeff(self) -> Fraction:
         return self.terms[self.leading_key()]
-
-    def coefficient(self, symbol: str, power: int) -> "ParamPoly":
-        """Polynomial coefficient of symbol**power (remaining symbols kept)."""
-        i = _INDEX[symbol]
-        out = {}
-        for key, c in self.terms.items():
-            if key[i] == power:
-                new = list(key)
-                new[i] = 0
-                out[tuple(new)] = c
-        return ParamPoly(out)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -293,39 +279,6 @@ class ParamPoly:
             rem = rem - mono * divisor
         return ParamPoly(quot_terms)
 
-    def univariate_symbol(self) -> str | None:
-        """The single symbol appearing, or None for constants.
-
-        Raises ValidationError when more than one symbol is present.
-        """
-        used = self.symbols()
-        if len(used) > 1:
-            raise ValidationError("polynomial is multivariate")
-        return used[0] if used else None
-
-    def coeff_list(self, symbol: str) -> list[Fraction]:
-        """Ascending scalar coefficients; requires univariate in `symbol`."""
-        used = self.symbols()
-        if used and used != (symbol,):
-            raise ValidationError(f"polynomial is not univariate in {symbol!r}")
-        i = _INDEX[symbol]
-        out = [Fraction(0)] * (self.degree(symbol) + 1 if self.terms else 1)
-        for key, c in self.terms.items():
-            out[key[i]] = c
-        return out
-
-    @classmethod
-    def from_coeff_list(cls, symbol: str, coeffs) -> "ParamPoly":
-        terms = {}
-        i = _INDEX[symbol]
-        for power, c in enumerate(coeffs):
-            c = _coerce_rat(c)
-            if c:
-                key = [0] * _NVARS
-                key[i] = power
-                terms[tuple(key)] = c
-        return cls(terms)
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
@@ -365,7 +318,7 @@ def as_param_poly(value) -> ParamPoly:
     return lifted
 
 
-# -- normalization and GCD ---------------------------------------------------
+# -- normalization -----------------------------------------------------------
 
 
 def poly_normalize(p: ParamPoly) -> tuple[Fraction, ParamPoly]:
@@ -390,301 +343,87 @@ def poly_normalize(p: ParamPoly) -> tuple[Fraction, ParamPoly]:
     return content, primitive
 
 
-def _frac_list_trim(coeffs):
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _frac_list_mod(a, b):
-    """Remainder of univariate coefficient-list division over the rationals."""
-    a = list(a)
-    while len(a) >= len(b) and a:
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        _frac_list_trim(a)
-    return a
-
-
-def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic GCD of two univariate polynomials in the same symbol.
-
-    Constants count as univariate in any symbol; gcd(0, 0) is undefined.
-    """
-    a = as_param_poly(a)
-    b = as_param_poly(b)
-    if a.is_zero() and b.is_zero():
-        raise ValidationError("gcd undefined for two zero polynomials")
-    sym_a = a.univariate_symbol()
-    sym_b = b.univariate_symbol()
-    if sym_a and sym_b and sym_a != sym_b:
-        raise ValidationError("gcd inputs use different symbols")
-    symbol = sym_a or sym_b
-    if symbol is None:
-        return ParamPoly.one()
-    ca = _frac_list_trim(a.coeff_list(symbol)) if not a.is_zero() else []
-    cb = _frac_list_trim(b.coeff_list(symbol)) if not b.is_zero() else []
-    while cb:
-        ca, cb = cb, _frac_list_mod(ca, cb)
-    monic = [c / ca[-1] for c in ca]
-    return ParamPoly.from_coeff_list(symbol, monic)
-
-
-# -- fractions of polynomials -------------------------------------------------
-
-
-class ParamFraction:
-    """Quotient of two ParamPoly values, denominator nonzero.
-
-    Kept reduced where the package's GCD machinery allows: rational content
-    is always extracted, a denominator that divides the numerator exactly is
-    cancelled, and univariate pairs are reduced by the Euclidean GCD.
-    Equality is decided by cross-multiplication, so unreduced values still
-    compare correctly.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        num = as_param_poly(num)
-        den = as_param_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("ParamFraction denominator is zero")
-        if num.is_zero():
-            self.num = ParamPoly.zero()
-            self.den = ParamPoly.one()
-            return
-        cn, pn = poly_normalize(num)
-        cd, pd = poly_normalize(den)
-        scale = cn / cd
-        if pd.is_constant():
-            self.num = pn * scale
-            self.den = ParamPoly.one()
-            return
-        try:
-            self.num = pn.exact_div(pd) * scale
-            self.den = ParamPoly.one()
-            return
-        except ExactDivisionError:
-            pass
-        try:
-            sn = pn.univariate_symbol()
-            sd = pd.univariate_symbol()
-        except ValidationError:
-            sn = sd = False  # multivariate; skip the univariate reduction
-        if sn is not False and sd == sn and sn is not None:
-            g = poly_gcd(pn, pd)
-            if g.degree() > 0:
-                pn = pn.exact_div(g)
-                pd = pd.exact_div(g)
-                cd2, pd = poly_normalize(pd)
-                scale = scale / cd2
-        self.num = pn * scale
-        self.den = pd
-
-    @classmethod
-    def from_scalar(cls, value) -> "ParamFraction":
-        return cls(ParamPoly.constant(value))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
-
-    def as_poly(self) -> ParamPoly:
-        """The numerator when the denominator reduced to a constant."""
-        if not self.den.is_constant():
-            raise ValidationError("fraction did not reduce to a polynomial")
-        return self.num / self.den.constant_value()
-
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, ParamFraction):
-            return other
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return ParamFraction(as_param_poly(other))
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return ParamFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = ParamFraction.__new__(ParamFraction)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return ParamFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return ParamFraction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("ParamFraction is not hashable")
-
-    def __str__(self):
-        if self.den == ParamPoly.one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"ParamFraction({self})"
-
-
 # -- linear solving -----------------------------------------------------------
 
 
-def _rref_particular(rows, rhs, zero, one):
-    """Reduced row echelon over a field; returns (solution, defect).
+def solve_fraction_free(matrix, rhs):
+    """Solve A y = b exactly by fraction-free (Bareiss) elimination.
 
-    Free variables are set to zero. Raises InconsistentSystemError when the
-    right-hand side is not in the column space. Entries must support field
-    arithmetic and truthiness.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    mat = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = one / mat[r][c]
-        mat[r] = [entry * inv for entry in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if mat[i][n]:
-            raise InconsistentSystemError("no solution")
-    solution = [zero] * n
-    for i, c in enumerate(pivot_cols):
-        solution[c] = mat[i][n]
-    return solution, n - len(pivot_cols)
-
-
-def solve_fraction_free(matrix, rhs) -> list[ParamFraction]:
-    """Solve A x = b exactly by fraction-free (Bareiss) elimination.
-
-    A is square with ParamPoly (or scalar) entries. Full rank gives the
-    exact solution as ParamFractions with zero residual. A rank-deficient
-    consistent system raises RankDeficiencyError naming the defect; an
-    inconsistent one raises InconsistentSystemError.
+    A is square with ParamPoly (or exact scalar) entries. A column with no
+    pivot is skipped and its unknown, a free variable, is set to zero.
+    Returns (numerators, det, defect): y_j = numerators[j] / det, where det
+    is the last pivot (the determinant of the nonsingular block the pivots
+    select) and defect is the number of free variables. No quotient is ever
+    formed: each elimination step divides exactly by the previous pivot
+    (Sylvester's identity), and back-substitution divides exactly by the
+    row's pivot because det * y_j is a Cramer numerator. Raises
+    InconsistentSystemError when b is not in the column space of A.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValidationError("matrix must be square")
     if len(rhs) != n:
         raise ValidationError("right-hand side length mismatch")
-    if n == 0:
-        return []
     mat = [[as_param_poly(entry) for entry in row] + [as_param_poly(rhs[i])]
            for i, row in enumerate(matrix)]
     prev = ParamPoly.one()
+    pivot_cols = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col]), None)
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, n) if mat[i][col]), None)
         if pivot is None:
-            _classify_deficiency(matrix, rhs)
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        for r in range(col + 1, n):
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        head = mat[r]
+        for row in mat[r + 1:]:
             for c in range(col + 1, n + 1):
-                cross = mat[col][col] * mat[r][c] - mat[r][col] * mat[col][c]
-                mat[r][c] = cross.exact_div(prev)
-            mat[r][col] = ParamPoly.zero()
-        prev = mat[col][col]
-    solution: list[ParamFraction] = [ParamFraction.from_scalar(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = ParamFraction(mat[i][n])
-        for j in range(i + 1, n):
-            acc = acc - ParamFraction(mat[i][j]) * solution[j]
-        solution[i] = acc / ParamFraction(mat[i][i])
-    return solution
-
-
-def _classify_deficiency(matrix, rhs):
-    """Diagnose a singular system over the fraction field and raise."""
-    rows = [[ParamFraction(as_param_poly(e)) for e in row] for row in matrix]
-    vec = [ParamFraction(as_param_poly(e)) for e in rhs]
-    zero = ParamFraction.from_scalar(0)
-    one = ParamFraction.from_scalar(1)
-    _, defect = _rref_particular(rows, vec, zero, one)  # may raise Inconsistent
-    raise RankDeficiencyError(defect)
+                row[c] = (head[col] * row[c] - row[col] * head[c]).exact_div(prev)
+            row[col] = ParamPoly.zero()
+        prev = head[col]
+        pivot_cols.append(col)
+    rank = len(pivot_cols)
+    if any(row[n] for row in mat[rank:]):
+        raise InconsistentSystemError("no solution")
+    numerators = [ParamPoly.zero()] * n
+    for i in range(rank - 1, -1, -1):
+        row = mat[i]
+        acc = prev * row[n]
+        for c in pivot_cols[i + 1:]:
+            acc = acc - row[c] * numerators[c]
+        numerators[pivot_cols[i]] = acc.exact_div(row[pivot_cols[i]])
+    return numerators, prev, n - rank
 
 
 def solve_particular(matrix, rhs):
-    """Particular solution of a possibly singular square system.
+    """Particular solution of a possibly singular square BigRat system.
 
-    Entries may be Fractions (numeric path) or ParamPoly/ParamFraction
-    (symbolic path). Free variables are set to zero. Returns
-    (solution, defect); raises InconsistentSystemError when unsolvable.
+    Reduced row echelon form over the rationals with free variables set to
+    zero. Returns (solution, defect); raises InconsistentSystemError when
+    unsolvable. Symbolic systems go to solve_fraction_free.
     """
-    n = len(matrix)
-    if n == 0:
-        return [], 0
-    numeric = all(
-        isinstance(e, (int, Fraction)) for row in matrix for e in row
-    ) and all(isinstance(e, (int, Fraction)) for e in rhs)
-    if numeric:
-        rows = [[_coerce_rat(e) for e in row] for row in matrix]
-        vec = [_coerce_rat(e) for e in rhs]
-        return _rref_particular(rows, vec, Fraction(0), Fraction(1))
-    rows = [[ParamFraction._lift(e) for e in row] for row in matrix]
-    vec = [ParamFraction._lift(e) for e in rhs]
-    zero = ParamFraction.from_scalar(0)
-    one = ParamFraction.from_scalar(1)
-    return _rref_particular(rows, vec, zero, one)
+    rows = [[_coerce_rat(e) for e in row] + [_coerce_rat(b)] for row, b in zip(matrix, rhs)]
+    m = len(rows)
+    n = len(matrix[0]) if m else 0
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [entry * inv for entry in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    if any(row[n] for row in rows[r:]):
+        raise InconsistentSystemError("no solution")
+    solution = [Fraction(0)] * n
+    for i, c in enumerate(pivot_cols):
+        solution[c] = rows[i][n]
+    return solution, n - len(pivot_cols)

@@ -1,9 +1,10 @@
 """Univariate polynomial helpers on ascending coefficient sequences.
 
-Coefficients are exact scalars (BigRat) or ParamPoly values; every function
-works uniformly over both as long as the entries support ring arithmetic.
-The zero polynomial is the empty tuple. Used by the Pade construction, the
-continued-fraction expansion and the ladder synthesis.
+Coefficients are exact scalars (BigRat) or ParamPoly values, and the ring
+operations work uniformly over both. Division and the GCD need a field and
+take BigRat coefficients only. The zero polynomial is the empty tuple.
+Used by the Pade construction, the continued-fraction expansion and the
+ladder synthesis.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateMathError
-from .exact import ParamFraction, ParamPoly, poly_normalize
+from .exact import ParamPoly, poly_normalize
 
 
 def trim(coeffs) -> tuple:
@@ -69,35 +70,13 @@ def reverse(coeffs, length: int | None = None) -> tuple:
     return trim(reversed(coeffs))
 
 
-def evaluate(coeffs, point):
-    """Horner evaluation; `point` may be exact, float or complex."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * point + (c if not isinstance(c, ParamPoly) else c.constant_value())
-    return acc
-
-
 def divmod_field(a, b) -> tuple[tuple, tuple]:
-    """Quotient and remainder with field-valued coefficients.
-
-    Entries must divide exactly (Fraction, or ParamFraction-wrapped); plain
-    ParamPoly coefficients are lifted into ParamFraction so that symbolic
-    division steps stay exact.
-    """
-    a = trim(a)
+    """Quotient and remainder of BigRat coefficient sequences."""
+    a = list(trim(a))
     b = trim(b)
     if not b:
         raise DegenerateMathError("polynomial division by zero")
-    lifted = any(isinstance(c, (ParamPoly, ParamFraction)) for c in a + b)
-    if lifted:
-        a = [c if isinstance(c, ParamFraction) else ParamFraction(c) for c in a]
-        b = [c if isinstance(c, ParamFraction) else ParamFraction(c) for c in b]
-    else:
-        a = list(a)
-        b = list(b)
-    q = [ParamFraction.from_scalar(0) if lifted else Fraction(0)] * max(
-        len(a) - len(b) + 1, 0
-    )
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b) and a:
         shift = len(a) - len(b)
         factor = a[-1] / b[-1]
@@ -110,20 +89,14 @@ def divmod_field(a, b) -> tuple[tuple, tuple]:
 
 
 def gcd_field(a, b) -> tuple:
-    """Monic GCD over the coefficient field; (0, 0) is undefined."""
+    """Monic GCD of BigRat coefficient sequences; (0, 0) is undefined."""
     a = trim(a)
     b = trim(b)
     if not a and not b:
         raise DegenerateMathError("gcd undefined for two zero polynomials")
     while b:
         a, b = b, divmod_field(a, b)[1]
-    lead = a[-1]
-    if isinstance(lead, ParamPoly):
-        lead = ParamFraction(lead)
-    inv = ParamFraction.from_scalar(1) / lead if isinstance(
-        lead, ParamFraction
-    ) else Fraction(1) / lead
-    return scale(a, inv)
+    return scale(a, Fraction(1) / a[-1])
 
 
 def sequence_content(coeff_sequences) -> Fraction:

@@ -1,10 +1,12 @@
 """Truncated formal power series with exact coefficients.
 
-Generates the two expansion kernels used downstream: the generalized
-binomial power (1 + t)^a and the lead-lag kernel ((1 + w)/(1 + x w))^a,
-the latter built as exp(a*(log(1+w) - log(1+x*w))) so that symbolic
-exponents stay polynomial. Coefficients are BigRat or ParamPoly; nothing
-here touches floating point.
+Generates the series that the generic Pade construction consumes: the
+generalized binomial power (1 + t)^a, exp(t), and the lead-lag kernel
+((1 + w)/(1 + x w))^a, the last built as exp(a*(log(1+w) - log(1+x*w)))
+so that symbolic exponents stay polynomial. The controller realizations
+read their approximants off closed forms instead; these series are the
+reference those closed forms are checked against. Coefficients are BigRat
+or ParamPoly; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -12,11 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateMathError, ValidationError
+from .errors import ValidationError
 from .exact import ParamPoly
-
-_VALID_OPS = ("add", "mul", "reciprocal", "compose")
-
 
 @dataclass(frozen=True)
 class PowerSeries:
@@ -91,96 +90,6 @@ def exp_series(n: int) -> PowerSeries:
     for k in range(1, n + 1):
         coeffs.append(coeffs[-1] / k)
     return PowerSeries(tuple(coeffs))
-
-
-def log_series(n: int) -> PowerSeries:
-    """Series of log(1 + t): coefficient k is (-1)^(k+1)/k, constant 0."""
-    if n < 0:
-        raise ValidationError("series order must be non-negative")
-    coeffs = [Fraction(0)]
-    for k in range(1, n + 1):
-        coeffs.append(Fraction((-1) ** (k + 1), k))
-    return PowerSeries(tuple(coeffs))
-
-
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    _check_orders(a, b)
-    return PowerSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    _check_orders(a, b)
-    n = a.truncation_order
-    out = [Fraction(0)] * (n + 1)
-    for i, x in enumerate(a.coeffs):
-        if not x:
-            continue
-        for j in range(0, n - i + 1):
-            out[i + j] = out[i + j] + x * b.coeffs[j]
-    return PowerSeries(tuple(out))
-
-
-def series_reciprocal(a: PowerSeries) -> PowerSeries:
-    """Multiplicative inverse through the truncation order."""
-    c0 = a.coeffs[0]
-    invertible = (isinstance(c0, Fraction) and c0 != 0) or (
-        isinstance(c0, ParamPoly) and c0.is_constant() and c0.constant_value() != 0
-    )
-    if not invertible:
-        raise DegenerateMathError("no inverse")
-    inv0 = (
-        Fraction(1) / c0
-        if isinstance(c0, Fraction)
-        else Fraction(1) / c0.constant_value()
-    )
-    n = a.truncation_order
-    out = [inv0]
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc = acc + a.coeffs[j] * out[k - j]
-        out.append(-acc * inv0)
-    return PowerSeries(tuple(out))
-
-
-def series_compose(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """a(b(t)) through the common truncation order; requires b(0) = 0."""
-    _check_orders(a, b)
-    b0 = b.coeffs[0]
-    vanishes = (isinstance(b0, Fraction) and b0 == 0) or (
-        isinstance(b0, ParamPoly) and b0.is_zero()
-    )
-    if not vanishes:
-        raise DegenerateMathError("composition undefined")
-    n = a.truncation_order
-    # Horner over truncated series: result = a_n; result = result*b + a_k
-    result = PowerSeries((a.coeffs[n],) + (Fraction(0),) * n)
-    for k in range(n - 1, -1, -1):
-        result = series_mul(result, b)
-        shifted = (result.coeffs[0] + a.coeffs[k],) + result.coeffs[1:]
-        result = PowerSeries(shifted)
-    return result
-
-
-def series_combine(a: PowerSeries, b: PowerSeries | None, op: str) -> PowerSeries:
-    """Dispatch table over the four series combinators.
-
-    `b` is ignored (and may be None) for the unary reciprocal.
-    """
-    if op not in _VALID_OPS:
-        raise ValidationError(f"unknown op {op!r}; choose from {_VALID_OPS}")
-    if op == "add":
-        return series_add(a, b)
-    if op == "mul":
-        return series_mul(a, b)
-    if op == "reciprocal":
-        return series_reciprocal(a)
-    return series_compose(a, b)
-
-
-def _check_orders(a: PowerSeries, b: PowerSeries):
-    if a.truncation_order != b.truncation_order:
-        raise ValidationError("truncation orders differ")
 
 
 def _scalar_exp_recurrence(u_coeffs, n: int):

@@ -13,14 +13,13 @@ from fracrat import (
     ParamPoly,
     PowerSeries,
     ValidationError,
-    cfe_order_to_pade,
     cfe_to_tf,
     make_tf,
     pade,
     rational_to_cfe,
     tf_equal,
 )
-from fracrat.series import exp_series
+from fracrat.series import exp_series, leadlag_kernel_series
 
 
 def _random_series(rng: random.Random, order: int) -> PowerSeries:
@@ -86,6 +85,21 @@ def test_pade_collapses_rational_input():
     assert "pade-defect=1" in t.notes
 
 
+def test_symbolic_pade_specializes_to_the_numeric_one():
+    # off the diagonal the elimination's determinant need not divide the
+    # Cramer numerators; the approximant then keeps that form, which is the
+    # same rational function as the numeric one
+    half = Fraction(1, 2)
+    values = {"alpha": half, "x": Fraction(1, 5)}
+    for alpha, m, k in (
+        (half, 2, 1), (half, 1, 2), (half, 1, 3), (half, 2, 3), ("alpha", 1, 2), ("alpha", 2, 2)
+    ):
+        sym = pade(leadlag_kernel_series(alpha, "x", m + k), m, k)
+        assert sym.ring == "symbolic" and sym.notes == ()
+        numeric = pade(leadlag_kernel_series(half, values["x"], m + k), m, k)
+        assert tf_equal(sym.substitute(values), numeric)
+
+
 def test_pade_rejects_vanishing_denominator():
     with pytest.raises(DegenerateMathError):
         pade(PowerSeries((Fraction(0), Fraction(1))), 0, 1)
@@ -96,13 +110,6 @@ def test_pade_preconditions():
         pade(exp_series(3), -1, 1)
     with pytest.raises(ValidationError):
         pade(exp_series(2), 2, 2)
-
-
-def test_cfe_order_maps_to_diagonal_pade():
-    assert cfe_order_to_pade(3) == (3, 3)
-    assert cfe_order_to_pade(0) == (0, 0)
-    with pytest.raises(ValidationError):
-        cfe_order_to_pade(-1)
 
 
 def test_make_tf_normalizes_exact_coefficients():

@@ -12,8 +12,12 @@ from fracrat import (
     FOPID,
     LeadLag,
     ParamPoly,
+    PowerSeries,
     ValidationError,
+    binomial_series,
+    leadlag_kernel_series,
     make_tf,
+    pade,
     realize_differintegrator,
     realize_fopd_bracket,
     realize_fopid,
@@ -22,6 +26,7 @@ from fracrat import (
     tf_equal,
 )
 from fracrat import polys
+from fracrat.controllers import _binomial_pade
 
 
 HALF = Fraction(1, 2)
@@ -335,3 +340,64 @@ def test_random_cross_paths_symbolic_vs_numeric():
         high = realize_differintegrator(Differintegrator(lam, freq_range="high"), 3)
         assert tf_equal(sym_low.substitute({"lam": lam}), low)
         assert tf_equal(sym_high.substitute({"lam": lam}), high)
+
+
+def _generic_integrator(band: str, T, n: int):
+    """s^-1 through the generic Pade solve of its band's kernel: (1 + v)^1
+    in v = 1/s with s^n cleared, or (1 + sT)^-1."""
+    if band == "high":
+        series = binomial_series(-1, 2 * n)
+        return pade(PowerSeries(tuple(c * T**k for k, c in enumerate(series))), n, n)
+    ref = pade(binomial_series(1, 2 * n), n, n)
+    width = max(len(ref.num), len(ref.den))
+    return make_tf(polys.reverse(ref.num, width), polys.reverse(ref.den, width), notes=ref.notes)
+
+
+def _same(tf, ref):
+    assert (tf.num, tf.den, tf.notes) == (ref.num, ref.den, ref.notes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_exponents_match_the_generic_pade(n):
+    one = Fraction(1)
+    for band, T in (("low", one), ("high", one), ("high", Fraction(1, 10))):
+        ref = _generic_integrator(band, T, n)
+        for sign, want in (("integrator", ref), ("differentiator", ref.reciprocal())):
+            spec = Differintegrator(one, sign=sign, freq_range=band, T=T)
+            _same(realize_differintegrator(spec, n), want)
+    for band in ("low", "high"):
+        integ = _generic_integrator(band, one, n)
+        diff = integ.reciprocal()
+        for gains in ((Fraction(2), Fraction(1, 3), Fraction(5)), (None, None, None)):
+            kp, ki, kd = (
+                ParamPoly.var(name) if g is None else g for name, g in zip(("Kp", "Ki", "Kd"), gains)
+            )
+            num = polys.add(
+                polys.add(
+                    polys.scale(polys.mul(integ.num, diff.den), ki),
+                    polys.scale(polys.mul(diff.num, integ.den), kd),
+                ),
+                polys.scale(polys.mul(integ.den, diff.den), kp),
+            )
+            notes = tuple(f"int:{x}" for x in integ.notes) + tuple(f"diff:{x}" for x in diff.notes)
+            want = make_tf(num, polys.mul(integ.den, diff.den), notes=notes)
+            _same(realize_fopid(FOPID(*gains, one, one), band, n), want)
+    lam = Fraction(1, 10)
+    for x in (Fraction(1, 4), None):
+        kernel = pade(leadlag_kernel_series(1, "x" if x is None else x, 2 * n), n, n)
+        want = make_tf(
+            tuple(c * lam**k for k, c in enumerate(kernel.num)),
+            tuple(c * lam**k for k, c in enumerate(kernel.den)),
+            notes=kernel.notes,
+        )
+        _same(realize_leadlag(LeadLag(Fraction(2), lam, x, one), n), want)
+    assert kernel.notes == ((f"pade-defect={n - 1}",) if n > 1 else ())
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symbolic_pade_agrees_with_the_closed_form(n):
+    # fraction-free elimination on the Toeplitz system and the
+    # hypergeometric closed form are independent routes to one approximant
+    generic = pade(binomial_series("lam", 2 * n), n, n)
+    closed = make_tf(*_binomial_pade("lam", n))
+    assert (generic.num, generic.den, generic.notes) == (closed.num, closed.den, ())

@@ -1,24 +1,14 @@
 """Exact multivariate polynomial layer: ring axioms, normalization,
-division, gcd, and the fraction-free linear solvers."""
+division, the polynomial gcd, and the exact linear solvers."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from fracrat import ParamPoly, ValidationError
-from fracrat.errors import (
-    ExactDivisionError,
-    InconsistentSystemError,
-    RankDeficiencyError,
-)
-from fracrat.exact import (
-    ParamFraction,
-    poly_gcd,
-    poly_normalize,
-    solve_fraction_free,
-    solve_particular,
-)
+from fracrat import DegenerateMathError, ParamPoly, ValidationError, polys
+from fracrat.errors import ExactDivisionError, InconsistentSystemError
+from fracrat.exact import poly_normalize, solve_fraction_free, solve_particular
 
 
 def _random_poly(rng: random.Random, symbols=("lam", "mu"), terms=4) -> ParamPoly:
@@ -109,39 +99,19 @@ def test_poly_normalize_extracts_primitive_part():
 
 
 def test_poly_gcd_is_monic_and_catches_common_factor():
-    x = ParamPoly.var("x")
-    g = x + 1
-    a = g * (x + 2) * 3
-    b = g * (x - 5) * Fraction(1, 2)
-    got = poly_gcd(a, b)
-    assert got == g
-    assert poly_gcd(x + 2, x + 3) == ParamPoly.one()
-    assert poly_gcd(ParamPoly.constant(6), ParamPoly.constant(4)) == ParamPoly.one()
+    g = (Fraction(1), Fraction(1))  # s + 1
+    a = polys.scale(polys.mul(g, (2, 1)), 3)
+    b = polys.scale(polys.mul(g, (-5, 1)), Fraction(1, 2))
+    assert polys.gcd_field(a, b) == g
+    assert polys.gcd_field((2, 1), (3, 1)) == (1,)
+    assert polys.gcd_field((6,), (4,)) == (1,)
     # one zero argument: gcd is the monic form of the other
-    assert poly_gcd(ParamPoly.zero(), 2 * x + 2) == x + 1
+    assert polys.gcd_field((), (2, 2)) == g
 
 
 def test_poly_gcd_preconditions():
-    with pytest.raises(ValidationError):
-        poly_gcd(ParamPoly.var("x") + 1, ParamPoly.var("mu") + 1)
-    with pytest.raises(ValidationError):
-        poly_gcd(ParamPoly.zero(), ParamPoly.zero())
-
-
-def test_coeff_list_round_trip():
-    x = ParamPoly.var("x")
-    alpha = ParamPoly.var("alpha")
-    p = Fraction(5, 2) * x**2 + 3 * x - 1
-    coeffs = p.coeff_list("x")
-    assert coeffs == [Fraction(-1), Fraction(3), Fraction(5, 2)]
-    assert ParamPoly.from_coeff_list("x", coeffs) == p
-    assert (3 * x + 1).univariate_symbol() == "x"
-    # coeff_list is for scalar-coefficient polynomials only
-    with pytest.raises(ValidationError):
-        (alpha * x + 1).coeff_list("x")
-    with pytest.raises(ValidationError):
-        (alpha * x + 1).univariate_symbol()
-    assert ParamPoly.constant(3).univariate_symbol() is None
+    with pytest.raises(DegenerateMathError):
+        polys.gcd_field((), ())
 
 
 def test_grlex_ordering_picks_total_degree_first():
@@ -160,16 +130,6 @@ def test_str_rendering_is_stable():
     assert str(ParamPoly.zero()) == "0"
 
 
-def test_param_fraction_normalizes():
-    lam = ParamPoly.var("lam")
-    half = ParamFraction(lam, 2 * lam)
-    assert half == ParamFraction.from_scalar(Fraction(1, 2))
-    total = ParamFraction(lam, lam + 1) + ParamFraction(1, lam + 1)
-    assert total == ParamFraction.from_scalar(1)
-    ratio = ParamFraction(lam**2 - 1, 1) / ParamFraction(lam - 1, 1)
-    assert ratio == ParamFraction(lam + 1)
-
-
 def test_solver_reproduces_known_solution():
     rng = random.Random(13)
     for _ in range(25):
@@ -177,11 +137,10 @@ def test_solver_reproduces_known_solution():
         want = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         matrix = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
         rhs = [sum(matrix[i][j] * want[j] for j in range(n)) for i in range(n)]
-        try:
-            got = solve_fraction_free(matrix, rhs)
-        except RankDeficiencyError:
+        numerators, det, defect = solve_fraction_free(matrix, rhs)
+        if defect:
             continue  # singular draw: covered by the dedicated tests below
-        assert [g.constant_value() for g in got] == want
+        assert [v.constant_value() / det.constant_value() for v in numerators] == want
 
 
 def test_solver_handles_symbolic_entries():
@@ -189,21 +148,74 @@ def test_solver_handles_symbolic_entries():
     # entries polynomial in lam, solution polynomial in lam
     matrix = [[lam, 1], [0, 1]]
     rhs = [lam**2 + lam + 1, lam + 1]
-    sol = solve_fraction_free(matrix, rhs)
-    assert sol[0] == ParamFraction(lam)
-    assert sol[1] == ParamFraction(lam + 1)
+    numerators, det, defect = solve_fraction_free(matrix, rhs)
+    assert defect == 0
+    assert det == lam
+    assert numerators == [lam * lam, lam * (lam + 1)]
 
 
 def test_solver_classifies_singular_systems():
-    with pytest.raises(RankDeficiencyError) as exc:
-        solve_fraction_free([[1, 1], [2, 2]], [3, 6])
-    assert exc.value.defect == 1
+    numerators, det, defect = solve_fraction_free([[1, 1], [2, 2]], [3, 6])
+    assert defect == 1
+    assert (numerators, det) == ([3, 0], 1)
     with pytest.raises(InconsistentSystemError):
         solve_fraction_free([[1, 1], [2, 2]], [3, 7])
     with pytest.raises(ValidationError):
         solve_fraction_free([[1, 1]], [1])
     with pytest.raises(ValidationError):
         solve_fraction_free([[1]], [1, 2])
+
+
+def _small_poly(rng: random.Random) -> ParamPoly:
+    lam = ParamPoly.var("lam")
+    mu = ParamPoly.var("mu")
+    return rng.randint(-3, 3) + rng.randint(-3, 3) * lam + rng.randint(-2, 2) * mu
+
+
+def _mat_mul(a, b):
+    return [
+        [sum((row[k] * b[k][j] for k in range(len(b))), ParamPoly.zero()) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def test_fraction_free_solver_on_random_symbolic_systems():
+    # A = B C has rank r: the columns of C listed in `pivots` are random and
+    # every other column combines the pivot columns before it, so the
+    # elimination must skip exactly the other columns and leave their
+    # unknowns, the free variables, at zero
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        r = rng.randint(0, n)
+        pivots = sorted(rng.sample(range(n), r))
+        cols = []
+        for j in range(n):
+            if j in pivots:
+                cols.append([_small_poly(rng) for _ in range(r)])
+            else:
+                earlier = [(_small_poly(rng), cols[i]) for i in pivots if i < j]
+                cols.append([
+                    sum((f * col[k] for f, col in earlier), ParamPoly.zero()) for k in range(r)
+                ])
+        if r:
+            b_mat = [[_small_poly(rng) for _ in range(r)] for _ in range(n)]
+            matrix = _mat_mul(b_mat, [[col[k] for col in cols] for k in range(r)])
+        else:
+            matrix = [[ParamPoly.zero()] * n for _ in range(n)]
+        y = [[_small_poly(rng)] for _ in range(n)]
+        rhs = [row[0] for row in _mat_mul(matrix, y)]
+        numerators, det, defect = solve_fraction_free(matrix, rhs)
+        assert defect == n - r
+        assert not det.is_zero()
+        assert all(numerators[j].is_zero() for j in range(n) if j not in pivots)
+        for row, b in zip(matrix, rhs):
+            assert sum((a * v for a, v in zip(row, numerators)), ParamPoly.zero()) == det * b
+        if r < n:
+            off = list(rhs)
+            off[rng.randrange(n)] += ParamPoly.var("lam") ** 3 + 1
+            with pytest.raises(InconsistentSystemError):
+                solve_fraction_free(matrix, off)
 
 
 def test_particular_solution_zeroes_free_variables():
@@ -223,7 +235,7 @@ def test_particular_solution_zeroes_free_variables():
 
 def test_particular_solution_symbolic_path():
     lam = ParamPoly.var("lam")
-    sol, defect = solve_particular([[lam, lam], [lam, lam]], [2 * lam, 2 * lam])
+    numerators, det, defect = solve_fraction_free([[lam, lam], [lam, lam]], [2 * lam, 2 * lam])
     assert defect == 1
-    assert sol[0] == ParamFraction.from_scalar(2)
-    assert sol[1] == ParamFraction.from_scalar(0)
+    assert det == lam
+    assert numerators == [2 * lam, 0]
