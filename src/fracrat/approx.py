@@ -19,7 +19,7 @@ from .errors import (
     InconsistentSystemError,
     ValidationError,
 )
-from .exact import ParamPoly, poly_normalize, solve_fraction_free, solve_particular
+from .exact import SYMBOLS, ParamPoly, poly_normalize, solve_fraction_free, solve_particular
 from .series import PowerSeries
 
 _RINGS = ("rational", "symbolic", "float")
@@ -213,16 +213,17 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     particular solution with free variables zeroed, and the notes report
     its defect.
 
-    Numeric coefficients go through row reduction over the rationals; the
-    shared factor of a singular system is then cancelled, and a
-    match-through note says when the reduced approximant no longer matches
-    the series through order m + k. Symbolic coefficients go through
-    fraction-free elimination, which gives the denominator as Cramer
-    numerators over one determinant. The determinant is divided out when
-    it divides every numerator exactly; otherwise the approximant keeps
-    the Cramer form, which is the same rational function with the
-    determinant multiplied through. No common factor is cancelled on the
-    symbolic path.
+    Both rings go through fraction-free elimination, which gives the
+    denominator as Cramer numerators over one determinant. Numeric
+    coefficients divide by it; the shared factor of a singular system is
+    then cancelled, and a match-through note says when the reduced
+    approximant no longer matches the series through order m + k.
+    Symbolic coefficients keep the Cramer form [det, N1, ..., Nk] divided
+    by the common factor of its entries (_cancel_parameter_factor). With
+    one symbol that leaves the reduced denominator; with several, a factor
+    of det can stay multiplied through, and substituting one of its roots
+    then gives a zero denominator. A shared factor in s is not cancelled
+    on the symbolic path.
 
     This is the general route for an arbitrary series, and the reference
     the controller realizations are tested against. They do not take it:
@@ -251,10 +252,7 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
                 numerators, det, defect = solve_fraction_free(rows, rhs)
             except InconsistentSystemError:
                 raise DegenerateMathError("no valid denominator at this degree") from None
-            try:
-                q = [Fraction(1)] + [v.exact_div(det) for v in numerators]
-            except ExactDivisionError:
-                q = [det] + numerators
+            q = _cancel_parameter_factor([det] + numerators)
         else:
             try:
                 sol, defect = solve_particular(rows, rhs)
@@ -285,6 +283,32 @@ def _series_at(c, idx):
     if idx < 0 or idx >= len(c):
         return Fraction(0)
     return c[idx]
+
+
+def _cancel_parameter_factor(q):
+    """Divide ParamPoly entries by their common factor.
+
+    In one symbol that is their GCD over the rationals. With several
+    symbols only the first entry (the determinant) is tried as a divisor.
+    """
+    names = {name for v in q for name in v.symbols()}
+    if len(names) == 1:
+        (name,) = names
+        slot = SYMBOLS.index(name)
+        g = ()
+        for v in q:
+            if v:
+                coeffs = [Fraction(0)] * (v.degree(name) + 1)
+                for key, c in v.terms.items():
+                    coeffs[key[slot]] = c
+                g = polys.gcd_field(g, coeffs)
+        divisor = sum((c * ParamPoly.var(name, p) for p, c in enumerate(g)), ParamPoly.zero())
+    else:
+        divisor = q[0]
+    try:
+        return [v.exact_div(divisor) for v in q]
+    except ExactDivisionError:
+        return q
 
 
 def _kernel_denominator(matrix):

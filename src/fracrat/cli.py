@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 validation error, 3 degenerate mathematics.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -82,30 +81,12 @@ def _coeff_str(c) -> str:
     return str(c)
 
 
-@contextlib.contextmanager
-def _long_int_strings():
-    """Lift CPython's cap on the digits of an int-to-str conversion (4300 by
-    default) while a document is emitted: exact ladder rungs can run to
-    tens of thousands of digits. Parsing keeps the cap, which guards
-    against the quadratic cost of converting untrusted input."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # CPython < 3.10.7 has no cap
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _gain_dict(gain: GainTag | None):
     if gain is None:
         return None
     return {"label": gain.label, "value": gain.value}
 
 
-@_long_int_strings()
 def emit_tf_document(
     tf: TransferFunction, meta: dict | None = None, as_float: bool = False
 ) -> str:
@@ -190,7 +171,6 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
     return make_tf(num, den, gain=tag, notes=notes), doc.get("meta")
 
 
-@_long_int_strings()
 def emit_symbolic_document(tf: TransferFunction, meta: dict | None = None) -> str:
     """Serialize a TF with the tuning parameters left symbolic.
 
@@ -318,17 +298,16 @@ def _run_symbolic(args) -> int:
 def _run_ladder(args) -> int:
     tf, _ = parse_tf_document(_read_text(args.tf))
     net = synthesize_ladder(_exact_tf(tf))
-    with _long_int_strings():
-        elements = [
-            {
-                "role": el.role,
-                "position": el.position,
-                "g": str(el.g),
-                "h": str(el.h),
-                "nic": el.g < 0 or el.h < 0,
-            }
-            for el in net.elements
-        ]
+    elements = [
+        {
+            "role": el.role,
+            "position": el.position,
+            "g": str(el.g),
+            "h": str(el.h),
+            "nic": el.g < 0 or el.h < 0,
+        }
+        for el in net.elements
+    ]
     doc: dict = {"format": "ladder", "variable": "s", "elements": elements}
     if not args.no_meta:
         doc["meta"] = {"command": "ladder", "tf": args.tf}

@@ -2,10 +2,10 @@
 
 Arbitrary-precision rationals (`BigRat`, backed by `fractions.Fraction`),
 sparse multivariate polynomials over the controller-parameter symbols
-(`ParamPoly`), and the two exact linear solvers behind the generic Pade
+(`ParamPoly`), and the exact linear solver behind the generic Pade
 construction: fraction-free (Bareiss) elimination over ParamPoly, which
-keeps every entry a polynomial and so needs no quotient type, and
-row reduction over the rationals for numeric systems.
+keeps every entry a polynomial and so needs no quotient type. Numeric
+systems take the same elimination and divide by its determinant at the end.
 
 Everything here is immutable after construction and safe to share between
 threads; all operations return new objects.
@@ -397,33 +397,10 @@ def solve_fraction_free(matrix, rhs):
 def solve_particular(matrix, rhs):
     """Particular solution of a possibly singular square BigRat system.
 
-    Reduced row echelon form over the rationals with free variables set to
-    zero. Returns (solution, defect); raises InconsistentSystemError when
-    unsolvable. Symbolic systems go to solve_fraction_free.
+    Free variables are set to zero. Returns (solution, defect); raises
+    InconsistentSystemError when unsolvable. This is solve_fraction_free
+    with its numerators divided by the determinant, for numeric systems.
     """
-    rows = [[_coerce_rat(e) for e in row] + [_coerce_rat(b)] for row, b in zip(matrix, rhs)]
-    m = len(rows)
-    n = len(matrix[0]) if m else 0
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [entry * inv for entry in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(row[n] for row in rows[r:]):
-        raise InconsistentSystemError("no solution")
-    solution = [Fraction(0)] * n
-    for i, c in enumerate(pivot_cols):
-        solution[c] = rows[i][n]
-    return solution, n - len(pivot_cols)
+    numerators, det, defect = solve_fraction_free(matrix, rhs)
+    det = det.constant_value()
+    return [v.constant_value() / det for v in numerators], defect
