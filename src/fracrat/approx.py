@@ -19,7 +19,7 @@ from .errors import (
     InconsistentSystemError,
     ValidationError,
 )
-from .exact import SYMBOLS, ParamPoly, poly_normalize, solve_fraction_free, solve_particular
+from .exact import SYMBOLS, ParamPoly, solve_fraction_free, solve_particular
 from .series import PowerSeries
 
 _RINGS = ("rational", "symbolic", "float")
@@ -79,7 +79,12 @@ class TransferFunction:
         return make_tf(self.den, self.num, ring=self.ring, notes=self.notes)
 
     def substitute(self, mapping: dict) -> "TransferFunction":
-        """Substitute symbols in every coefficient and renormalize."""
+        """Substitute symbols in every coefficient and renormalize.
+
+        When every coefficient comes out rational, a common factor in s
+        (left by a degenerate value such as an integer exponent) is
+        cancelled, as the numeric path does.
+        """
         if self.ring == "float":
             raise ValidationError("float coefficients have no symbols")
 
@@ -90,12 +95,11 @@ class TransferFunction:
                     return c.constant_value()
             return c
 
-        return make_tf(
-            tuple(sub(c) for c in self.num),
-            tuple(sub(c) for c in self.den),
-            gain=self.gain,
-            notes=self.notes,
-        )
+        num = [sub(c) for c in self.num]
+        den = [sub(c) for c in self.den]
+        if not any(isinstance(c, ParamPoly) for c in num + den):
+            num, den = _cancel_common_factor(num, den)
+        return make_tf(num, den, gain=self.gain, notes=self.notes)
 
     def with_notes(self, *extra: str) -> "TransferFunction":
         return TransferFunction(
@@ -179,10 +183,7 @@ def make_tf(num, den, ring=None, gain=None, notes=()) -> TransferFunction:
     num = [c * inv for c in num]
     den = [c * inv for c in den]
     lead = den[-1]
-    negative = (
-        poly_normalize(lead)[0] < 0 if isinstance(lead, ParamPoly) else lead < 0
-    )
-    if negative:
+    if (lead.leading_coeff() if isinstance(lead, ParamPoly) else lead) < 0:
         num = [-c for c in num]
         den = [-c for c in den]
     return TransferFunction(tuple(num), tuple(den), ring, gain, tuple(notes))
@@ -211,7 +212,10 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     Solves the Toeplitz system for the denominator with q0 = 1, then reads
     the numerator off the series product. A singular system yields the
     particular solution with free variables zeroed, and the notes report
-    its defect.
+    its defect. An inconsistent system raises DegenerateMathError in both
+    rings: a denominator (q0, q') with q0 != 0 would give the solution
+    q'/q0, so every denominator left vanishes at the expansion point and
+    no [m/k] approximant exists (the block structure of the Pade table).
 
     Both rings go through fraction-free elimination, which gives the
     denominator as Cramer numerators over one determinant. Numeric
@@ -247,20 +251,15 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
         for r in range(k):
             rows.append([_series_at(c, m + r - j) for j in range(k)])
             rhs.append(-_series_at(c, m + 1 + r))
-        if symbolic:
-            try:
+        try:
+            if symbolic:
                 numerators, det, defect = solve_fraction_free(rows, rhs)
-            except InconsistentSystemError:
-                raise DegenerateMathError("no valid denominator at this degree") from None
-            q = _cancel_parameter_factor([det] + numerators)
-        else:
-            try:
+                q = _cancel_parameter_factor([det] + numerators)
+            else:
                 sol, defect = solve_particular(rows, rhs)
                 q = [Fraction(1)] + list(sol)
-            except InconsistentSystemError:
-                # q0 = 1 is unreachable; look for any nonzero denominator
-                full = [[-rhs[r]] + rows[r] for r in range(k)]
-                q, defect = _kernel_denominator(full)
+        except InconsistentSystemError:
+            raise DegenerateMathError("denominator vanishes at the expansion point") from None
     num = []
     for i in range(m + 1):
         acc = None
@@ -309,44 +308,6 @@ def _cancel_parameter_factor(q):
         return [v.exact_div(divisor) for v in q]
     except ExactDivisionError:
         return q
-
-
-def _kernel_denominator(matrix):
-    """Nonzero null vector of a k x (k+1) BigRat matrix, scaled to q0 = 1.
-
-    Used when the inhomogeneous Pade system has no solution, which means
-    every admissible denominator has leading gaps; a vanishing q0 leaves no
-    approximant about the expansion point.
-    """
-    rows = [list(r) for r in matrix]
-    n = len(rows[0])
-    m = len(rows)
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    free = next(c for c in range(n) if c not in pivot_cols)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for i, col in enumerate(pivot_cols):
-        vec[col] = -rows[i][free]
-    if not vec[0]:
-        raise DegenerateMathError("denominator vanishes at the expansion point")
-    inv = Fraction(1) / vec[0]
-    return [v * inv for v in vec], n - 1 - len(pivot_cols)
 
 
 def _cancel_common_factor(num, den):

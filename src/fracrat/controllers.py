@@ -290,53 +290,31 @@ def realize_fopid(spec: FOPID, freq_range: str, order: int) -> TransferFunction:
 def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
     """[n/n]-based realization of (Kp + Kd*s)^mu.
 
-    mu splits into integer and fractional parts; the fractional part is
-    the closed-form Pade approximant of (1 + (Kd/Kp)s)^frac (see
-    _binomial_pade) and the integer part an exact polynomial factor. With
-    symbolic gains the approximant of (1 + t)^frac is homogenized in Kp and
-    Kd instead. The scalar Kp^mu stays rational only for integer mu;
+    mu splits into integer and fractional parts. The fractional part is the
+    closed-form Pade approximant of (1 + t)^frac (see _binomial_pade) at
+    t = (Kd/Kp)s, homogenized in Kp and Kd; numeric gains are the same
+    construction evaluated at their values, and make_tf divides out the
+    scalar Kp^(n + floor(mu)) this leaves. The integer part is an exact
+    factor Kp + Kd*s. The scalar Kp^mu stays rational only for integer mu;
     otherwise it rides along as a gain tag.
     """
     _check_order(order)
-    numeric = spec.Kp is not None and spec.Kd is not None and spec.mu is not None
-    if numeric:
-        mu_int = int(spec.mu)  # mu in (0,2): floor is 0 or 1
-        mu_frac = spec.mu - mu_int
-        ratio = spec.Kd / spec.Kp
-        if mu_frac == 0:
-            num: tuple = (Fraction(1),)
-            for _ in range(mu_int):
-                num = polys.mul(num, (spec.Kp, spec.Kd))
-            return make_tf(num, (1,))
-        p, q = _binomial_pade(mu_frac, order)
-        num = _rescale(p, ratio)
-        for _ in range(mu_int):
-            num = polys.mul(num, (Fraction(1), ratio))
-        gain = GainTag("Kp^mu", float(spec.Kp) ** float(spec.mu))
-        return make_tf(num, _rescale(q, ratio), gain=gain)
-    if spec.mu is not None:
-        mu_int = int(spec.mu)
-        mu_frac = spec.mu - mu_int
-        if mu_frac == 0:
-            # integer power: plain polynomial, no irrational prefactor
-            kp = _gain_sym(spec.Kp, "Kp")
-            kd = _gain_sym(spec.Kd, "Kd")
-            poly: tuple = (Fraction(1),)
-            for _ in range(mu_int):
-                poly = polys.mul(poly, (kp, kd))
-            return make_tf(poly, (1,))
-        exponent = mu_frac
-    else:
-        # symbolic mu is treated as purely fractional; an integer split
-        # needs a numeric value
-        exponent = "mu"
-        mu_int = 0
-    p, q = _binomial_pade(exponent, order)
     kp = _gain_sym(spec.Kp, "Kp")
     kd = _gain_sym(spec.Kd, "Kd")
+    if spec.mu is None:
+        # symbolic mu is treated as purely fractional; an integer split
+        # needs a numeric value
+        exponent, mu_int = "mu", 0
+    else:
+        mu_int = int(spec.mu)  # mu in (0,2): floor is 0 or 1
+        exponent = spec.mu - mu_int
+        if exponent == 0:
+            # mu = 1: plain polynomial, no irrational prefactor
+            return make_tf((kp, kd), (1,))
+    p, q = _binomial_pade(exponent, order)
     num = _homogenize(p, kp, kd, order)
     den = _homogenize(q, kp, kd, order)
-    for _ in range(mu_int):
+    if mu_int:
         num = polys.mul(num, (kp, kd))
         den = polys.scale(den, kp)
     value = None

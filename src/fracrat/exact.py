@@ -13,7 +13,6 @@ threads; all operations return new objects.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import ExactDivisionError, InconsistentSystemError, ValidationError
@@ -316,31 +315,6 @@ def as_param_poly(value) -> ParamPoly:
     if lifted is None:
         raise TypeError(f"cannot interpret {type(value).__name__} as ParamPoly")
     return lifted
-
-
-# -- normalization -----------------------------------------------------------
-
-
-def poly_normalize(p: ParamPoly) -> tuple[Fraction, ParamPoly]:
-    """Split `p` into (content, primitive) with content * primitive == p.
-
-    The primitive part has integer coefficients with collective GCD 1 and a
-    positive coefficient on its graded-lex greatest term. Zero maps to
-    (0, zero polynomial).
-    """
-    p = as_param_poly(p)
-    if p.is_zero():
-        return Fraction(0), ParamPoly.zero()
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    if p.leading_coeff() < 0:
-        content = -content
-    primitive = p * (Fraction(1) / content)
-    return content, primitive
 
 
 # -- linear solving -----------------------------------------------------------

@@ -10,9 +10,10 @@ ladder synthesis.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DegenerateMathError
-from .exact import ParamPoly, poly_normalize
+from .exact import ParamPoly
 
 
 def trim(coeffs) -> tuple:
@@ -35,10 +36,6 @@ def add(a, b) -> tuple:
         y = b[i] if i < len(b) else 0
         out.append(x + y)
     return trim(out)
-
-
-def sub(a, b) -> tuple:
-    return add(a, tuple(-c for c in b))
 
 
 def mul(a, b) -> tuple:
@@ -103,21 +100,15 @@ def sequence_content(coeff_sequences) -> Fraction:
     """Positive rational content shared by several coefficient sequences.
 
     Accepts an iterable of sequences whose entries are BigRat or ParamPoly.
-    The content is gcd(numerators)/lcm(denominators) taken over every term
-    of every entry; all-zero input yields 0.
+    The content is gcd(numerators)/lcm(denominators) read off the rational
+    scalars: each BigRat entry, and every term coefficient of each ParamPoly
+    entry. All-zero input yields 0.
     """
-    from math import gcd as _gcd
-
     num_gcd = 0
     den_lcm = 1
     for seq in coeff_sequences:
         for c in seq:
-            entry = c if isinstance(c, ParamPoly) else ParamPoly.constant(c)
-            if entry.is_zero():
-                continue
-            ec, _ = poly_normalize(entry)
-            num_gcd = _gcd(num_gcd, abs(ec.numerator))
-            den_lcm = den_lcm * ec.denominator // _gcd(den_lcm, ec.denominator)
-    if num_gcd == 0:
-        return Fraction(0)
+            for r in c.terms.values() if isinstance(c, ParamPoly) else (c,):
+                num_gcd = gcd(num_gcd, r.numerator)
+                den_lcm = den_lcm * r.denominator // gcd(den_lcm, r.denominator)
     return Fraction(num_gcd, den_lcm)

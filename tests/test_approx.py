@@ -118,8 +118,13 @@ def test_symbolic_pade_in_two_symbols_at_a_root_of_the_determinant():
 
 
 def test_pade_rejects_vanishing_denominator():
-    with pytest.raises(DegenerateMathError):
-        pade(PowerSeries((Fraction(0), Fraction(1))), 0, 1)
+    lam = ParamPoly.var("lam")
+    one, zero = Fraction(1), Fraction(0)
+    # 1 + t^2 at [1/1] has a nonzero constant term, yet its q0 = 1 system
+    # is inconsistent, in either ring
+    for coeffs, m, k in (((zero, one), 0, 1), ((one, zero, one), 1, 1), ((one, zero, lam), 1, 1)):
+        with pytest.raises(DegenerateMathError, match="^denominator vanishes at the expansion point$"):
+            pade(PowerSeries(coeffs), m, k)
 
 
 def test_pade_preconditions():
@@ -142,6 +147,26 @@ def test_make_tf_normalizes_exact_coefficients():
     t = make_tf((0,), (5,))
     assert t.num == (0,)
     assert t.den == (1,)
+
+
+def test_make_tf_normalizes_symbolic_coefficients():
+    lam = ParamPoly.var("lam")
+    # content 2 divides out, and the denominator's graded-lex greatest
+    # term (-4*lam) is made positive
+    t = make_tf((2 * lam,), (6 - 4 * lam,))
+    assert t.ring == "symbolic"
+    assert t.num == (-lam,)
+    assert t.den == (2 * lam - 3,)
+    # every term bounds the content: here the -3*lam term leaves it at 1
+    t = make_tf((2 * lam,), (6 - 3 * lam,))
+    assert t.num == (-2 * lam,)
+    assert t.den == (3 * lam - 6,)
+    # the content spans scalar and polynomial entries, at either sign
+    p = Fraction(4, 3) * lam**2 - Fraction(2, 3) * lam
+    for sign in (1, -1):
+        t = make_tf((Fraction(2, 9),), (sign * p,))
+        assert t.num == (sign,)
+        assert t.den == (6 * lam**2 - 3 * lam,)
 
 
 def test_make_tf_rejects_zero_denominator():

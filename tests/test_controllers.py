@@ -214,10 +214,14 @@ def test_fopd_bracket_numeric_fractional():
     assert tf.gain.label == "Kp^mu"
     assert tf.gain.value == pytest.approx(2.0**1.2)
     # integer part of mu raises the numerator degree above [3/3]
-    assert tf.num_degree == 4
-    assert tf.den_degree == 3
+    assert tf.num == (5000, 19500, 25920, 13068, 1782)
+    assert tf.den == (5000, 10500, 5670, 567)
     # value at s = 0 is Kp^mu: the rational part contributes exactly 1
     assert Fraction(tf.num[0], tf.den[0]) == 1
+    tf = realize_fopd_bracket(FOPDBracket(Fraction(3, 7), Fraction(5), HALF), 4)
+    assert tf.num == (20736, 544320, 4762800, 15435000, 13505625)
+    assert tf.den == (20736, 423360, 2646000, 5145000, 1500625)
+    assert tf.gain.value == pytest.approx((3 / 7) ** 0.5)
 
 
 def test_fopd_bracket_integer_power_is_polynomial():
@@ -340,6 +344,35 @@ def test_random_cross_paths_symbolic_vs_numeric():
         high = realize_differintegrator(Differintegrator(lam, freq_range="high"), 3)
         assert tf_equal(sym_low.substitute({"lam": lam}), low)
         assert tf_equal(sym_high.substitute({"lam": lam}), high)
+
+
+def _degenerate_substitutions(n: int):
+    """(symbolic tf, substitution, numeric tf) at integer exponents, where
+    the symbolic form specializes to a ratio with a common factor in s."""
+    one = Fraction(1)
+    for band in ("low", "high"):
+        for sign in ("integrator", "differentiator"):
+            yield (
+                symbolic_differintegrator(band, n, sign),
+                {"lam": one},
+                realize_differintegrator(Differintegrator(one, sign=sign, freq_range=band), n),
+            )
+        gains = (Fraction(2), Fraction(1, 3), Fraction(5))
+        sym = realize_fopid(FOPID(*gains, None, None), band, n)
+        for lam, mu in ((one, one), (one, HALF), (HALF, one)):
+            numeric = realize_fopid(FOPID(*gains, lam, mu), band, n)
+            yield sym, {"lam": lam, "mu": mu}, numeric
+    kc, lam = Fraction(2), Fraction(1, 10)
+    sym = realize_leadlag(LeadLag(kc, lam, None, None), n)
+    for x in (Fraction(1, 20), HALF):
+        yield sym, {"alpha": one, "x": x}, realize_leadlag(LeadLag(kc, lam, x, one), n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symbolic_substitution_at_integer_exponents_matches_numeric(n):
+    for sym, values, numeric in _degenerate_substitutions(n):
+        got = sym.substitute(values)
+        assert (got.num, got.den) == (numeric.num, numeric.den), values
 
 
 def _generic_integrator(band: str, T, n: int):

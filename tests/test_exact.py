@@ -8,7 +8,7 @@ import pytest
 
 from fracrat import DegenerateMathError, ParamPoly, ValidationError, polys
 from fracrat.errors import ExactDivisionError, InconsistentSystemError
-from fracrat.exact import poly_normalize, solve_fraction_free, solve_particular
+from fracrat.exact import solve_fraction_free, solve_particular
 
 
 def _random_poly(rng: random.Random, symbols=("lam", "mu"), terms=4) -> ParamPoly:
@@ -84,18 +84,6 @@ def test_exact_division_rejects_non_divisor():
     lam = ParamPoly.var("lam")
     with pytest.raises(ExactDivisionError):
         (lam**2 + 1).exact_div(lam + 1)
-
-
-def test_poly_normalize_extracts_primitive_part():
-    lam = ParamPoly.var("lam")
-    p = Fraction(4, 3) * lam**2 - Fraction(2, 3) * lam
-    content, primitive = poly_normalize(p)
-    assert content * primitive == p
-    assert primitive == 2 * lam**2 - lam
-    # the grlex-greatest term of the primitive part is positive
-    content_neg, primitive_neg = poly_normalize(-p)
-    assert primitive_neg == primitive
-    assert content_neg == -content
 
 
 def test_poly_gcd_is_monic_and_catches_common_factor():
