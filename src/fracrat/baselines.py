@@ -16,7 +16,7 @@ Three classical constructions, frozen here so results are reproducible:
   factor.
 * Carlson: the Newton-type fixed-point iteration on H^q = s^m,
   H_{k+1} = H_k * ((q-1)H_k^q + (q+1)s^m) / ((q+1)H_k^q + (q-1)s^m),
-  starting from H_0 = 1, carried out in exact rational arithmetic.
+  starting from H_0 = 1, carried out in exact integer arithmetic.
 
 All three build the differentiator s^{+lambda}; take reciprocal() for
 the integrator. The two Oustaloup variants are numeric (float ring);
@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import polys
 from .approx import TransferFunction, make_tf
 from .controllers import _rat
 from .errors import ValidationError
+
+# Largest Carlson degree built (lam = 1/4 reaches 781 at five iterations, 3906 at six)
+_MAX_DEGREE = 4096
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,10 @@ def modified_oustaloup(cfg: BaselineConfig) -> TransferFunction:
 def carlson(lam, iterations: int) -> TransferFunction:
     """Fixed-point iterate for s^lam with lam = m/q, q in {2, 3, 4}.
 
-    Exact over rationals; the degree grows as d' = (q+1)*d + m, so
-    q = 2 gives degrees 1, 4, 13, ...
+    Runs over Python ints (the seeds s^m, 1, 1 and every step are
+    integral); make_tf returns the exact rational TF. The degree grows as
+    d' = (q+1)*d + m, so q = 2 gives degrees 1, 4, 13, ...; a final
+    degree past _MAX_DEGREE raises ValidationError before any product.
     """
     lam = _rat(lam, "lam")
     if lam <= 0:
@@ -138,12 +142,17 @@ def carlson(lam, iterations: int) -> TransferFunction:
     m = lam.numerator
     q = lam.denominator
     if q == 1:
-        return make_tf((Fraction(0),) * m + (Fraction(1),), (Fraction(1),))
+        return make_tf((0,) * m + (1,), (1,))
     if q not in (2, 3, 4):
         raise ValidationError("Carlson requires rational order")
-    g = (Fraction(0),) * m + (Fraction(1),)
-    num = (Fraction(1),)
-    den = (Fraction(1),)
+    degree = 0
+    for _ in range(iterations):
+        degree = (q + 1) * degree + m
+        if degree > _MAX_DEGREE:
+            raise ValidationError(f"Carlson degree passes {_MAX_DEGREE} at {iterations} iterations")
+    g = (0,) * m + (1,)
+    num = (1,)
+    den = (1,)
     for _ in range(iterations):
         num_q = _pow(num, q)
         den_q = _pow(den, q)
@@ -156,7 +165,7 @@ def carlson(lam, iterations: int) -> TransferFunction:
 
 
 def _pow(coeffs, n: int):
-    out = (Fraction(1),)
+    out = (1,)
     for _ in range(n):
         out = polys.mul(out, coeffs)
     return out

@@ -29,14 +29,14 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.unit not in _UNITS:
             raise ValidationError(f"unit must be one of {_UNITS}")
-        values = tuple(float(v) for v in self.values)
-        if not values:
+        values = np.array([float(v) for v in self.values])
+        if not values.size:
             raise ValidationError("empty frequency grid")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if np.any(values[1:] <= values[:-1]):
             raise ValidationError("grid must be strictly increasing")
         if values[0] <= 0:
             raise ValidationError("frequencies must be positive")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", tuple(values.tolist()))
 
     def omega(self) -> np.ndarray:
         """Angular frequencies in rad/s."""
@@ -60,7 +60,7 @@ def log_grid(fmin, fmax, points_per_decade: int = 50, unit: str = "hz") -> Frequ
     values = np.logspace(math.log10(fmin), math.log10(fmax), count)
     values[0] = fmin
     values[-1] = fmax
-    return FrequencyGrid(tuple(float(v) for v in values), unit)
+    return FrequencyGrid(tuple(values.tolist()), unit)
 
 
 @dataclass(frozen=True)
@@ -99,24 +99,24 @@ def evaluate(tf: TransferFunction, s):
 
 def _unwrap_deg(phases: np.ndarray) -> np.ndarray:
     """Unwrap in degrees, starting at the lowest frequency, skipping
-    non-finite entries so a single pole does not poison the tail."""
+    non-finite entries so a single pole does not poison the tail. Each
+    jump takes the fewest whole turns into [-180, 180]; as the offsets
+    move the jumps by rounding, the turns are retaken from the shifted
+    phases until they stop changing, which equals a sequential pass."""
     out = phases.copy()
-    last = None
-    offset = 0.0
-    for i, p in enumerate(phases):
-        if not np.isfinite(p):
-            continue
-        if last is not None:
-            delta = p + offset - last
-            while delta > 180.0:
-                offset -= 360.0
-                delta -= 360.0
-            while delta < -180.0:
-                offset += 360.0
-                delta += 360.0
-        out[i] = p + offset
-        last = out[i]
-    return out
+    finite = np.isfinite(phases)
+    p = phases[finite]
+    offset = np.zeros(len(p))
+    while True:
+        shifted = p + offset
+        d = (p[1:] + offset[:-1]) - shifted[:-1]
+        k = np.where(d > 180.0, -np.ceil((d - 180.0) / 360.0), 0.0)
+        k = np.where(d < -180.0, np.ceil((-180.0 - d) / 360.0), k)
+        turned = 360.0 * np.concatenate(([0.0], np.cumsum(k)))
+        if np.array_equal(turned, offset):
+            out[finite] = shifted
+            return out
+        offset = turned
 
 
 def bode(tf: TransferFunction, grid: FrequencyGrid) -> BodeSweep:
@@ -139,7 +139,7 @@ def bode(tf: TransferFunction, grid: FrequencyGrid) -> BodeSweep:
     mag[pole] = np.inf
     phase[pole] = np.nan
     phase = _unwrap_deg(phase)
-    return BodeSweep(grid, tuple(float(m) for m in mag), tuple(float(p) for p in phase))
+    return BodeSweep(grid, tuple(mag.tolist()), tuple(phase.tolist()))
 
 
 def ideal_response(spec, grid: FrequencyGrid) -> BodeSweep:
@@ -155,19 +155,16 @@ def ideal_response(spec, grid: FrequencyGrid) -> BodeSweep:
         sign = -1.0 if spec.sign == "integrator" else 1.0
         mag = sign * 20.0 * lam * np.log10(w)
         phase = np.full_like(w, sign * 90.0 * lam)
-    elif isinstance(spec, FOPDBracket):
+        return BodeSweep(grid, tuple(mag.tolist()), tuple(phase.tolist()))
+    if isinstance(spec, FOPDBracket):
         _need_numeric(spec, ("Kp", "Kd", "mu"))
         h = (float(spec.Kp) + 1j * w * float(spec.Kd)) ** float(spec.mu)
-        mag = 20.0 * np.log10(np.abs(h))
-        phase = np.degrees(np.angle(h))
     elif isinstance(spec, LeadLag):
         _need_numeric(spec, ("Kc", "lam", "x", "alpha"))
         lam = float(spec.lam)
         x = float(spec.x)
         core = (1 + 1j * w * lam) / (1 + 1j * w * x * lam)
         h = float(spec.Kc) * x ** float(spec.alpha) * core ** float(spec.alpha)
-        mag = 20.0 * np.log10(np.abs(h))
-        phase = np.degrees(np.angle(h))
     elif isinstance(spec, FOPID):
         _need_numeric(spec, ("Kp", "Ki", "Kd", "lam", "mu"))
         jw = 1j * w
@@ -176,11 +173,11 @@ def ideal_response(spec, grid: FrequencyGrid) -> BodeSweep:
             + float(spec.Ki) * jw ** -float(spec.lam)
             + float(spec.Kd) * jw ** float(spec.mu)
         )
-        mag = 20.0 * np.log10(np.abs(h))
-        phase = np.degrees(np.angle(h))
     else:
         raise ValidationError(f"no ideal response for {type(spec).__name__}")
-    return BodeSweep(grid, tuple(float(m) for m in mag), tuple(float(p) for p in phase))
+    mag = 20.0 * np.log10(np.abs(h))
+    phase = np.degrees(np.angle(h))
+    return BodeSweep(grid, tuple(mag.tolist()), tuple(phase.tolist()))
 
 
 def _need_numeric(spec, names):
@@ -211,20 +208,13 @@ def constant_phase_band(sweep: BodeSweep, target_deg: float, tol_deg: float):
         raise ValidationError("tol_deg must be positive")
     phases = np.asarray(sweep.phase_deg)
     ok = np.isfinite(phases) & (np.abs(phases - target_deg) <= tol_deg)
-    best = None
-    best_len = 0
-    start = None
-    for i, good in enumerate(list(ok) + [False]):
-        if good and start is None:
-            start = i
-        elif not good and start is not None:
-            if i - start > best_len:
-                best_len = i - start
-                best = (start, i - 1)
-            start = None
-    if best is None:
+    edges = np.diff(np.concatenate(([0], ok.astype(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    if not starts.size:
         return None
-    return (sweep.grid.values[best[0]], sweep.grid.values[best[1]])
+    lengths = np.flatnonzero(edges == -1) - starts
+    best = int(np.argmax(lengths))  # the first of the longest runs
+    return (sweep.grid.values[starts[best]], sweep.grid.values[starts[best] + lengths[best] - 1])
 
 
 def fit_report(

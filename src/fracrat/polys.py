@@ -1,10 +1,10 @@
 """Univariate polynomial helpers on ascending coefficient sequences.
 
-Coefficients are exact scalars (BigRat) or ParamPoly values, and the ring
-operations work uniformly over both. Division and the GCD need a field and
-take BigRat coefficients only. The zero polynomial is the empty tuple.
-Used by the Pade construction, the continued-fraction expansion and the
-ladder synthesis.
+Coefficients are exact scalars (int, BigRat) or ParamPoly values, and the
+ring operations return the ring of their inputs. Division and the GCD need
+a field and take BigRat coefficients only. The zero polynomial is the empty
+tuple. Used by the Pade construction, the continued-fraction expansion, the
+ladder synthesis and the Carlson iteration.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def mul(a, b) -> tuple:
     b = trim(b)
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y

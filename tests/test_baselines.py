@@ -2,6 +2,7 @@
 corrected variant, and the exact fixed-point iterate."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from fracrat import (
     BaselineConfig,
     FrequencyGrid,
+    ParamPoly,
     ValidationError,
     bode,
     carlson,
@@ -19,6 +21,7 @@ from fracrat import (
     oustaloup,
     tf_equal,
 )
+from fracrat import polys
 from fracrat.freqresp import evaluate
 
 
@@ -142,3 +145,65 @@ def test_carlson_preconditions():
     # binary floats have huge denominators: only exact rationals qualify
     with pytest.raises(ValidationError):
         carlson(0.3 + 1e-17, 1)
+
+
+def _fraction_carlson(lam, iterations):
+    """The fixed-point iteration written out over Fraction."""
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def combine(a, ca, b, cb):
+        width = max(len(a), len(b))
+        a = a + [Fraction(0)] * (width - len(a))
+        b = b + [Fraction(0)] * (width - len(b))
+        return [ca * x + cb * y for x, y in zip(a, b)]
+
+    m, q = lam.numerator, lam.denominator
+    g = [Fraction(0)] * m + [Fraction(1)]
+    num, den = [Fraction(1)], [Fraction(1)]
+    for _ in range(iterations):
+        num_q, den_q = [Fraction(1)], [Fraction(1)]
+        for _ in range(q):
+            num_q, den_q = mul(num_q, num), mul(den_q, den)
+        gd = mul(g, den_q)
+        num, den = mul(num, combine(num_q, q - 1, gd, q + 1)), mul(den, combine(num_q, q + 1, gd, q - 1))
+    return make_tf(num, den)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3), Fraction(3, 4)])
+@pytest.mark.parametrize("iterations", [1, 2, 3, 4])
+def test_carlson_matches_the_fraction_iteration(lam, iterations):
+    tf = carlson(lam, iterations)
+    ref = _fraction_carlson(lam, iterations)
+    assert (tf.num, tf.den) == (ref.num, ref.den)
+    assert all(type(c) is Fraction for c in tf.num + tf.den)
+
+
+def test_carlson_degree_budget_refuses_before_building():
+    # lam = 1/2 at 20 iterations would reach degree (3^20 - 1)/2
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="Carlson degree"):
+        carlson(Fraction(1, 2), 20)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValidationError, match="Carlson degree"):
+        carlson(Fraction(1, 4), 7)
+
+
+@pytest.mark.parametrize(
+    "a, b, ring",
+    [
+        ((1, 2), (3, 0, 1), int),
+        ((Fraction(1, 2), Fraction(1)), (Fraction(2, 3), Fraction(3)), Fraction),
+        ((0.5, 1.0), (2.0, 0.25), float),
+        ((ParamPoly.var("lam"), 1), (ParamPoly.constant(2), ParamPoly.var("lam")), ParamPoly),
+    ],
+)
+def test_mul_keeps_the_ring_of_its_inputs(a, b, ring):
+    out = polys.mul(a, b)
+    assert len(out) == len(a) + len(b) - 1
+    assert all(type(c) is ring for c in out)

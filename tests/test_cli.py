@@ -285,6 +285,15 @@ def test_compare_rejects_unsupported_fixed_point_order(capsys):
     assert "rational order" in capsys.readouterr().err
 
 
+def test_compare_refuses_a_carlson_degree_past_the_budget(capsys):
+    rc = run("compare", "--lambda", "1/4", "--order", "7", "--methods", "carlson",
+             "--fmin", "0.01", "--fmax", "1", "--unit", "rad")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Carlson degree" in err
+    assert "Traceback" not in err
+
+
 def test_compare_validates_method_list():
     base = ("compare", "--lambda", "1/2", "--order", "2", "--fmin", "0.1",
             "--fmax", "1", "--unit", "rad")

@@ -5,6 +5,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fracrat import (
@@ -24,7 +25,7 @@ from fracrat import (
     log_grid,
     make_tf,
 )
-from fracrat.freqresp import evaluate
+from fracrat.freqresp import _unwrap_deg, evaluate
 
 
 def test_grid_validation():
@@ -116,6 +117,75 @@ def test_phase_unwraps_past_minus_180():
     assert sweep.phase_deg[-1] == pytest.approx(-270.0, abs=1.0)
 
 
+def _sequential_unwrap(phases):
+    """Reference: one pass, adding or removing a turn while the jump from
+    the previous finite entry lies outside [-180, 180]."""
+    out = phases.copy()
+    last = None
+    offset = 0.0
+    for i, p in enumerate(phases):
+        if not np.isfinite(p):
+            continue
+        if last is not None:
+            delta = p + offset - last
+            while delta > 180.0:
+                offset -= 360.0
+                delta -= 360.0
+            while delta < -180.0:
+                offset += 360.0
+                delta += 360.0
+        out[i] = p + offset
+        last = out[i]
+    return out
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [
+        # the jumps read off the unshifted differences pick other turns
+        # than the shifted phases do; the turns must be retaken
+        (900.0, 830.6479202235316, 360.0, 0.0, 268.13995869488645, -180.0, 2.0**-45),
+        (-417.4785503512246, 179.99999999999997, 180.0, -(2.0**-45), -632.3302251928908),
+        (-406.57038185305305, -(2.0**-44), 179.99999999999997, 360.0, -0.0),
+        (float("nan"), -0.0, float("inf"), 180.0, -180.0, float("-inf")),
+        (float("nan"),),
+        (),
+    ],
+)
+def test_unwrap_matches_the_sequential_pass(phases):
+    phases = np.array(phases, dtype=float)
+    assert _unwrap_deg(phases).tobytes() == _sequential_unwrap(phases).tobytes()
+
+
+def test_unwrap_matches_the_sequential_pass_on_drawn_phases():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    turns = st.integers(min_value=-4, max_value=4)
+    jump = st.one_of(
+        st.floats(min_value=-180.0, max_value=180.0),
+        st.sampled_from((180.0, -180.0)),
+        # several turns, at and off the half-turn edges
+        st.builds(lambda k, r: 360.0 * k + r, turns, st.floats(min_value=-180.0, max_value=180.0)),
+        st.builds(lambda k, r: 360.0 * k + r, turns, st.sampled_from((180.0, -180.0))),
+    )
+    step = st.one_of(jump, st.sampled_from((math.nan, math.inf, -math.inf)))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.floats(min_value=-180.0, max_value=180.0), st.lists(step, max_size=30))
+    def check(start, steps):
+        values = [start]
+        for s in steps:
+            if math.isfinite(s):
+                start = start + s
+                values.append(start)
+            else:
+                values.append(s)
+        phases = np.array(values)
+        assert _unwrap_deg(phases).tobytes() == _sequential_unwrap(phases).tobytes()
+
+    check()
+
+
 def test_ideal_differintegrator_lines():
     grid = FrequencyGrid((1.0, 10.0), "rad")
     integ = ideal_response(Differintegrator(Fraction(1, 2)), grid)
@@ -181,6 +251,32 @@ def test_constant_phase_band_skips_non_finite():
     grid = FrequencyGrid((1.0, 2.0, 4.0), "rad")
     sweep = BodeSweep(grid, (0.0,) * 3, (-45.0, float("nan"), -45.0))
     assert constant_phase_band(sweep, -45.0, 5.0) == (1.0, 1.0)
+
+
+def test_constant_phase_band_matches_the_sequential_scan_on_drawn_sweeps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def sequential_band(sweep, target, tol):
+        best, best_len, start = None, 0, None
+        for i, p in enumerate(list(sweep.phase_deg) + [math.nan]):
+            good = math.isfinite(p) and abs(p - target) <= tol
+            if good and start is None:
+                start = i
+            elif not good and start is not None:
+                if i - start > best_len:
+                    best_len, best = i - start, (start, i - 1)
+                start = None
+        return None if best is None else (sweep.grid.values[best[0]], sweep.grid.values[best[1]])
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(st.sampled_from((-45.0, -44.0, -50.0, math.nan, math.inf)), min_size=1, max_size=40))
+    def check(phases):
+        grid = FrequencyGrid(tuple(float(2**i) for i in range(len(phases))), "rad")
+        sweep = BodeSweep(grid, (0.0,) * len(phases), tuple(phases))
+        assert constant_phase_band(sweep, -45.0, 2.0) == sequential_band(sweep, -45.0, 2.0)
+
+    check()
 
 
 def test_fit_report_numbers():
