@@ -34,7 +34,6 @@ from .controllers import (
 )
 from .errors import (
     DegenerateMathError,
-    ExactDivisionError,
     FracratError,
     InconsistentSystemError,
     ValidationError,
@@ -71,7 +70,6 @@ __all__ = [
     "ContinuedFraction",
     "DegenerateMathError",
     "Differintegrator",
-    "ExactDivisionError",
     "FOPDBracket",
     "FOPID",
     "FitReport",

@@ -1,10 +1,11 @@
 """Pade approximants and continued-fraction expansions of rational functions.
 
-The Pade direction turns a truncated power series into an [m/k] rational
-approximant by solving the Toeplitz coefficient system exactly, by
-fraction-free elimination when the coefficients are symbolic; the inverse
-direction expands a rational function into a simple continued fraction by
-repeated Euclidean division, which is what ladder synthesis consumes.
+The Pade direction turns a truncated numeric power series into an [m/k]
+rational approximant by solving the Toeplitz coefficient system exactly;
+the inverse direction expands a rational function into a simple continued
+fraction by repeated Euclidean division, which is what ladder synthesis
+consumes. Symbolic approximants come from closed forms instead
+(controllers._binomial_pade).
 """
 
 from __future__ import annotations
@@ -13,13 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
-from .errors import (
-    DegenerateMathError,
-    ExactDivisionError,
-    InconsistentSystemError,
-    ValidationError,
-)
-from .exact import SYMBOLS, ParamPoly, solve_fraction_free, solve_particular
+from .errors import DegenerateMathError, InconsistentSystemError, ValidationError
+from .exact import ParamPoly, solve_particular
 from .series import PowerSeries
 
 _RINGS = ("rational", "symbolic", "float")
@@ -207,32 +203,25 @@ def tf_equal(a: TransferFunction, b: TransferFunction) -> bool:
 
 
 def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
-    """[m/k] Pade approximant of a truncated series.
+    """[m/k] Pade approximant of a truncated series with exact numeric
+    coefficients.
 
     Solves the Toeplitz system for the denominator with q0 = 1, then reads
     the numerator off the series product. A singular system yields the
     particular solution with free variables zeroed, and the notes report
-    its defect. An inconsistent system raises DegenerateMathError in both
-    rings: a denominator (q0, q') with q0 != 0 would give the solution
-    q'/q0, so every denominator left vanishes at the expansion point and
-    no [m/k] approximant exists (the block structure of the Pade table).
-
-    Both rings go through fraction-free elimination, which gives the
-    denominator as Cramer numerators over one determinant. Numeric
-    coefficients divide by it; the shared factor of a singular system is
-    then cancelled, and a match-through note says when the reduced
-    approximant no longer matches the series through order m + k.
-    Symbolic coefficients keep the Cramer form [det, N1, ..., Nk] divided
-    by the common factor of its entries (_cancel_parameter_factor). With
-    one symbol that leaves the reduced denominator; with several, a factor
-    of det can stay multiplied through, and substituting one of its roots
-    then gives a zero denominator. A shared factor in s is not cancelled
-    on the symbolic path.
+    its defect; the shared factor it leaves is cancelled, and a
+    match-through note says when the reduced approximant no longer matches
+    the series through order m + k. An inconsistent system raises
+    DegenerateMathError: a denominator (q0, q') with q0 != 0 would give the
+    solution q'/q0, so every denominator left vanishes at the expansion
+    point and no [m/k] approximant exists (the block structure of the Pade
+    table). A symbolic coefficient raises ValidationError.
 
     This is the general route for an arbitrary series, and the reference
     the controller realizations are tested against. They do not take it:
     their binomial and lead-lag kernels have closed-form diagonal
-    approximants (controllers._binomial_pade).
+    approximants (controllers._binomial_pade), which also give the
+    symbolic ones.
     """
     if m < 0 or k < 0:
         raise ValidationError("Pade degrees must be non-negative")
@@ -241,40 +230,29 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
             f"series order {series.truncation_order} is below m+k = {m + k}"
         )
     c = [_coerce_exact(v) for v in series.coeffs]
-    symbolic = any(isinstance(v, ParamPoly) for v in c)
+    if any(isinstance(v, ParamPoly) for v in c):
+        raise ValidationError("pade needs numeric coefficients; substitute the symbols first")
     defect = 0
-    if k == 0:
-        q = [Fraction(1)]
-    else:
-        rows = []
-        rhs = []
-        for r in range(k):
-            rows.append([_series_at(c, m + r - j) for j in range(k)])
-            rhs.append(-_series_at(c, m + 1 + r))
+    q = [Fraction(1)]
+    if k:
+        rows = [[_series_at(c, m + r - j) for j in range(k)] for r in range(k)]
+        rhs = [-_series_at(c, m + 1 + r) for r in range(k)]
         try:
-            if symbolic:
-                numerators, det, defect = solve_fraction_free(rows, rhs)
-                q = _cancel_parameter_factor([det] + numerators)
-            else:
-                sol, defect = solve_particular(rows, rhs)
-                q = [Fraction(1)] + list(sol)
+            sol, defect = solve_particular(rows, rhs)
         except InconsistentSystemError:
             raise DegenerateMathError("denominator vanishes at the expansion point") from None
-    num = []
-    for i in range(m + 1):
-        acc = None
-        for j in range(0, min(i, k) + 1):
-            term = q[j] * _series_at(c, i - j)
-            acc = term if acc is None else acc + term
-        num.append(acc)
+        q += sol
+    num = [
+        sum((q[j] * _series_at(c, i - j) for j in range(min(i, k) + 1)), Fraction(0))
+        for i in range(m + 1)
+    ]
     notes = ()
     if defect:
         notes = (f"pade-defect={defect}",)
-        if not symbolic:
-            num, q = _cancel_common_factor(num, q)
-            matched = _match_order(c, num, q, m + k)
-            if matched < m + k:
-                notes = notes + (f"match-through={matched}",)
+        num, q = _cancel_common_factor(num, q)
+        matched = _match_order(c, num, q, m + k)
+        if matched < m + k:
+            notes = notes + (f"match-through={matched}",)
     return make_tf(num, q, notes=notes)
 
 
@@ -282,32 +260,6 @@ def _series_at(c, idx):
     if idx < 0 or idx >= len(c):
         return Fraction(0)
     return c[idx]
-
-
-def _cancel_parameter_factor(q):
-    """Divide ParamPoly entries by their common factor.
-
-    In one symbol that is their GCD over the rationals. With several
-    symbols only the first entry (the determinant) is tried as a divisor.
-    """
-    names = {name for v in q for name in v.symbols()}
-    if len(names) == 1:
-        (name,) = names
-        slot = SYMBOLS.index(name)
-        g = ()
-        for v in q:
-            if v:
-                coeffs = [Fraction(0)] * (v.degree(name) + 1)
-                for key, c in v.terms.items():
-                    coeffs[key[slot]] = c
-                g = polys.gcd_field(g, coeffs)
-        divisor = sum((c * ParamPoly.var(name, p) for p, c in enumerate(g)), ParamPoly.zero())
-    else:
-        divisor = q[0]
-    try:
-        return [v.exact_div(divisor) for v in q]
-    except ExactDivisionError:
-        return q
 
 
 def _cancel_common_factor(num, den):

@@ -14,11 +14,6 @@ class DegenerateMathError(FracratError):
     series, ladder element with no affine value, and the like."""
 
 
-class ExactDivisionError(FracratError):
-    """Exact polynomial division was requested but the divisor does not
-    divide the dividend."""
-
-
 class InconsistentSystemError(FracratError):
     """Linear system whose right-hand side is not in the column space of
     its matrix: no solution exists."""

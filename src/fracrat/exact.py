@@ -3,9 +3,9 @@
 Arbitrary-precision rationals (`BigRat`, backed by `fractions.Fraction`),
 sparse multivariate polynomials over the controller-parameter symbols
 (`ParamPoly`), and the exact linear solver behind the generic Pade
-construction: fraction-free (Bareiss) elimination over ParamPoly, which
-keeps every entry a polynomial and so needs no quotient type. Numeric
-systems take the same elimination and divide by its determinant at the end.
+construction: fraction-free (Bareiss) elimination on exact scalars, with
+each row cleared to integers first, so every step is an exact integer
+division and the solution is formed by one division at the end.
 
 Everything here is immutable after construction and safe to share between
 threads; all operations return new objects.
@@ -14,8 +14,9 @@ threads; all operations return new objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import ExactDivisionError, InconsistentSystemError, ValidationError
+from .errors import InconsistentSystemError, ValidationError
 
 #: Exact rational scalar type used for every coefficient in the package.
 BigRat = Fraction
@@ -207,7 +208,6 @@ class ParamPoly:
         return result
 
     def __truediv__(self, other):
-        # division by an exact scalar only; use exact_div for polynomials
         if isinstance(other, (int, Fraction)):
             c = _coerce_rat(other)
             if not c:
@@ -256,28 +256,6 @@ class ParamPoly:
         """Full substitution down to an exact scalar."""
         return self.substitute(mapping).constant_value()
 
-    def exact_div(self, divisor: "ParamPoly") -> "ParamPoly":
-        """Exact multivariate division; raises ExactDivisionError otherwise."""
-        divisor = self._lift(divisor)
-        if divisor is None or divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if divisor.is_constant():
-            return self / divisor.constant_value()
-        rem = self
-        div_key = divisor.leading_key()
-        div_coeff = divisor.terms[div_key]
-        quot_terms: dict[tuple, Fraction] = {}
-        while rem.terms:
-            lead = rem.leading_key()
-            qkey = tuple(a - b for a, b in zip(lead, div_key))
-            if any(e < 0 for e in qkey):
-                raise ExactDivisionError("divisor does not divide dividend")
-            qc = rem.terms[lead] / div_coeff
-            quot_terms[qkey] = quot_terms.get(qkey, Fraction(0)) + qc
-            mono = ParamPoly({qkey: qc})
-            rem = rem - mono * divisor
-        return ParamPoly(quot_terms)
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
@@ -310,37 +288,39 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
-def as_param_poly(value) -> ParamPoly:
-    lifted = ParamPoly._lift(value)
-    if lifted is None:
-        raise TypeError(f"cannot interpret {type(value).__name__} as ParamPoly")
-    return lifted
-
-
 # -- linear solving -----------------------------------------------------------
+
+
+def _integer_row(row) -> list:
+    """An exact scalar row times the lcm of its denominators, as ints."""
+    row = [_coerce_rat(c) for c in row]
+    scale = lcm(*(c.denominator for c in row))
+    return [c.numerator * (scale // c.denominator) for c in row]
 
 
 def solve_fraction_free(matrix, rhs):
     """Solve A y = b exactly by fraction-free (Bareiss) elimination.
 
-    A is square with ParamPoly (or exact scalar) entries. A column with no
+    A is square with exact scalar (int or BigRat) entries; anything else
+    raises TypeError. Each row of [A | b] is first scaled to integers, which
+    leaves the solution and the pivot choice unchanged. A column with no
     pivot is skipped and its unknown, a free variable, is set to zero.
-    Returns (numerators, det, defect): y_j = numerators[j] / det, where det
-    is the last pivot (the determinant of the nonsingular block the pivots
-    select) and defect is the number of free variables. No quotient is ever
-    formed: each elimination step divides exactly by the previous pivot
-    (Sylvester's identity), and back-substitution divides exactly by the
-    row's pivot because det * y_j is a Cramer numerator. Raises
-    InconsistentSystemError when b is not in the column space of A.
+    Returns (numerators, det, defect) as ints: y_j = numerators[j] / det,
+    where det is the last pivot (the determinant of the nonsingular block
+    the pivots select, up to the row scales) and defect is the number of
+    free variables. No quotient is ever formed: each elimination step
+    divides exactly by the previous pivot (Sylvester's identity), and
+    back-substitution divides exactly by the row's pivot because det * y_j
+    is a Cramer numerator. Raises InconsistentSystemError when b is not in
+    the column space of A.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValidationError("matrix must be square")
     if len(rhs) != n:
         raise ValidationError("right-hand side length mismatch")
-    mat = [[as_param_poly(entry) for entry in row] + [as_param_poly(rhs[i])]
-           for i, row in enumerate(matrix)]
-    prev = ParamPoly.one()
+    mat = [_integer_row(list(row) + [rhs[i]]) for i, row in enumerate(matrix)]
+    prev = 1
     pivot_cols = []
     for col in range(n):
         r = len(pivot_cols)
@@ -351,20 +331,20 @@ def solve_fraction_free(matrix, rhs):
         head = mat[r]
         for row in mat[r + 1:]:
             for c in range(col + 1, n + 1):
-                row[c] = (head[col] * row[c] - row[col] * head[c]).exact_div(prev)
-            row[col] = ParamPoly.zero()
+                row[c] = (head[col] * row[c] - row[col] * head[c]) // prev
+            row[col] = 0
         prev = head[col]
         pivot_cols.append(col)
     rank = len(pivot_cols)
     if any(row[n] for row in mat[rank:]):
         raise InconsistentSystemError("no solution")
-    numerators = [ParamPoly.zero()] * n
+    numerators = [0] * n
     for i in range(rank - 1, -1, -1):
         row = mat[i]
         acc = prev * row[n]
         for c in pivot_cols[i + 1:]:
-            acc = acc - row[c] * numerators[c]
-        numerators[pivot_cols[i]] = acc.exact_div(row[pivot_cols[i]])
+            acc -= row[c] * numerators[c]
+        numerators[pivot_cols[i]] = acc // row[pivot_cols[i]]
     return numerators, prev, n - rank
 
 
@@ -373,8 +353,7 @@ def solve_particular(matrix, rhs):
 
     Free variables are set to zero. Returns (solution, defect); raises
     InconsistentSystemError when unsolvable. This is solve_fraction_free
-    with its numerators divided by the determinant, for numeric systems.
+    with its numerators divided by the determinant.
     """
     numerators, det, defect = solve_fraction_free(matrix, rhs)
-    det = det.constant_value()
-    return [v.constant_value() / det for v in numerators], defect
+    return [Fraction(v, det) for v in numerators], defect

@@ -21,7 +21,8 @@ _UNITS = ("hz", "rad")
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing evaluation frequencies in a stated unit."""
+    """Strictly increasing, positive, finite evaluation frequencies in a
+    stated unit."""
 
     values: tuple
     unit: str = "hz"
@@ -32,6 +33,8 @@ class FrequencyGrid:
         values = np.array([float(v) for v in self.values])
         if not values.size:
             raise ValidationError("empty frequency grid")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("frequencies must be finite")
         if np.any(values[1:] <= values[:-1]):
             raise ValidationError("grid must be strictly increasing")
         if values[0] <= 0:
@@ -51,8 +54,8 @@ def log_grid(fmin, fmax, points_per_decade: int = 50, unit: str = "hz") -> Frequ
     """Logarithmic grid over [fmin, fmax] at the given density."""
     fmin = float(fmin)
     fmax = float(fmax)
-    if fmin <= 0 or fmax <= fmin:
-        raise ValidationError("need 0 < fmin < fmax")
+    if not 0 < fmin < fmax < math.inf:
+        raise ValidationError("need 0 < fmin < fmax < inf")
     if points_per_decade < 1:
         raise ValidationError("points_per_decade must be at least 1")
     decades = math.log10(fmax / fmin)

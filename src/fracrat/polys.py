@@ -1,10 +1,10 @@
 """Univariate polynomial helpers on ascending coefficient sequences.
 
 Coefficients are exact scalars (int, BigRat) or ParamPoly values, and the
-ring operations return the ring of their inputs. Division and the GCD need
-a field and take BigRat coefficients only. The zero polynomial is the empty
-tuple. Used by the Pade construction, the continued-fraction expansion, the
-ladder synthesis and the Carlson iteration.
+ring operations return the ring of their inputs. Division and the GCD take
+exact scalars only and work over the rationals. The zero polynomial is the
+empty tuple. Used by the Pade construction, the continued-fraction
+expansion, the ladder synthesis and the Carlson iteration.
 """
 
 from __future__ import annotations
@@ -68,15 +68,18 @@ def reverse(coeffs, length: int | None = None) -> tuple:
 
 
 def divmod_field(a, b) -> tuple[tuple, tuple]:
-    """Quotient and remainder of BigRat coefficient sequences."""
+    """Quotient and remainder of exact scalar (int or BigRat) coefficient
+    sequences. Every quotient coefficient is a BigRat, so int input never
+    turns into floats."""
     a = list(trim(a))
     b = trim(b)
     if not b:
         raise DegenerateMathError("polynomial division by zero")
+    lead = b[-1] if isinstance(b[-1], Fraction) else Fraction(b[-1])
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b) and a:
         shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
+        factor = a[-1] / lead
         q[shift] = factor
         for i, c in enumerate(b):
             a[shift + i] = a[shift + i] - factor * c
@@ -86,7 +89,8 @@ def divmod_field(a, b) -> tuple[tuple, tuple]:
 
 
 def gcd_field(a, b) -> tuple:
-    """Monic GCD of BigRat coefficient sequences; (0, 0) is undefined."""
+    """Monic GCD of exact scalar coefficient sequences, with BigRat
+    coefficients; (0, 0) is undefined."""
     a = trim(a)
     b = trim(b)
     if not a and not b:

@@ -1,12 +1,12 @@
-"""Truncated formal power series with exact coefficients.
+"""Truncated formal power series with exact rational coefficients.
 
 Generates the series that the generic Pade construction consumes: the
 generalized binomial power (1 + t)^a, exp(t), and the lead-lag kernel
-((1 + w)/(1 + x w))^a, the last built as exp(a*(log(1+w) - log(1+x*w)))
-so that symbolic exponents stay polynomial. The controller realizations
-read their approximants off closed forms instead; these series are the
-reference those closed forms are checked against. Coefficients are BigRat
-or ParamPoly; nothing here touches floating point.
+((1 + w)/(1 + x w))^a, the last built as exp(a*(log(1+w) - log(1+x*w))).
+The controller realizations read their approximants off closed forms
+instead; these series are the reference those closed forms are checked
+against. Parameters and coefficients are exact scalars (BigRat); nothing
+here touches floating point or symbols.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exact import ParamPoly
+
 
 @dataclass(frozen=True)
 class PowerSeries:
@@ -42,39 +42,23 @@ class PowerSeries:
     def __len__(self):
         return len(self.coeffs)
 
-    def substitute(self, mapping: dict) -> "PowerSeries":
-        """Substitute symbols inside every coefficient."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, ParamPoly):
-                c = c.substitute(mapping)
-                if c.is_constant():
-                    c = c.constant_value()
-            out.append(c)
-        return PowerSeries(tuple(out))
 
-
-def _as_coeff(value):
+def _as_coeff(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, ParamPoly):
-        return value
-    if isinstance(value, str):
-        return ParamPoly.var(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a series coefficient")
+    raise TypeError(f"cannot use {type(value).__name__} as a series parameter")
 
 
 def binomial_series(exponent, n: int) -> PowerSeries:
     """Series of (1 + t)^exponent through order n.
 
-    The exponent may be an exact scalar, a symbol name, or a ParamPoly;
-    coefficient k is the generalized binomial coefficient, a degree-k
-    polynomial when the exponent is symbolic.
+    The exponent is an exact scalar; coefficient k is the generalized
+    binomial coefficient.
     """
     if n < 0:
         raise ValidationError("series order must be non-negative")
     a = _as_coeff(exponent)
-    coeffs = [Fraction(1) if isinstance(a, Fraction) else ParamPoly.one()]
+    coeffs = [Fraction(1)]
     term = coeffs[0]
     for k in range(1, n + 1):
         term = term * (a - (k - 1)) / k
@@ -107,8 +91,7 @@ def leadlag_kernel_series(alpha, x, n: int) -> PowerSeries:
     """Series of ((1 + w)/(1 + x*w))^alpha in w through order n.
 
     Built as exp(alpha * (log(1+w) - log(1+x*w))); the log difference has
-    coefficient (-1)^(k+1) (1 - x^k)/k, so coefficient k of the result is a
-    polynomial of total degree <= 2k when alpha and x are symbolic.
+    coefficient (-1)^(k+1) (1 - x^k)/k.
     """
     if n < 0:
         raise ValidationError("series order must be non-negative")
@@ -119,10 +102,4 @@ def leadlag_kernel_series(alpha, x, n: int) -> PowerSeries:
     for k in range(1, n + 1):
         u.append(a * Fraction((-1) ** (k + 1), k) * (1 - xpow))
         xpow = xpow * xv
-    coeffs = _scalar_exp_recurrence(u, n)
-    out = []
-    for c in coeffs:
-        if isinstance(c, ParamPoly) and c.is_constant():
-            c = c.constant_value()
-        out.append(c)
-    return PowerSeries(tuple(out))
+    return PowerSeries(tuple(_scalar_exp_recurrence(u, n)))

@@ -19,7 +19,7 @@ from fracrat import (
     rational_to_cfe,
     tf_equal,
 )
-from fracrat.series import exp_series, leadlag_kernel_series
+from fracrat.series import exp_series
 
 
 def _random_series(rng: random.Random, order: int) -> PowerSeries:
@@ -85,45 +85,21 @@ def test_pade_collapses_rational_input():
     assert "pade-defect=1" in t.notes
 
 
-def test_symbolic_pade_specializes_to_the_numeric_one():
-    # off the diagonal the elimination's determinant need not divide the
-    # Cramer numerators; in one symbol their common factor is cancelled, so
-    # substituting a root of the determinant (x = 1 here) stays well defined
-    half = Fraction(1, 2)
-    x = ParamPoly.var("x")
-    for m, k in ((2, 1), (1, 2), (1, 3), (2, 3)):
-        sym = pade(leadlag_kernel_series(half, "x", m + k), m, k)
-        assert sym.ring == "symbolic" and sym.notes == ()
-        assert max(c.degree("x") for c in sym.num + sym.den) <= 5
-        for value in (Fraction(1, 5), Fraction(1), Fraction(0)):
-            numeric = pade(leadlag_kernel_series(half, value, m + k), m, k)
-            assert tf_equal(sym.substitute({"x": value}), numeric)
-    sym = pade(leadlag_kernel_series(half, "x", 3), 2, 1)
-    assert sym.num == (24 * x + 8, 8 * x**2 + 16 * x + 8, -(x**3) + 3 * x**2 - 3 * x + 1)
-    assert sym.den == (24 * x + 8, 20 * x**2 + 8 * x + 4)
-    values = {"alpha": half, "x": Fraction(1, 5)}
-    for m, k in ((1, 2), (2, 2)):
-        sym = pade(leadlag_kernel_series("alpha", "x", m + k), m, k)
-        numeric = pade(leadlag_kernel_series(half, values["x"], m + k), m, k)
-        assert tf_equal(sym.substitute(values), numeric)
-
-
-@pytest.mark.xfail(raises=DegenerateMathError, strict=True, reason=(
-    "with several symbols only the determinant itself is divided out, so a "
-    "factor vanishing at x = 1 stays in the numerator and the denominator"
-))
-def test_symbolic_pade_in_two_symbols_at_a_root_of_the_determinant():
-    sym = pade(leadlag_kernel_series("alpha", "x", 3), 1, 2)
-    assert tf_equal(sym.substitute({"alpha": Fraction(1, 2), "x": Fraction(1)}), make_tf((1,), (1,)))
-
-
 def test_pade_rejects_vanishing_denominator():
-    lam = ParamPoly.var("lam")
     one, zero = Fraction(1), Fraction(0)
     # 1 + t^2 at [1/1] has a nonzero constant term, yet its q0 = 1 system
-    # is inconsistent, in either ring
-    for coeffs, m, k in (((zero, one), 0, 1), ((one, zero, one), 1, 1), ((one, zero, lam), 1, 1)):
+    # is inconsistent
+    for coeffs, m, k in (((zero, one), 0, 1), ((one, zero, one), 1, 1)):
         with pytest.raises(DegenerateMathError, match="^denominator vanishes at the expansion point$"):
+            pade(PowerSeries(coeffs), m, k)
+
+
+def test_pade_rejects_symbolic_series():
+    # symbolic approximants come from the closed forms in controllers; the
+    # generic solve is numeric only, at every degree
+    lam = ParamPoly.var("lam")
+    for coeffs, m, k in (((1, 0, lam), 1, 1), ((1, lam), 1, 0), ((lam, 1, 1), 0, 2)):
+        with pytest.raises(ValidationError, match="numeric coefficients"):
             pade(PowerSeries(coeffs), m, k)
 
 

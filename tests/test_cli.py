@@ -274,6 +274,23 @@ def test_bode_rejects_non_finite_documents(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sweeps_reject_a_non_finite_band(tmp_path, capsys):
+    tf_file = tmp_path / "halfint.json"
+    assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "2",
+               "-o", str(tf_file)) == 0
+    out = tmp_path / "sweep.csv"
+    for fmin, fmax in (("nan", "10"), ("1e-3", "inf"), ("1", "nan"), ("inf", "inf")):
+        band = ("--fmin", fmin, "--fmax", fmax, "-o", str(out))
+        for argv in (
+            ("bode", "--tf", str(tf_file)) + band,
+            ("compare", "--lambda", "1/2", "--order", "2", "--methods", "cfe-low") + band,
+        ):
+            assert run(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not out.exists()
+
+
 def test_symbolic_diffint_requires_unit_time_constant():
     assert run("symbolic", "--controller", "diffint", "--order", "3", "--T", "2") == 2
 

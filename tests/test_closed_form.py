@@ -1,5 +1,5 @@
 """The closed-form hypergeometric Pade construction, checked against the
-generic Toeplitz solve and against mpmath's Pade at 50 digits."""
+generic numeric Toeplitz solve and against mpmath's Pade at 50 digits."""
 
 from fractions import Fraction
 
@@ -13,7 +13,8 @@ from hypothesis import strategies as st  # noqa: E402
 from fracrat import binomial_series, leadlag_kernel_series, make_tf, pade  # noqa: E402
 from fracrat.controllers import _binomial_pade, _moebius  # noqa: E402
 
-# |a| < 30; integer exponents take the generic solve and are not drawn
+# |a| < 30; at an integer a with |a| <= n the closed form keeps a factor
+# shared by P and Q, so integer exponents are not drawn
 NON_INTEGER = st.fractions(min_value=-30, max_value=30, max_denominator=60).filter(
     lambda a: a.denominator != 1
 )

@@ -416,21 +416,57 @@ def test_integer_exponents_match_the_generic_pade(n):
             want = make_tf(num, polys.mul(integ.den, diff.den), notes=notes)
             _same(realize_fopid(FOPID(*gains, one, one), band, n), want)
     lam = Fraction(1, 10)
-    for x in (Fraction(1, 4), None):
-        kernel = pade(leadlag_kernel_series(1, "x" if x is None else x, 2 * n), n, n)
-        want = make_tf(
+
+    def leadlag(x):
+        kernel = pade(leadlag_kernel_series(1, x, 2 * n), n, n)
+        return make_tf(
             tuple(c * lam**k for k, c in enumerate(kernel.num)),
             tuple(c * lam**k for k, c in enumerate(kernel.den)),
             notes=kernel.notes,
         )
-        _same(realize_leadlag(LeadLag(Fraction(2), lam, x, one), n), want)
-    assert kernel.notes == ((f"pade-defect={n - 1}",) if n > 1 else ())
+
+    want = leadlag(Fraction(1, 4))
+    _same(realize_leadlag(LeadLag(Fraction(2), lam, Fraction(1, 4), one), n), want)
+    assert want.notes == ((f"pade-defect={n - 1}",) if n > 1 else ())
+    # x left symbolic: every coefficient has degree <= 1 in x, and
+    # coefficient i of the kernel series degree <= i, so coefficient
+    # i <= 2n of Q*f - P has degree <= 2n + 1 in x
+    sym = realize_leadlag(LeadLag(Fraction(2), lam, None, one), n)
+    assert _max_degree(sym, "x") <= 1
+    _agrees_at_points(sym, "x", 2 * n + 1, leadlag)
+
+
+def _max_degree(tf, symbol: str) -> int:
+    return max(c.degree(symbol) if isinstance(c, ParamPoly) else 0 for c in tf.num + tf.den)
+
+
+def _agrees_at_points(sym, symbol: str, degree: int, reference):
+    """Point oracle for a symbolic approximant P/Q of a series f.
+
+    Substitutes `symbol` at degree + 1 distinct rationals in (0, 1) and
+    requires tf_equal with the numeric approximant reference(value), notes
+    included; the references here match f through order 2n. Equality then
+    means that Q*f - P vanishes through order 2n at each point, and when
+    its coefficients are polynomials of degree <= `degree` in the symbol,
+    they vanish identically.
+    """
+    for t in range(degree + 1):
+        value = Fraction(1, t + 2)
+        ref = reference(value)
+        assert tf_equal(sym.substitute({symbol: value}), ref), value
+        assert sym.notes == ref.notes, value
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_symbolic_pade_agrees_with_the_closed_form(n):
-    # fraction-free elimination on the Toeplitz system and the
-    # hypergeometric closed form are independent routes to one approximant
-    generic = pade(binomial_series("lam", 2 * n), n, n)
+    """The hypergeometric closed form of (1 + z)^a at [n/n], with a left
+    symbolic, is the generic Pade approximant at every a.
+
+    Each closed-form coefficient has degree <= n in a (asserted), and
+    coefficient i of the series has degree i, so coefficient i <= 2n of
+    Q*f - P has degree <= n + i <= 3n: D = 3n, checked at 3n + 1 points
+    against the numeric solve of the Toeplitz system, an independent route.
+    """
     closed = make_tf(*_binomial_pade("lam", n))
-    assert (generic.num, generic.den, generic.notes) == (closed.num, closed.den, ())
+    assert _max_degree(closed, "lam") <= n
+    _agrees_at_points(closed, "lam", 3 * n, lambda a: pade(binomial_series(a, 2 * n), n, n))

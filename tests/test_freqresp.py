@@ -39,6 +39,10 @@ def test_grid_validation():
         FrequencyGrid((), "hz")
     with pytest.raises(ValidationError):
         FrequencyGrid((1.0,), "octave")
+    nan, inf = float("nan"), float("inf")
+    for values in ((1.0, inf), (nan, 1.0), (1.0, nan), (inf,)):
+        with pytest.raises(ValidationError, match="finite"):
+            FrequencyGrid(values, "hz")
 
 
 def test_grid_units():
@@ -55,6 +59,10 @@ def test_log_grid_pins_endpoints_and_density():
     assert grid.values[-1] == 10.0
     with pytest.raises(ValidationError):
         log_grid(10, 1, 50)
+    nan, inf = float("nan"), float("inf")
+    for fmin, fmax in ((nan, 10), (1e-3, inf), (1, nan), (inf, inf), (-inf, 1)):
+        with pytest.raises(ValidationError, match="fmax < inf"):
+            log_grid(fmin, fmax)
     with pytest.raises(ValidationError):
         log_grid(1, 10, 0)
 

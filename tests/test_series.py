@@ -36,13 +36,15 @@ def test_square_root_series_coefficients():
 
 
 def test_binomial_series_with_symbolic_exponent():
-    lam = ParamPoly.var("lam")
-    s = binomial_series("lam", 3)
-    assert s[1] == lam
-    assert s[2] * 2 == lam**2 - lam
-    assert s[3] * 6 == lam * (lam - 1) * (lam - 2)
-    # a ParamPoly exponent works the same way
-    assert binomial_series(-lam, 3)[1] == -lam
+    # series are numeric only: a symbolic exponent is refused, in any form
+    for exponent in ("lam", ParamPoly.var("lam"), 0.5):
+        with pytest.raises(TypeError):
+            binomial_series(exponent, 3)
+    with pytest.raises(TypeError):
+        leadlag_kernel_series(Fraction(1, 2), "x", 3)
+    # integer exponents give exact coefficients
+    assert binomial_series(-1, 3).coeffs == (1, -1, 1, -1)
+    assert all(type(c) is Fraction for c in binomial_series(2, 3).coeffs)
 
 
 def test_binomial_reciprocal_pair_multiplies_to_one():
@@ -74,13 +76,10 @@ def test_leadlag_kernel_matches_direct_product():
         assert got.coeffs == want
 
 
-def test_leadlag_kernel_symbolic_specializes():
-    sym = leadlag_kernel_series("alpha", "x", 4)
-    num = sym.substitute({"alpha": Fraction(1, 2), "x": Fraction(1, 5)})
-    want = leadlag_kernel_series(Fraction(1, 2), Fraction(1, 5), 4)
-    assert num.coeffs == want.coeffs
-    # degenerate x = 1 kills every non-constant coefficient
-    flat = sym.substitute({"x": 1})
-    assert all(
-        c.is_zero() if isinstance(c, ParamPoly) else c == 0 for c in flat.coeffs[1:]
-    )
+def test_leadlag_kernel_degenerate_values():
+    # x = 1 makes the kernel 1, and alpha = 0 does too
+    for alpha, x in ((Fraction(1, 2), 1), (0, Fraction(1, 5))):
+        flat = leadlag_kernel_series(alpha, x, 4)
+        assert flat.coeffs == (1, 0, 0, 0, 0)
+    # x = 0 leaves the lead alone: (1 + w)^alpha
+    assert leadlag_kernel_series(Fraction(1, 2), 0, 4) == binomial_series(Fraction(1, 2), 4)
