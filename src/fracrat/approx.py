@@ -5,7 +5,9 @@ rational approximant by solving the Toeplitz coefficient system exactly;
 the inverse direction expands a rational function into a simple continued
 fraction by repeated Euclidean division, which is what ladder synthesis
 consumes. Symbolic approximants come from closed forms instead
-(controllers._binomial_pade).
+(controllers._binomial_pade). The TransferFunction type both directions
+produce lives here too, with make_tf, which reads its ring off the
+coefficients.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ from fractions import Fraction
 
 from . import polys
 from .errors import DegenerateMathError, InconsistentSystemError, ValidationError
-from .exact import ParamPoly, solve_particular
+from .exact import ParamPoly, _coerce_rat, solve_particular
 from .series import PowerSeries
-
-_RINGS = ("rational", "symbolic", "float")
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,14 @@ class GainTag:
 class TransferFunction:
     """Rational function of s with exact or float coefficients.
 
-    num and den hold ascending-power coefficient tuples. The ring tag says
-    how to interpret them: "rational" (BigRat), "symbolic" (ParamPoly in
-    the tuning parameters), or "float" (doubles, baselines only). An
-    optional GainTag carries an irrational scalar prefactor. Notes record
-    construction caveats (Pade defects and the like) and do not take part
-    in equality.
+    num and den hold ascending-power coefficient tuples: the entry at index
+    k is the coefficient of s^k, so s never appears as a symbol. The ring
+    is read off the coefficients by make_tf and recorded for readers of the
+    TF: "float" if any coefficient is a float (baselines only), else
+    "symbolic" if any is a ParamPoly in the tuning parameters, else
+    "rational" (BigRat). An optional GainTag carries an irrational scalar
+    prefactor. Notes record construction caveats (Pade defects and the
+    like) and do not take part in equality.
     """
 
     num: tuple
@@ -59,20 +61,10 @@ class TransferFunction:
     def den_degree(self) -> int:
         return len(self.den) - 1
 
-    def num_poly(self) -> ParamPoly:
-        if self.ring == "float":
-            raise ValidationError("float coefficients have no exact polynomial form")
-        return _spoly(self.num)
-
-    def den_poly(self) -> ParamPoly:
-        if self.ring == "float":
-            raise ValidationError("float coefficients have no exact polynomial form")
-        return _spoly(self.den)
-
     def reciprocal(self) -> "TransferFunction":
         if self.gain is not None:
             raise ValidationError("cannot invert past an opaque gain tag")
-        return make_tf(self.den, self.num, ring=self.ring, notes=self.notes)
+        return make_tf(self.den, self.num, notes=self.notes)
 
     def substitute(self, mapping: dict) -> "TransferFunction":
         """Substitute symbols in every coefficient and renormalize.
@@ -85,11 +77,7 @@ class TransferFunction:
             raise ValidationError("float coefficients have no symbols")
 
         def sub(c):
-            if isinstance(c, ParamPoly):
-                c = c.substitute(mapping)
-                if c.is_constant():
-                    return c.constant_value()
-            return c
+            return _coerce_exact(c.substitute(mapping)) if isinstance(c, ParamPoly) else c
 
         num = [sub(c) for c in self.num]
         den = [sub(c) for c in self.den]
@@ -107,9 +95,7 @@ class TransferFunction:
             parts = []
             for p in range(len(coeffs) - 1, -1, -1):
                 c = coeffs[p]
-                if (isinstance(c, ParamPoly) and c.is_zero()) or (
-                    not isinstance(c, ParamPoly) and not c
-                ):
+                if not c:
                     continue
                 body = f"({c})" if isinstance(c, ParamPoly) else str(c)
                 if p == 0:
@@ -127,13 +113,14 @@ class TransferFunction:
 
 
 def _coerce_exact(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, (Fraction, float)):
+    """A TF coefficient: floats and non-constant ParamPolys as given, a
+    constant ParamPoly as its BigRat value, any other exact scalar through
+    _coerce_rat."""
+    if isinstance(c, float):
         return c
     if isinstance(c, ParamPoly):
         return c.constant_value() if c.is_constant() else c
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+    return _coerce_rat(c)
 
 
 def _detect_ring(coeffs) -> str:
@@ -144,12 +131,14 @@ def _detect_ring(coeffs) -> str:
     return "rational"
 
 
-def make_tf(num, den, ring=None, gain=None, notes=()) -> TransferFunction:
+def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
     """Build a normalized TransferFunction.
 
-    Exact rings are scaled to collectively integer-primitive coefficients
-    with a positive leading denominator coefficient; the float ring is only
-    trimmed. A zero denominator is rejected.
+    The ring is read off the coefficients (see TransferFunction): one float
+    makes the whole TF float. Exact rings are scaled to collectively
+    integer-primitive coefficients with a positive leading denominator
+    coefficient; the float ring is only trimmed. A zero denominator is
+    rejected.
     """
     num = [_coerce_exact(c) for c in num]
     den = [_coerce_exact(c) for c in den]
@@ -157,13 +146,7 @@ def make_tf(num, den, ring=None, gain=None, notes=()) -> TransferFunction:
     if not den:
         raise DegenerateMathError("zero denominator")
     num = list(polys.trim(num))
-    detected = _detect_ring(num + den)
-    if ring is None:
-        ring = detected
-    if ring not in _RINGS:
-        raise ValidationError(f"unknown ring {ring!r}")
-    if detected == "float" and ring != "float":
-        raise ValidationError("float coefficients cannot join an exact ring")
+    ring = _detect_ring(num + den)
     if ring == "float":
         return TransferFunction(
             tuple(float(c) for c in num) or (0.0,),
@@ -185,21 +168,15 @@ def make_tf(num, den, ring=None, gain=None, notes=()) -> TransferFunction:
     return TransferFunction(tuple(num), tuple(den), ring, gain, tuple(notes))
 
 
-def _spoly(coeffs) -> ParamPoly:
-    total = ParamPoly.zero()
-    for p, c in enumerate(coeffs):
-        total = total + ParamPoly._lift(c) * ParamPoly.var("s", p)
-    return total
-
-
 def tf_equal(a: TransferFunction, b: TransferFunction) -> bool:
-    """Rational-function equality by cross-multiplication (exact rings).
+    """Rational-function equality by cross-multiplication (exact rings):
+    a.num * b.den == b.num * a.den as polynomials in s.
 
     Gain tags are ignored; compare them separately when they matter.
     """
     if a.ring == "float" or b.ring == "float":
         raise ValidationError("float coefficients have no exact equality")
-    return a.num_poly() * b.den_poly() == b.num_poly() * a.den_poly()
+    return polys.mul(a.num, b.den) == polys.mul(b.num, a.den)
 
 
 def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
@@ -340,4 +317,4 @@ def cfe_to_tf(cf: ContinuedFraction) -> TransferFunction:
         raise DegenerateMathError("zero trailing quotient")
     for q in reversed(cf.quotients[:-1]):
         num, den = polys.add(polys.mul(polys.trim(q), num), den), num
-    return make_tf(num, den, ring="rational")
+    return make_tf(num, den)

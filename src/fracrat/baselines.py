@@ -52,8 +52,8 @@ class BaselineConfig:
             raise ValidationError("lam must lie in (0, 1)")
         wb = float(self.omega_b)
         wh = float(self.omega_h)
-        if not 0 < wb < wh:
-            raise ValidationError("need 0 < omega_b < omega_h")
+        if not 0 < wb < wh < math.inf:
+            raise ValidationError("need 0 < omega_b < omega_h < inf")
         if self.N < 1:
             raise ValidationError("N must be at least 1")
         object.__setattr__(self, "lam", lam)
@@ -106,7 +106,7 @@ def _anchored(num, den, cfg: BaselineConfig) -> TransferFunction:
     wu = math.sqrt(cfg.omega_b * cfg.omega_h)
     raw = abs(_polyval(num, 1j * wu) / _polyval(den, 1j * wu))
     gain = wu**cfg.lam / raw
-    return make_tf(tuple(gain * c for c in num), den, ring="float")
+    return make_tf(tuple(gain * c for c in num), den)
 
 
 def oustaloup(cfg: BaselineConfig) -> TransferFunction:

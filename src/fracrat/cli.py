@@ -33,6 +33,7 @@ from .controllers import (
     Differintegrator,
     FOPDBracket,
     LeadLag,
+    _rat,
     realize_differintegrator,
     realize_fopd_bracket,
     realize_fopid,
@@ -66,13 +67,6 @@ _CONTROLLER_PARAMS = {
 _RANGED = ("diffint", "fopid")
 
 _METHODS = ("cfe-low", "cfe-high", "oustaloup", "mod-oustaloup", "carlson")
-
-
-def _parse_rat(text: str, flag: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{flag} expects a rational number, got {text!r}") from None
 
 
 def _coeff_str(c) -> str:
@@ -124,7 +118,8 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
     Accepts only the numeric rings; a symbolic-tf document does not come
     back (one-way by design). Coefficients re-normalize through make_tf,
     which is the identity on documents this tool emitted. Non-finite
-    float-ring coefficients and gain values are rejected.
+    float-ring coefficients and gain values are rejected, and notes must be
+    absent or a list of strings.
     """
     try:
         doc = json.loads(text)
@@ -167,8 +162,10 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
             raise ValidationError("gain must be null or carry a label")
         value = gain.get("value")
         tag = GainTag(str(gain["label"]), None if value is None else finite(value, "gain value"))
-    notes = tuple(str(n) for n in doc.get("notes", ()))
-    return make_tf(num, den, gain=tag, notes=notes), doc.get("meta")
+    notes = doc.get("notes", [])
+    if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
+        raise ValidationError("notes must be a list of strings")
+    return make_tf(num, den, gain=tag, notes=tuple(notes)), doc.get("meta")
 
 
 def emit_symbolic_document(tf: TransferFunction, meta: dict | None = None) -> str:
@@ -239,7 +236,7 @@ def _build_controller(args, numeric: bool) -> TransferFunction:
         elif name not in params:
             raise ValidationError(f"{flag} is not a {controller} parameter")
         else:
-            values[name] = _parse_rat(raw, flag)
+            values[name] = _rat(raw, flag)
     if args.range is not None and controller not in _RANGED:
         raise ValidationError(f"--range does not apply to {controller}")
     if args.sign is not None and controller != "diffint":
@@ -355,7 +352,7 @@ def _compare_tf(method: str, lam: Fraction, args) -> TransferFunction:
     if method == "cfe-low":
         return realize_differintegrator(Differintegrator(lam), args.order)
     if method == "cfe-high":
-        T = Fraction(1) if args.T is None else _parse_rat(args.T, "--T")
+        T = Fraction(1) if args.T is None else _rat(args.T, "--T")
         spec = Differintegrator(lam, freq_range="high", T=T)
         return realize_differintegrator(spec, args.order)
     if method == "carlson":
@@ -382,7 +379,7 @@ def _report_entry(report) -> dict:
 
 
 def _run_compare(args) -> int:
-    lam = _parse_rat(args.lam, "--lambda")
+    lam = _rat(args.lam, "--lambda")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValidationError("--methods lists no methods")

@@ -23,16 +23,21 @@ _RANGES = ("low", "high")
 
 
 def _rat(value, name: str) -> Fraction:
-    """Exact scalar from user input; floats are read as printed decimals."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
+    """Exact scalar from user input, the one door for spec fields, the
+    Carlson exponent and CLI flags.
+
+    Takes an int, a BigRat, a float (read as printed: 0.1 is 1/10) or a
+    string such as "1/2" or "0.5". Anything else, a malformed string, a
+    zero denominator or a non-finite float raises ValidationError naming
+    `name`.
+    """
+    source = str(value) if isinstance(value, float) else value
+    if isinstance(source, (int, Fraction, str)):
+        try:
+            return Fraction(source)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"{name} expects a rational number, got {value!r}")
 
 
 def _rat_or_none(value, name: str) -> Fraction | None:

@@ -2,7 +2,8 @@
 
 Arbitrary-precision rationals (`BigRat`, backed by `fractions.Fraction`),
 sparse multivariate polynomials over the controller-parameter symbols
-(`ParamPoly`), and the exact linear solver behind the generic Pade
+(`ParamPoly`), the one coercion every exact scalar passes through
+(`_coerce_rat`), and the exact linear solver behind the generic Pade
 construction: fraction-free (Bareiss) elimination on exact scalars, with
 each row cleared to integers first, so every step is an exact integer
 division and the solution is formed by one division at the end.
@@ -21,9 +22,9 @@ from .errors import InconsistentSystemError, ValidationError
 #: Exact rational scalar type used for every coefficient in the package.
 BigRat = Fraction
 
-#: Recognized symbols: controller tuning parameters plus the Laplace
-#: indeterminate (useful for normalization of plain s-polynomials).
-SYMBOLS = ("lam", "mu", "alpha", "x", "Kp", "Ki", "Kd", "Kc", "T", "s")
+#: Recognized symbols: the controller tuning parameters. The Laplace
+#: variable s is not among them; it is the index of a coefficient tuple.
+SYMBOLS = ("lam", "mu", "alpha", "x", "Kp", "Ki", "Kd", "Kc", "T")
 
 _INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 _NVARS = len(SYMBOLS)
@@ -31,6 +32,7 @@ _ZERO_KEY = (0,) * _NVARS
 
 
 def _coerce_rat(value) -> Fraction:
+    """An int or BigRat as a BigRat; anything else raises TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -90,9 +92,6 @@ class ParamPoly:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -105,14 +104,6 @@ class ParamPoly:
         if set(self.terms) != {_ZERO_KEY}:
             raise ValidationError("polynomial is not constant")
         return self.terms[_ZERO_KEY]
-
-    def symbols(self) -> tuple[str, ...]:
-        used = [False] * _NVARS
-        for key in self.terms:
-            for i, e in enumerate(key):
-                if e:
-                    used[i] = True
-        return tuple(SYMBOLS[i] for i in range(_NVARS) if used[i])
 
     def degree(self, symbol: str | None = None) -> int:
         """Total degree, or the degree in one symbol. Zero polynomial: -1."""
@@ -251,10 +242,6 @@ class ParamPoly:
                     factor = factor * ParamPoly.var(SYMBOLS[i], e)
             total = total + factor
         return total
-
-    def evaluate(self, mapping: dict) -> Fraction:
-        """Full substitution down to an exact scalar."""
-        return self.substitute(mapping).constant_value()
 
     # -- printing ----------------------------------------------------------
 

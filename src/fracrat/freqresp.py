@@ -91,15 +91,6 @@ def _tf_gain_value(tf: TransferFunction) -> float:
     return tf.gain.value
 
 
-def evaluate(tf: TransferFunction, s):
-    """H(s) at one complex point (gain folded in)."""
-    if tf.ring == "symbolic":
-        raise ValidationError("substitute symbols before evaluating")
-    num = np.polyval([float(c) for c in reversed(tf.num)], s)
-    den = np.polyval([float(c) for c in reversed(tf.den)], s)
-    return _tf_gain_value(tf) * num / den
-
-
 def _unwrap_deg(phases: np.ndarray) -> np.ndarray:
     """Unwrap in degrees, starting at the lowest frequency, skipping
     non-finite entries so a single pole does not poison the tail. Each

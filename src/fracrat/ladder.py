@@ -33,9 +33,6 @@ class LadderElement:
     def coeffs(self) -> tuple:
         return polys.trim((self.g, self.h))
 
-    def is_zero(self) -> bool:
-        return not self.g and not self.h
-
     def __str__(self):
         kind = "Z" if self.role == "Z" else "Y"
         if not self.h:
@@ -179,7 +176,7 @@ def map_elements(net: LadderNetwork) -> list:
     """
     out = []
     for el in net.elements:
-        if el.is_zero():
+        if not (el.g or el.h):
             continue
         for g, h, negative in _sign_uniform_parts(el.g, el.h):
             cascade = None

@@ -5,8 +5,9 @@ generalized binomial power (1 + t)^a, exp(t), and the lead-lag kernel
 ((1 + w)/(1 + x w))^a, the last built as exp(a*(log(1+w) - log(1+x*w))).
 The controller realizations read their approximants off closed forms
 instead; these series are the reference those closed forms are checked
-against. Parameters and coefficients are exact scalars (BigRat); nothing
-here touches floating point or symbols.
+against. Parameters and coefficients are exact scalars (BigRat); a
+parameter enters through exact._coerce_rat, so a float, a symbol name or
+a ParamPoly raises TypeError.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
+from .exact import _coerce_rat
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,6 @@ class PowerSeries:
         return len(self.coeffs)
 
 
-def _as_coeff(value) -> Fraction:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a series parameter")
-
-
 def binomial_series(exponent, n: int) -> PowerSeries:
     """Series of (1 + t)^exponent through order n.
 
@@ -57,7 +53,7 @@ def binomial_series(exponent, n: int) -> PowerSeries:
     """
     if n < 0:
         raise ValidationError("series order must be non-negative")
-    a = _as_coeff(exponent)
+    a = _coerce_rat(exponent)
     coeffs = [Fraction(1)]
     term = coeffs[0]
     for k in range(1, n + 1):
@@ -95,8 +91,8 @@ def leadlag_kernel_series(alpha, x, n: int) -> PowerSeries:
     """
     if n < 0:
         raise ValidationError("series order must be non-negative")
-    a = _as_coeff(alpha)
-    xv = _as_coeff(x)
+    a = _coerce_rat(alpha)
+    xv = _coerce_rat(x)
     u = [Fraction(0)]
     xpow = xv
     for k in range(1, n + 1):

@@ -12,6 +12,7 @@ from fracrat import (
     GainTag,
     ParamPoly,
     PowerSeries,
+    TransferFunction,
     ValidationError,
     cfe_to_tf,
     make_tf,
@@ -151,19 +152,23 @@ def test_make_tf_rejects_zero_denominator():
 
 
 def test_make_tf_ring_rules():
+    # the ring is read off the coefficients
     assert make_tf((1.0,), (2.0,)).ring == "float"
     assert make_tf((ParamPoly.var("lam"),), (1,)).ring == "symbolic"
-    with pytest.raises(ValidationError):
-        make_tf((1.0,), (Fraction(1),), ring="rational")
-    with pytest.raises(ValidationError):
-        make_tf((1,), (1,), ring="complex")
+    assert make_tf((1,), (Fraction(1, 2),)).ring == "rational"
+    # a constant ParamPoly is a rational scalar
+    t = make_tf((ParamPoly.constant(3),), (ParamPoly.constant(6),))
+    assert t.ring == "rational"
+    assert t.num == (1,) and t.den == (2,)
     # floats are only trimmed, never rescaled
     t = make_tf((2.0, 4.0), (6.0, 8.0))
     assert t.num == (2.0, 4.0)
     assert t.den == (6.0, 8.0)
-    # an exact input may be demoted to floats on request
-    t = make_tf((Fraction(1, 2),), (2,), ring="float")
-    assert t.num == (0.5,)
+    # one float makes the whole TF float, exact entries included
+    t = make_tf((Fraction(1, 2), 0), (2, 1.0))
+    assert t.ring == "float"
+    assert t.num == (0.5,) and t.den == (2.0, 1.0)
+    assert all(type(c) is float for c in t.num + t.den)
 
 
 def test_tf_equality_ignores_notes():
@@ -175,8 +180,23 @@ def test_tf_equal_cross_multiplies():
     b = make_tf((1, 2), (Fraction(1, 2), 1))
     assert tf_equal(a, b)
     assert not tf_equal(a, make_tf((1,), (1,)))
+    # a zero numerator on either side
+    zero = make_tf((0,), (1,))
+    assert tf_equal(zero, make_tf((0,), (3, 1)))
+    assert not tf_equal(zero, a) and not tf_equal(a, zero)
+    # a BigRat entry against a constant ParamPoly entry built directly
+    lam = ParamPoly.var("lam")
+    sym = make_tf((lam, 1), (2,))
+    assert tf_equal(sym, TransferFunction((lam, ParamPoly.constant(1)), (Fraction(2),), "symbolic"))
+    assert tf_equal(sym, make_tf((2 * lam, 2), (4,)))
+    assert not tf_equal(sym, make_tf((lam, 2), (2,)))
+    # tuples of unequal length: the same function, and a different one
+    assert tf_equal(make_tf((1, 1), (1,)), make_tf((1, 2, 1), (1, 1)))
+    assert not tf_equal(make_tf((1, 1), (1,)), make_tf((1, 1, 0, 1), (1,)))
     with pytest.raises(ValidationError):
         tf_equal(a, make_tf((1.0,), (1.0,)))
+    with pytest.raises(ValidationError):
+        tf_equal(make_tf((1.0,), (1.0,)), a)
 
 
 def test_reciprocal_swaps_sides():
@@ -198,12 +218,6 @@ def test_substitute_specializes_symbolic_tf():
     assert s.den == (3,)
     with pytest.raises(ValidationError):
         make_tf((1.0,), (1.0,)).substitute({"lam": 1})
-
-
-def test_float_tf_has_no_exact_polynomial_form():
-    t = make_tf((1.0,), (1.0,))
-    with pytest.raises(ValidationError):
-        t.num_poly()
 
 
 def test_str_rendering():
@@ -252,3 +266,9 @@ def test_cfe_to_tf_folds_simple_fraction():
     t = cfe_to_tf(ContinuedFraction(((Fraction(1),), (Fraction(2),))))
     assert t.num == (3,)
     assert t.den == (2,)
+    # the ring follows the quotients: symbolic and float folds are labelled so
+    lam = ParamPoly.var("lam")
+    t = cfe_to_tf(ContinuedFraction(((Fraction(1),), (lam,))))
+    assert t.ring == "symbolic" and t.num == (lam + 1,) and t.den == (lam,)
+    t = cfe_to_tf(ContinuedFraction(((1.0,), (2.0,))))
+    assert t.ring == "float" and t.num == (3.0,) and t.den == (2.0,)

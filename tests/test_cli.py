@@ -242,8 +242,18 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     # flag that belongs to another controller
     assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--kp", "1", "--order", "2") == 2
     assert "--kp is not a diffint parameter" in capsys.readouterr().err
-    # malformed rational
+    # malformed rational, in a controller flag and in compare's own flags
     assert run("realize", "--controller", "diffint", "--lambda", "abc", "--order", "2") == 2
+    assert capsys.readouterr().err == "error: --lambda expects a rational number, got 'abc'\n"
+    assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--T", "abc",
+               "--order", "2") == 2
+    assert capsys.readouterr().err == "error: --T expects a rational number, got 'abc'\n"
+    assert run("compare", "--lambda", "1/2", "--order", "2", "--methods", "cfe-high",
+               "--T", "abc", "--fmin", "1", "--fmax", "10") == 2
+    assert capsys.readouterr().err == "error: --T expects a rational number, got 'abc'\n"
+    assert run("compare", "--lambda", "1/0", "--order", "2", "--methods", "cfe-low",
+               "--fmin", "1", "--fmax", "10") == 2
+    assert capsys.readouterr().err == "error: --lambda expects a rational number, got '1/0'\n"
     # unknown flag goes through the same channel
     assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "2", "--bogus") == 2
     # --range and --sign are scoped
@@ -289,6 +299,15 @@ def test_sweeps_reject_a_non_finite_band(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
             assert not out.exists()
+    # a baseline band edge past the floats must not yield all-nan columns
+    report = tmp_path / "fit.json"
+    for omega_h in ("inf", "1e400"):
+        rc = run("compare", "--lambda", "1/2", "--order", "2", "--methods", "oustaloup",
+                 "--fmin", "1", "--fmax", "10", "--omega-h", omega_h,
+                 "-o", str(out), "--report", str(report))
+        assert rc == 2, omega_h
+        assert capsys.readouterr().err == "error: need 0 < omega_b < omega_h < inf\n"
+        assert not out.exists() and not report.exists()
 
 
 def test_symbolic_diffint_requires_unit_time_constant():
@@ -348,3 +367,12 @@ def test_parse_tf_document_rejects_malformed_input():
                 {"format": "tf-document", "variable": "z", "num": ["1"], "den": ["1"]}
             )
         )
+    # notes are absent or a list of strings; nothing else is coerced
+    for notes in (5, "ab", {"a": 1}, [1], ["ok", None], None):
+        doc = {"format": "tf-document", "num": ["1"], "den": ["1"], "notes": notes}
+        with pytest.raises(ValidationError, match="notes"):
+            parse_tf_document(json.dumps(doc))
+    doc = {"format": "tf-document", "num": ["1"], "den": ["1"]}
+    assert parse_tf_document(json.dumps(doc))[0].notes == ()
+    doc["notes"] = ["pade-defect=1"]
+    assert parse_tf_document(json.dumps(doc))[0].notes == ("pade-defect=1",)

@@ -15,6 +15,7 @@ from fracrat import (
     PowerSeries,
     ValidationError,
     binomial_series,
+    carlson,
     leadlag_kernel_series,
     make_tf,
     pade,
@@ -91,6 +92,27 @@ def test_differintegrator_validation():
         realize_differintegrator(Differintegrator(HALF), 0)
     with pytest.raises(ValidationError):
         realize_differintegrator(Differintegrator(None), 3)
+
+
+def test_spec_intake_rejects_non_rational_input():
+    # every user-facing scalar enters through one reader: malformed text, a
+    # zero denominator and non-finite floats are ValidationErrors
+    bad = ("abc", "1/0", float("nan"), float("inf"))
+    for value in bad:
+        with pytest.raises(ValidationError, match="^lam expects a rational number"):
+            Differintegrator(value)
+        with pytest.raises(ValidationError, match="^T expects a rational number"):
+            Differintegrator(HALF, T=value)
+        with pytest.raises(ValidationError, match="^x expects a rational number"):
+            LeadLag(Fraction(1), HALF, value, HALF)
+        with pytest.raises(ValidationError, match="^lam expects a rational number"):
+            carlson(value, 2)
+    with pytest.raises(ValidationError, match="^Kp expects a rational number"):
+        FOPDBracket([1], HALF, HALF)
+    # floats are read as printed, strings as written
+    assert Differintegrator(0.5).lam == HALF
+    assert LeadLag(1, "1/2", 0.1, "0.5").x == Fraction(1, 10)
+    assert carlson("1/2", 1) == carlson(HALF, 1)
 
 
 def test_symbolic_low_integrator_specializes_to_numeric():

@@ -25,7 +25,7 @@ from fracrat import (
     log_grid,
     make_tf,
 )
-from fracrat.freqresp import _unwrap_deg, evaluate
+from fracrat.freqresp import _unwrap_deg
 
 
 def test_grid_validation():
@@ -98,14 +98,7 @@ def test_bode_rejects_symbolic_inputs():
             FrequencyGrid((1.0,), "rad"),
         )
     with pytest.raises(ValidationError):
-        evaluate(make_tf((ParamPoly.var("lam"),), (1,)), 1j)
-    with pytest.raises(ValidationError):
         bode(make_tf((ParamPoly.var("lam"),), (1,)), FrequencyGrid((1.0,), "rad"))
-
-
-def test_evaluate_single_point():
-    tf = make_tf((1,), (1, 1))
-    assert evaluate(tf, 1j) == pytest.approx(1 / (1 + 1j))
 
 
 def test_pole_on_grid_stays_isolated():
