@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import polys
 from .errors import DegenerateMathError, InconsistentSystemError, ValidationError
-from .exact import ParamPoly, _coerce_rat, solve_particular
+from .exact import ParamPoly, _coerce_rat, clear_denominators, solve_particular
 from .series import PowerSeries
 
 
@@ -92,19 +93,18 @@ class TransferFunction:
 
     def __str__(self):
         def side(coeffs):
-            parts = []
+            text = ""
             for p in range(len(coeffs) - 1, -1, -1):
                 c = coeffs[p]
                 if not c:
                     continue
+                if text:
+                    negative = not isinstance(c, ParamPoly) and c < 0
+                    text += " - " if negative else " + "
+                    c = -c if negative else c
                 body = f"({c})" if isinstance(c, ParamPoly) else str(c)
-                if p == 0:
-                    parts.append(body)
-                elif p == 1:
-                    parts.append(f"{body}*s")
-                else:
-                    parts.append(f"{body}*s^{p}")
-            return " + ".join(parts) if parts else "0"
+                text += body if p == 0 else f"{body}*s" if p == 1 else f"{body}*s^{p}"
+            return text or "0"
 
         text = f"({side(self.num)}) / ({side(self.den)})"
         if self.gain is not None:
@@ -124,18 +124,19 @@ def _coerce_exact(c):
 
 
 def _detect_ring(coeffs) -> str:
-    if any(isinstance(c, float) for c in coeffs):
-        return "float"
-    if any(isinstance(c, ParamPoly) for c in coeffs):
-        return "symbolic"
-    return "rational"
+    has_float = any(isinstance(c, float) for c in coeffs)
+    has_symbol = any(isinstance(c, ParamPoly) for c in coeffs)
+    if has_float and has_symbol:
+        raise ValidationError("float and symbolic coefficients cannot share a TF")
+    return "float" if has_float else "symbolic" if has_symbol else "rational"
 
 
 def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
     """Build a normalized TransferFunction.
 
     The ring is read off the coefficients (see TransferFunction): one float
-    makes the whole TF float. Exact rings are scaled to collectively
+    makes the whole TF float, and a float beside a ParamPoly raises
+    ValidationError. Exact rings are scaled to collectively
     integer-primitive coefficients with a positive leading denominator
     coefficient; the float ring is only trimmed. A zero denominator is
     rejected.
@@ -285,9 +286,14 @@ class ContinuedFraction:
 def rational_to_cfe(tf: TransferFunction) -> ContinuedFraction:
     """Expand a numeric TF into Euclidean quotients.
 
-    Repeatedly divides, keeps the quotient, and inverts the remainder
-    fraction; terminates when the remainder vanishes. Exact by
-    construction: cfe_to_tf on the result reproduces the input.
+    Runs the primitive remainder sequence over int (polys.prs_step, whose
+    multiplier is L, the lcm of each quotient's denominators, not a power
+    of the leading coefficient; Collins 1967). Every remainder is a
+    primitive int sequence times one BigRat content, and each quotient is
+    the step's quotient times the ratio of the two contents, so the
+    quotients are exactly those of Euclid over the rationals. Terminates
+    when the remainder vanishes; cfe_to_tf on the result reproduces the
+    input.
     """
     if tf.ring != "rational":
         raise ValidationError("continued-fraction expansion needs exact numeric coefficients")
@@ -297,24 +303,45 @@ def rational_to_cfe(tf: TransferFunction) -> ContinuedFraction:
     b = polys.trim(tf.den)
     if not a or not b:
         raise DegenerateMathError("degenerate expansion")
+    (sa, a), (sb, b) = polys.primitive(a), polys.primitive(b)
     quotients = []
     while True:
-        q, r = polys.divmod_field(a, b)
-        quotients.append(q if q else (Fraction(0),))
+        q, k, r = polys.prs_step(a, b)
+        ratio = sa / sb
+        quotients.append(tuple(ratio * c for c in q) or (Fraction(0),))
         if not r:
             break
-        a, b = b, r
+        a, b, sa, sb = b, r, sb, sa * k
     return ContinuedFraction(tuple(quotients))
 
 
 def cfe_to_tf(cf: ContinuedFraction) -> TransferFunction:
-    """Fold the nested fraction back into a single rational function."""
+    """Fold the nested fraction back into a single rational function.
+
+    Exact numeric quotients fold over int. With q = Q/d_q, d_q the lcm of
+    q's denominators, each step maps num/den to (Q*num + d_q*den)/(d_q*num)
+    and divides the pair by its integer content; without that division the
+    coefficients grow and the fold runs several times slower. Symbolic and
+    float quotients fold the same way with d_q = 1 and no content.
+    """
     if not cf.quotients:
         raise DegenerateMathError("empty continued fraction")
-    num = polys.trim(cf.quotients[-1])
-    den: tuple = (Fraction(1),)
+    exact = all(isinstance(c, (int, Fraction)) for q in cf.quotients for c in q)
+
+    def split(q):
+        q = polys.trim(q)
+        return clear_denominators(q) if exact else (1, q)
+
+    d, num = split(cf.quotients[-1])
+    den: tuple = (d,)
     if not num:
         raise DegenerateMathError("zero trailing quotient")
     for q in reversed(cf.quotients[:-1]):
-        num, den = polys.add(polys.mul(polys.trim(q), num), den), num
+        d, q = split(q)
+        num, den = polys.add(polys.mul(q, num), polys.scale(den, d)), polys.scale(num, d)
+        if exact:
+            g = gcd(*num, *den)
+            if g > 1:
+                num = tuple(c // g for c in num)
+                den = tuple(c // g for c in den)
     return make_tf(num, den)

@@ -278,11 +278,11 @@ class ParamPoly:
 # -- linear solving -----------------------------------------------------------
 
 
-def _integer_row(row) -> list:
-    """An exact scalar row times the lcm of its denominators, as ints."""
-    row = [_coerce_rat(c) for c in row]
-    scale = lcm(*(c.denominator for c in row))
-    return [c.numerator * (scale // c.denominator) for c in row]
+def clear_denominators(coeffs) -> tuple[int, tuple]:
+    """(L, L*coeffs) for exact scalars (int or BigRat), with L the lcm of
+    their reduced denominators, so every entry is an int."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
 
 def solve_fraction_free(matrix, rhs):
@@ -306,7 +306,10 @@ def solve_fraction_free(matrix, rhs):
         raise ValidationError("matrix must be square")
     if len(rhs) != n:
         raise ValidationError("right-hand side length mismatch")
-    mat = [_integer_row(list(row) + [rhs[i]]) for i, row in enumerate(matrix)]
+    mat = [
+        list(clear_denominators([_coerce_rat(c) for c in (*row, b)])[1])
+        for row, b in zip(matrix, rhs)
+    ]
     prev = 1
     pivot_cols = []
     for col in range(n):

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import polys
 from .approx import ContinuedFraction, TransferFunction, cfe_to_tf, make_tf, rational_to_cfe
+from .controllers import _rat
 from .errors import DegenerateMathError, ValidationError
 
 _NIC_OPAMP_GAIN = "1e6"
@@ -111,9 +112,14 @@ class CascadeBlocks:
 
 
 def factor_negative_admittance(g, h) -> CascadeBlocks:
-    """Split Z = 1/(g + h*s) into the mirrored-denominator cascade pair."""
-    g = Fraction(g) if not isinstance(g, Fraction) else g
-    h = Fraction(h) if not isinstance(h, Fraction) else h
+    """Split Z = 1/(g + h*s) into the mirrored-denominator cascade pair.
+
+    g and h enter through controllers._rat: a float is read as printed
+    (0.1 is 1/10), and input that is not a rational number raises
+    ValidationError.
+    """
+    g = _rat(g, "g")
+    h = _rat(h, "h")
     if not g and not h:
         raise DegenerateMathError("zero admittance")
     if not h:

@@ -169,6 +169,9 @@ def test_make_tf_ring_rules():
     assert t.ring == "float"
     assert t.num == (0.5,) and t.den == (2.0, 1.0)
     assert all(type(c) is float for c in t.num + t.den)
+    # a float beside a symbol has no ring
+    with pytest.raises(ValidationError):
+        make_tf((1.0,), (ParamPoly.var("lam"),))
 
 
 def test_tf_equality_ignores_notes():
@@ -222,6 +225,8 @@ def test_substitute_specializes_symbolic_tf():
 
 def test_str_rendering():
     assert str(make_tf((1, 2), (3, 4))) == "(2*s + 1) / (4*s + 3)"
+    # a negative coefficient after the first prints as a subtraction
+    assert str(make_tf((-1, 2, -3), (Fraction(-1, 2), 1))) == "(-6*s^2 + 4*s - 2) / (2*s - 1)"
     tagged = make_tf((1,), (1,), gain=GainTag("Kp^mu", None))
     assert str(tagged).startswith("Kp^mu * ")
 

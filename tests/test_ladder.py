@@ -8,6 +8,7 @@ import pytest
 
 from fracrat import (
     DegenerateMathError,
+    Differintegrator,
     LadderElement,
     LadderNetwork,
     ValidationError,
@@ -16,6 +17,7 @@ from fracrat import (
     ladder_to_tf,
     make_tf,
     map_elements,
+    realize_differintegrator,
     synthesize_ladder,
     tf_equal,
 )
@@ -52,6 +54,22 @@ def test_half_integrator_high_range_ladder_elements():
         ("Z", Fraction(-16, 9), Fraction(-2, 3)),
         ("Y", Fraction(63, 4), Fraction(189, 16)),
     ]
+
+
+def test_north_star_low_band_ladder_folds_back_exactly():
+    tf = realize_differintegrator(Differintegrator(Fraction(37, 100)), 120)
+    assert ladder_to_tf(synthesize_ladder(tf)) == tf
+
+
+def test_north_star_low_band_ladder_has_a_rung_value_per_coefficient():
+    # every Euclidean step lowers the degree by one, so the n + 1 rungs carry
+    # num_degree + den_degree + 1 nonzero values: one per free coefficient
+    # of the normalized TF
+    tf = realize_differintegrator(Differintegrator(Fraction(37, 100)), 300)
+    net = synthesize_ladder(tf)
+    assert len(net) == tf.den_degree + 1 == 301
+    values = [v for el in net.elements for v in (el.g, el.h) if v]
+    assert len(values) == tf.num_degree + tf.den_degree + 1
 
 
 def test_ladder_round_trip_on_random_networks():
@@ -107,6 +125,17 @@ def test_negative_admittance_degenerate_cases():
     assert not flat.unstable
     with pytest.raises(DegenerateMathError):
         factor_negative_admittance(Fraction(0), Fraction(0))
+
+
+def test_negative_admittance_reads_scalars_as_printed():
+    # a float is read as printed, not binary-exactly
+    blocks = factor_negative_admittance(0.1, 1)
+    assert blocks.first == make_tf((1,), (Fraction(1, 10), -1))
+    assert str(blocks.first) == "(-10) / (10*s - 1)"
+    assert factor_negative_admittance("1/2", 2) == factor_negative_admittance(Fraction(1, 2), 2)
+    for bad in ("abc", float("nan"), None):
+        with pytest.raises(ValidationError):
+            factor_negative_admittance(bad, 1)
 
 
 def test_map_elements_on_mixed_network():
