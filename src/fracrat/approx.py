@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 from . import polys
 from .errors import DegenerateMathError, InconsistentSystemError, ValidationError
@@ -27,11 +27,46 @@ class GainTag:
     """Scalar prefactor that is not rational in the tuning parameters.
 
     `label` is the closed form (e.g. "Kp^mu"); `value` its numeric value
-    when the parameters are numeric, None when they stay symbolic.
+    when the parameters are numeric, None when they stay symbolic. `fixed`
+    holds the (name, value) pairs of the label's parameters that were
+    numbers when the TF was realized, which TransferFunction.substitute
+    needs to compute the value later; None means they are not known (a tag
+    read from a document or built by hand), and substitute leaves the tag
+    as it is.
     """
 
     label: str
     value: float | None = None
+    fixed: tuple | None = field(default=None, compare=False)
+
+
+#: label -> (parameter names, float formula): the one place a gain tag's
+#: value is computed, by the realizations and by substitute alike.
+_GAIN_FORMULAS = {
+    "Kp^mu": (("Kp", "mu"), lambda kp, mu: kp**mu),
+    "Kc*x^alpha": (("Kc", "x", "alpha"), lambda kc, x, alpha: kc * x**alpha),
+}
+
+
+def _gain_tag(label: str, values: dict) -> GainTag:
+    """The tag `label` given its parameters' values (None, or absent, where
+    one stays symbolic). It records the exact scalars among them, and its
+    value is set once every parameter has one and the formula gives a
+    finite real number (a negative base under a fractional exponent does
+    not)."""
+    names, formula = _GAIN_FORMULAS[label]
+    fixed = tuple(
+        (name, values[name]) for name in names if isinstance(values.get(name), (int, Fraction))
+    )
+    value = None
+    if len(fixed) == len(names):
+        try:
+            value = formula(*(float(v) for _, v in fixed))
+        except (ZeroDivisionError, OverflowError):
+            pass
+        if not (isinstance(value, float) and isfinite(value)):
+            value = None
+    return GainTag(label, value, fixed)
 
 
 @dataclass(frozen=True)
@@ -72,7 +107,11 @@ class TransferFunction:
 
         When every coefficient comes out rational, a common factor in s
         (left by a degenerate value such as an integer exponent) is
-        cancelled, as the numeric path does.
+        cancelled, as the numeric path does. A gain tag from a realization
+        gets its value once the mapping and the parameters fixed at
+        realization give every parameter of its label a number, from the
+        formula the realizations use; a mapping that gives a fixed
+        parameter another value raises ValidationError.
         """
         if self.ring == "float":
             raise ValidationError("float coefficients have no symbols")
@@ -84,7 +123,17 @@ class TransferFunction:
         den = [sub(c) for c in self.den]
         if not any(isinstance(c, ParamPoly) for c in num + den):
             num, den = _cancel_common_factor(num, den)
-        return make_tf(num, den, gain=self.gain, notes=self.notes)
+        gain = self.gain
+        if gain is not None and gain.fixed is not None and gain.label in _GAIN_FORMULAS:
+            fixed = dict(gain.fixed)
+            for name, value in fixed.items():
+                if name in mapping and mapping[name] != value:
+                    raise ValidationError(
+                        f"{name} = {mapping[name]} contradicts the {name} = {value}"
+                        " this TF was realized with"
+                    )
+            gain = _gain_tag(gain.label, {**mapping, **fixed})
+        return make_tf(num, den, gain=gain, notes=self.notes)
 
     def with_notes(self, *extra: str) -> "TransferFunction":
         return TransferFunction(
@@ -92,18 +141,26 @@ class TransferFunction:
         )
 
     def __str__(self):
+        """Descending powers of s. A coefficient whose (leading) sign is
+        negative is subtracted, a symbolic one is parenthesized, and a unit
+        coefficient of a power of s is left out."""
+
         def side(coeffs):
             text = ""
             for p in range(len(coeffs) - 1, -1, -1):
                 c = coeffs[p]
                 if not c:
                     continue
+                negative = (c.leading_coeff() if isinstance(c, ParamPoly) else c) < 0
+                if negative:
+                    c = -c
                 if text:
-                    negative = not isinstance(c, ParamPoly) and c < 0
                     text += " - " if negative else " + "
-                    c = -c if negative else c
+                elif negative:
+                    text = "-"
+                power = "" if p == 0 else "s" if p == 1 else f"s^{p}"
                 body = f"({c})" if isinstance(c, ParamPoly) else str(c)
-                text += body if p == 0 else f"{body}*s" if p == 1 else f"{body}*s^{p}"
+                text += body if not power else power if c == 1 else f"{body}*{power}"
             return text or "0"
 
         text = f"({side(self.num)}) / ({side(self.den)})"

@@ -556,6 +556,8 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    """Run one fracrat command through a freshly built parser and return
+    its exit code: 2 for a ValidationError, 3 for any other FracratError."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

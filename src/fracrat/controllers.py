@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .approx import GainTag, TransferFunction, make_tf
+from .approx import TransferFunction, _gain_tag, make_tf
 from .errors import ValidationError
-from .exact import ParamPoly
+from .exact import ParamPoly, _ring
 
 _SIGNS = ("integrator", "differentiator")
 _RANGES = ("low", "high")
@@ -322,10 +322,8 @@ def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
     if mu_int:
         num = polys.mul(num, (kp, kd))
         den = polys.scale(den, kp)
-    value = None
-    if spec.Kp is not None and spec.mu is not None:
-        value = float(spec.Kp) ** float(spec.mu)
-    return make_tf(num, den, gain=GainTag("Kp^mu", value))
+    gain = _gain_tag("Kp^mu", {"Kp": spec.Kp, "mu": spec.mu})
+    return make_tf(num, den, gain=gain)
 
 
 def _homogenize(coeffs, kp, kd, order: int):
@@ -346,6 +344,11 @@ def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     the denominator the same with q_k. Then w = lam*s is substituted. At
     alpha = 1 the kernel (1+w)/(1+x*w) is its own approximant; it comes out
     of the same map from (1+u)/1 and is noted pade-defect=n-1 for n >= 2.
+    p and q are first divided by their common rational content, one scale
+    for both that leaves the ratio alone, so they enter the map with integer
+    coefficients (ParamPolys over the integers for a symbolic alpha), and
+    the map clears the denominator of a numeric x, so every Moebius product
+    runs on ints.
     The value at s = 0 is Kc*x^alpha, carried as a gain tag unless it is
     exactly rational.
     """
@@ -360,22 +363,25 @@ def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     if degenerate:
         return make_tf((kc,), (1,))
     p, q, notes = _kernel_pade(alpha, order)
+    inv = 1 / polys.sequence_content([p, q])
+    p, q = ([_ring(c * inv) for c in cs] for cs in (p, q))
     num, den = _moebius(p, x), _moebius(q, x)
-    value = None
-    if spec.Kc is not None and spec.x is not None and spec.alpha is not None:
-        value = float(spec.Kc) * float(spec.x) ** float(spec.alpha)
-    gain = GainTag("Kc*x^alpha", value)
+    gain = _gain_tag("Kc*x^alpha", {"Kc": spec.Kc, "x": spec.x, "alpha": spec.alpha})
     return make_tf(_rescale(num, lam), _rescale(den, lam), gain=gain, notes=notes)
 
 
 def _moebius(coeffs, x) -> tuple:
-    """sum_k c_k (1-x)^k w^k (1+x*w)^(n-k), n = len(coeffs) - 1.
+    """b^n sum_k c_k (1-x)^k w^k (1+x*w)^(n-k), n = len(coeffs) - 1, where
+    x = a/b in lowest terms (a = x, b = 1 for a symbolic x).
 
-    Built by S_k = S_(k-1) * (1 + x*w) + c_k (1-x)^k w^k.
+    Built by S_k = S_(k-1) * (b + a*w) + c_k (b-a)^k w^k. The scale b^n is
+    the same for every coefficient list of one x, so a ratio of two maps is
+    unchanged, and integer c_k keep every product on ints.
     """
+    a, b = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
     out: tuple = ()
-    power = Fraction(1)
+    power = 1
     for k, c in enumerate(coeffs):
-        out = polys.add(polys.mul(out, (Fraction(1), x)), (0,) * k + (c * power,))
-        power = power * (1 - x)
+        out = polys.add(polys.mul(out, (b, a)), (0,) * k + (c * power,))
+        power = power * (b - a)
     return out

@@ -2,8 +2,11 @@
 
 Arbitrary-precision rationals (`BigRat`, backed by `fractions.Fraction`),
 sparse multivariate polynomials over the controller-parameter symbols
-(`ParamPoly`), the one coercion every exact scalar passes through
-(`_coerce_rat`), and the exact linear solver behind the generic Pade
+(`ParamPoly`, whose coefficients are int where integral and BigRat
+otherwise, so symbolic products of integer polynomials never touch
+`Fraction`), the one coercion every exact scalar of a numeric
+TF passes through (`_coerce_rat`, always to a BigRat), and the exact
+linear solver behind the generic Pade
 construction: fraction-free (Bareiss) elimination on exact scalars, with
 each row cleared to integers first, so every step is an exact integer
 division and the solution is formed by one division at the end.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .errors import InconsistentSystemError, ValidationError
 
@@ -40,37 +44,51 @@ def _coerce_rat(value) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
+def _ring(c):
+    """An int or BigRat coefficient in ParamPoly's coefficient ring: an
+    integral BigRat becomes its int."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _tidy(terms: dict) -> dict:
+    """Drop zero coefficients and bring the rest into the ring."""
+    return {key: _ring(c) for key, c in terms.items() if c}
+
+
 def _grlex_key(exponents):
     # graded lexicographic: total degree first, then the exponent tuple
     return (sum(exponents), exponents)
 
 
 class ParamPoly:
-    """Sparse multivariate polynomial with BigRat coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients.
 
     Terms map exponent tuples (one slot per entry of SYMBOLS) to nonzero
-    coefficients. The zero polynomial has no terms.
+    coefficients: int where integral, BigRat otherwise, so no coefficient
+    is a BigRat with denominator 1. Products and sums of integer
+    polynomials then run on machine ints without a gcd per operation. The
+    zero polynomial has no terms.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned: dict[tuple, Fraction] = {}
+        cleaned: dict = {}
         if terms:
             for key, coeff in terms.items():
-                c = _coerce_rat(coeff)
-                if c:
-                    key = tuple(key)
-                    if len(key) != _NVARS:
-                        raise ValueError("exponent tuple has wrong length")
-                    cleaned[key] = c
-        self.terms = cleaned
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(f"expected an exact scalar, got {type(coeff).__name__}")
+                key = tuple(key)
+                if len(key) != _NVARS:
+                    raise ValueError("exponent tuple has wrong length")
+                cleaned[key] = coeff
+        self.terms = _tidy(cleaned)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def constant(cls, value) -> "ParamPoly":
-        return cls({_ZERO_KEY: _coerce_rat(value)})
+        return cls({_ZERO_KEY: value})
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "ParamPoly":
@@ -80,7 +98,7 @@ class ParamPoly:
             raise ValidationError("negative powers are not polynomial")
         key = [0] * _NVARS
         key[_INDEX[name]] = power
-        return cls({tuple(key): Fraction(1)})
+        return cls({tuple(key): 1})
 
     @classmethod
     def zero(cls) -> "ParamPoly":
@@ -99,11 +117,12 @@ class ParamPoly:
         return not self.terms or set(self.terms) == {_ZERO_KEY}
 
     def constant_value(self) -> Fraction:
+        """The value of a constant polynomial, as a BigRat."""
         if not self.terms:
             return Fraction(0)
         if set(self.terms) != {_ZERO_KEY}:
             raise ValidationError("polynomial is not constant")
-        return self.terms[_ZERO_KEY]
+        return Fraction(self.terms[_ZERO_KEY])
 
     def degree(self, symbol: str | None = None) -> int:
         """Total degree, or the degree in one symbol. Zero polynomial: -1."""
@@ -119,7 +138,8 @@ class ParamPoly:
             raise ValidationError("zero polynomial has no leading term")
         return max(self.terms, key=_grlex_key)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self):
+        """Coefficient of the grlex-leading term: an int or a BigRat."""
         return self.terms[self.leading_key()]
 
     # -- arithmetic --------------------------------------------------------
@@ -137,14 +157,11 @@ class ParamPoly:
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
+        get = terms.get
         for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
+            terms[key] = get(key, 0) + c
         out = ParamPoly.__new__(ParamPoly)
-        out.terms = terms
+        out.terms = _tidy(terms)
         return out
 
     __radd__ = __add__
@@ -167,20 +184,21 @@ class ParamPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = _ring(other)
+            out = ParamPoly.__new__(ParamPoly)
+            out.terms = _tidy({key: v * other for key, v in self.terms.items()})
+            return out
+        if not isinstance(other, ParamPoly):
             return NotImplemented
-        terms: dict[tuple, Fraction] = {}
+        terms: dict = {}
+        get = terms.get
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                s = terms.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
+                key = tuple(map(add, k1, k2))
+                terms[key] = get(key, 0) + c1 * c2
         out = ParamPoly.__new__(ParamPoly)
-        out.terms = terms
+        out.terms = _tidy(terms)
         return out
 
     __rmul__ = __mul__

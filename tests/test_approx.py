@@ -229,6 +229,11 @@ def test_str_rendering():
     assert str(make_tf((-1, 2, -3), (Fraction(-1, 2), 1))) == "(-6*s^2 + 4*s - 2) / (2*s - 1)"
     tagged = make_tf((1,), (1,), gain=GainTag("Kp^mu", None))
     assert str(tagged).startswith("Kp^mu * ")
+    # a symbolic coefficient with a negative leading term is subtracted too,
+    # and a unit coefficient of a power of s is left out
+    lam = ParamPoly.var("lam")
+    assert str(make_tf((-lam, 1), (1, lam))) == "(s - (lam)) / ((lam)*s + 1)"
+    assert str(make_tf((-lam, -1), (1, 1 - lam, 1))) == "(-s - (lam)) / (s^2 - (lam - 1)*s + 1)"
 
 
 def test_cfe_quotients_of_half_differentiator():

@@ -7,6 +7,7 @@ import pytest
 
 from fracrat import GainTag, ParamPoly, ValidationError, make_tf
 from fracrat.cli import (
+    build_parser,
     emit_symbolic_document,
     emit_tf_document,
     main,
@@ -336,6 +337,38 @@ def test_compare_validates_method_list():
     assert run(*base, "--methods", "cfe-low,cfe-low") == 2
     assert run(*base, "--methods", "newton") == 2
     assert run(*base, "--methods", ",") == 2
+
+
+def test_repeated_main_calls_are_stateless(capsys):
+    # a call to main in a process that has run other commands, some of them
+    # with other flags or failing, prints exactly what it prints on its own
+    leadlag = ("--controller", "leadlag", "--kc", "2", "--lambda", "1/2", "--x", "1/4",
+               "--alpha", "1/2", "--order", "3")
+    diffint = ("realize", "--controller", "diffint", "--lambda", "1/2", "--order")
+    calls = [
+        ("realize", *leadlag, "--float"),
+        ("realize", *leadlag),
+        ("realize", *leadlag, "--no-meta"),
+        ("realize", *leadlag),
+        (*diffint, "x"),
+        (*diffint, "3"),
+        ("symbolic", "--controller", "fopid", "--order", "2"),
+        ("compare", "--lambda", "1/2", "--order", "2", "--methods", "cfe-low,carlson",
+         "--fmin", "0.1", "--fmax", "1", "--points-per-decade", "2", "--unit", "rad"),
+    ]
+
+    def call(argv):
+        rc = main(list(argv))
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    forward = [call(argv) for argv in calls]
+    backward = [call(argv) for argv in reversed(calls)][::-1]
+    assert [rc for rc, _, _ in forward] == [0, 0, 0, 0, 2, 0, 0, 0]
+    assert "invalid int value: 'x'" in forward[4][2]
+    assert forward[0][1] != forward[1][1] and forward[2][1] != forward[3][1]
+    assert forward == backward
+    assert build_parser() is not build_parser()
 
 
 def test_help_exits_zero():

@@ -10,6 +10,7 @@ from fracrat import (
     Differintegrator,
     FOPDBracket,
     FOPID,
+    GainTag,
     LeadLag,
     ParamPoly,
     PowerSeries,
@@ -326,6 +327,54 @@ def test_leadlag_symbolic_specializes_to_numeric():
     values = {"lam": HALF, "x": Fraction(1, 4), "alpha": HALF}
     numeric = realize_leadlag(LeadLag(Fraction(2), HALF, Fraction(1, 4), HALF), 2)
     assert tf_equal(sym.substitute(values), numeric)
+
+
+def test_substitution_fills_in_the_gain_tag():
+    # the tag gets its value from the formula the numeric path uses, once
+    # every parameter its label names has one
+    values = {"Kc": 2, "x": Fraction(1, 20), "alpha": HALF}
+    sym = realize_leadlag(LeadLag(None, None, None, None), 3)
+    numeric = realize_leadlag(LeadLag(2, Fraction(1, 10), values["x"], HALF), 3)
+    assert numeric.gain.value == pytest.approx(0.447, abs=5e-4)
+    assert sym.substitute({**values, "lam": Fraction(1, 10)}).gain == numeric.gain
+    assert sym.substitute(values).gain == numeric.gain
+    assert sym.substitute({"x": values["x"], "alpha": HALF}).gain.value is None
+    bracket = realize_fopd_bracket(FOPDBracket(None, None, None), 3)
+    bracket_gain = realize_fopd_bracket(FOPDBracket(2, 3, HALF), 3).gain
+    assert bracket.substitute({"Kp": 2, "Kd": 3, "mu": HALF}).gain == bracket_gain
+    assert bracket.substitute({"Kd": 3, "mu": HALF}).gain.value is None
+    # a negative base under a fractional exponent has no real value
+    assert bracket.substitute({"Kp": -2, "Kd": 3, "mu": HALF}).gain.value is None
+    assert sym.substitute({"Kc": 2, "x": -values["x"], "alpha": HALF}).gain.value is None
+
+
+def test_substitution_keeps_the_parameters_fixed_at_realization():
+    # a parameter of the tag's label that was a number at realization is
+    # baked into the coefficients: substitute reads it from the tag, and a
+    # mapping that gives it another value is refused
+    values = {"Kc": 2, "x": Fraction(1, 20), "alpha": HALF}
+    numeric = realize_leadlag(LeadLag(2, Fraction(1, 10), values["x"], HALF), 3)
+    part_x = realize_leadlag(LeadLag(None, None, values["x"], None), 3)
+    assert part_x.substitute({"Kc": 2, "alpha": HALF}).gain == numeric.gain
+    assert part_x.substitute(values).gain == numeric.gain
+    with pytest.raises(ValidationError, match="contradicts"):
+        part_x.substitute({**values, "x": HALF})
+    part_alpha = realize_leadlag(LeadLag(2, Fraction(1, 10), values["x"], None), 3)
+    assert part_alpha.substitute({"alpha": HALF}).gain == numeric.gain
+    assert tf_equal(part_alpha.substitute({"alpha": HALF}), numeric)
+    with pytest.raises(ValidationError, match="contradicts"):
+        part_alpha.substitute({"Kc": 7, "alpha": HALF})
+
+    part_kp = realize_fopd_bracket(FOPDBracket(2, None, None), 3)
+    numeric = realize_fopd_bracket(FOPDBracket(2, 3, HALF), 3)
+    assert part_kp.substitute({"Kd": 3, "mu": HALF}).gain == numeric.gain
+    assert tf_equal(part_kp.substitute({"Kd": 3, "mu": HALF}), numeric)
+    with pytest.raises(ValidationError, match="contradicts"):
+        part_kp.substitute({"Kp": 5, "Kd": 3, "mu": HALF})
+    # a tag whose fixed parameters are not known (read from a document or
+    # built by hand) keeps its value as it is
+    bare = make_tf((1,), (1,), gain=GainTag("Kp^mu"))
+    assert bare.substitute({"Kp": 2, "mu": HALF}).gain.value is None
 
 
 def test_leadlag_symbolic_order_12_specializes_to_numeric():

@@ -6,9 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from fracrat import DegenerateMathError, ParamPoly, ValidationError, polys
+from fracrat import (
+    FOPID,
+    DegenerateMathError,
+    Differintegrator,
+    FOPDBracket,
+    LeadLag,
+    ParamPoly,
+    ValidationError,
+    polys,
+    realize_differintegrator,
+    realize_fopd_bracket,
+    realize_fopid,
+    realize_leadlag,
+    symbolic_differintegrator,
+)
 from fracrat.errors import InconsistentSystemError
-from fracrat.exact import solve_fraction_free, solve_particular
+from fracrat.exact import SYMBOLS, solve_fraction_free, solve_particular
 
 
 def _random_poly(rng: random.Random, symbols=("lam", "mu"), terms=4) -> ParamPoly:
@@ -113,6 +127,122 @@ def test_str_rendering_is_stable():
     assert str(840 * lam + 3360) == "840*lam + 3360"
     assert str(lam**2 - 1) == "lam^2 - 1"
     assert str(ParamPoly.zero()) == "0"
+
+
+# -- the coefficient ring: int where integral, BigRat otherwise ----------------
+#
+# The reference below does the same arithmetic with every coefficient a
+# Fraction: terms are dicts from exponent tuples to nonzero Fractions.
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_scale(a, factor):
+    return {key: c * factor for key, c in a.items() if c * factor}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_pow(a, e):
+    out = {(0,) * len(SYMBOLS): Fraction(1)}
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _assert_ring(got, ref):
+    assert got.terms == ref
+    for c in got.terms.values():
+        assert type(c) in (int, Fraction), c
+        assert type(c) is int or c.denominator != 1, c
+    raw = ParamPoly.__new__(ParamPoly)
+    raw.terms = ref
+    assert str(got) == str(raw)
+    assert got == raw
+
+
+def test_coefficient_ring_matches_the_fraction_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.one_of(
+        st.integers(min_value=-40, max_value=40),
+        st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    )
+    keys = st.tuples(*(st.integers(0, 2),) * 3).map(lambda k: k + (0,) * (len(SYMBOLS) - 3))
+    polys_ = st.dictionaries(keys, scalars, max_size=5)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(polys_, polys_, scalars, st.integers(0, 3))
+    def check(ta, tb, c, e):
+        ra = {k: Fraction(v) for k, v in ta.items() if v}
+        rb = {k: Fraction(v) for k, v in tb.items() if v}
+        a, b = ParamPoly(ta), ParamPoly(tb)
+        _assert_ring(a, ra)
+        _assert_ring(a + b, _ref_add(ra, rb))
+        _assert_ring(a - b, _ref_add(ra, _ref_scale(rb, Fraction(-1))))
+        _assert_ring(a * b, _ref_mul(ra, rb))
+        _assert_ring(a**e, _ref_pow(ra, e))
+        _assert_ring(a * c, _ref_scale(ra, Fraction(c)))
+        _assert_ring(c * a, _ref_scale(ra, Fraction(c)))
+        _assert_ring(a + c, _ref_add(ra, {(0,) * len(SYMBOLS): Fraction(c)} if c else {}))
+        if c:
+            _assert_ring(a / c, _ref_scale(ra, 1 / Fraction(c)))
+        value = ParamPoly.constant(c).constant_value()
+        assert type(value) is Fraction and value == c
+        point = {name: Fraction(i + 2, 3) for i, name in enumerate(SYMBOLS[:3])}
+        total = a.substitute(point).constant_value()
+        assert type(total) is Fraction
+        assert total == sum(
+            (v * point["lam"] ** k[0] * point["mu"] ** k[1] * point["alpha"] ** k[2]
+             for k, v in ra.items()),
+            Fraction(0),
+        )
+
+    check()
+
+
+def test_numeric_transfer_functions_keep_bigrat_tuples():
+    # ParamPoly keeps ints; the normalized tuples of a numeric TF stay BigRat,
+    # whether realized directly or substituted from the symbolic form
+    half, tenth, twentieth = Fraction(1, 2), Fraction(1, 10), Fraction(1, 20)
+    tfs = [
+        realize_differintegrator(Differintegrator(half), 4),
+        realize_differintegrator(Differintegrator(half, "differentiator", "high", 3), 4),
+        realize_differintegrator(Differintegrator(1), 3),
+        realize_fopid(FOPID(1, 2, 3, half, Fraction(3, 2)), "low", 3),
+        realize_fopid(FOPID(1, 2, 3, 1, 1), "high", 3),
+        realize_fopd_bracket(FOPDBracket(2, 3, half), 3),
+        realize_fopd_bracket(FOPDBracket(2, 3, 1), 3),
+        realize_leadlag(LeadLag(2, tenth, twentieth, half), 3),
+        realize_leadlag(LeadLag(2, tenth, twentieth, 1), 3),
+        realize_leadlag(LeadLag(2, tenth, twentieth, 0), 3),
+        symbolic_differintegrator("low", 4).substitute({"lam": half}),
+        symbolic_differintegrator("high", 4, "differentiator").substitute({"lam": 1}),
+        realize_fopid(FOPID(None, None, None, None, None), "low", 3).substitute(
+            {"Kp": 1, "Ki": 2, "Kd": 3, "lam": half, "mu": Fraction(3, 2)}
+        ),
+        realize_fopd_bracket(FOPDBracket(None, None, None), 3).substitute(
+            {"Kp": 2, "Kd": 3, "mu": half}
+        ),
+        realize_leadlag(LeadLag(None, None, None, None), 3).substitute(
+            {"Kc": 2, "lam": tenth, "x": twentieth, "alpha": half}
+        ),
+    ]
+    for tf in tfs:
+        assert tf.ring == "rational"
+        assert all(type(c) is Fraction for c in tf.num + tf.den), tf
 
 
 def test_solver_reproduces_known_solution():
