@@ -244,13 +244,15 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     Solves the Toeplitz system for the denominator with q0 = 1, then reads
     the numerator off the series product. A singular system yields the
     particular solution with free variables zeroed, and the notes report
-    its defect; the shared factor it leaves is cancelled, and a
-    match-through note says when the reduced approximant no longer matches
-    the series through order m + k. An inconsistent system raises
-    DegenerateMathError: a denominator (q0, q') with q0 != 0 would give the
-    solution q'/q0, so every denominator left vanishes at the expansion
-    point and no [m/k] approximant exists (the block structure of the Pade
-    table). A symbolic coefficient raises ValidationError.
+    its defect. The common factor g of that solution's numerator P and
+    denominator Q is cancelled, and the reduced pair P' = P/g, Q' = Q/g
+    still matches the series c through order m + k: g divides Q, whose
+    constant term is q0 = 1, so g(0) != 0 and g*(Q'c - P') = 0 mod
+    s^(m+k+1) gives Q'c - P' = 0 mod s^(m+k+1). An inconsistent system
+    raises DegenerateMathError: a denominator (q0, q') with q0 != 0 would
+    give the solution q'/q0, so every denominator left vanishes at the
+    expansion point and no [m/k] approximant exists (the block structure
+    of the Pade table). A symbolic coefficient raises ValidationError.
 
     This is the general route for an arbitrary series, and the reference
     the controller realizations are tested against. They do not take it:
@@ -285,9 +287,6 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     if defect:
         notes = (f"pade-defect={defect}",)
         num, q = _cancel_common_factor(num, q)
-        matched = _match_order(c, num, q, m + k)
-        if matched < m + k:
-            notes = notes + (f"match-through={matched}",)
     return make_tf(num, q, notes=notes)
 
 
@@ -305,25 +304,6 @@ def _cancel_common_factor(num, den):
     if polys.degree(g) < 1:
         return num, den
     return polys.divmod_field(num, g)[0], polys.divmod_field(den, g)[0]
-
-
-def _match_order(c, num, den, through: int) -> int:
-    """Highest order through which num/den reproduces the series c."""
-    inv_den = [Fraction(1) / den[0]]
-    for i in range(1, through + 1):
-        acc = Fraction(0)
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc += den[j] * inv_den[i - j]
-        inv_den.append(-acc / den[0])
-    matched = -1
-    for i in range(through + 1):
-        total = Fraction(0)
-        for j in range(0, min(i, len(num) - 1) + 1):
-            total += num[j] * inv_den[i - j]
-        if total != _series_at(c, i):
-            break
-        matched = i
-    return matched
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
+from itertools import repeat
 
 from . import polys
 from .approx import GainTag, TransferFunction, make_tf
@@ -44,16 +46,18 @@ from .errors import FracratError, ValidationError
 from .freqresp import bode, fit_report, ideal_response, log_grid
 from .ladder import export_netlist, map_elements, synthesize_ladder
 
+# (dest, flag, help) of the controllers' rational parameters: the parser
+# flags, the spec values and the meta keys all come from this one table
 _RAT_FLAGS = (
-    ("lam", "--lambda"),
-    ("mu", "--mu"),
-    ("alpha", "--alpha"),
-    ("x", "--x"),
-    ("kp", "--kp"),
-    ("ki", "--ki"),
-    ("kd", "--kd"),
-    ("kc", "--kc"),
-    ("T", "--T"),
+    ("lam", "--lambda", "fractional order, e.g. 1/2 or 0.5"),
+    ("mu", "--mu", "fractional differential order"),
+    ("alpha", "--alpha", "lead-lag exponent in [0, 1]"),
+    ("x", "--x", "lead-lag pole/zero ratio in (0, 1]"),
+    ("kp", "--kp", "proportional gain"),
+    ("ki", "--ki", "integral gain"),
+    ("kd", "--kd", "derivative gain"),
+    ("kc", "--kc", "compensator gain"),
+    ("T", "--T", "time constant of the high-range form (default 1)"),
 )
 
 _CONTROLLER_PARAMS = {
@@ -79,6 +83,13 @@ def _gain_dict(gain: GainTag | None):
     if gain is None:
         return None
     return {"label": gain.label, "value": gain.value}
+
+
+def _json_document(doc: dict, meta: dict | None) -> str:
+    """The one ending of every JSON document: meta last, unless omitted."""
+    if meta is not None:
+        doc["meta"] = meta
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def emit_tf_document(
@@ -107,9 +118,7 @@ def emit_tf_document(
         "gain": _gain_dict(tf.gain),
         "notes": list(tf.notes),
     }
-    if meta is not None:
-        doc["meta"] = meta
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_document(doc, meta)
 
 
 def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
@@ -181,9 +190,7 @@ def emit_symbolic_document(tf: TransferFunction, meta: dict | None = None) -> st
         "gain": _gain_dict(tf.gain),
         "notes": list(tf.notes),
     }
-    if meta is not None:
-        doc["meta"] = meta
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_document(doc, meta)
 
 
 def _read_text(path: str) -> str:
@@ -205,15 +212,36 @@ def _write_text(path: str | None, text: str):
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def _csv_num(value: float) -> str:
-    return repr(float(value))
+def _write_csv(path: str | None, meta: dict | None, grid, sweeps) -> None:
+    """One sweep CSV: the optional "# " meta line, the header, then per
+    grid point the frequency, the unit and the magnitude and phase of
+    each (column prefix, sweep) pair. The cells are floats, so repr is
+    the shortest string that reads back to the same value."""
+    lines = [] if meta is None else ["# " + json.dumps(meta, separators=(",", ":"))]
+    header = ["freq", grid.unit]
+    cells = [map(repr, grid.values), repeat(grid.unit)]
+    for prefix, sweep in sweeps:
+        header += (f"{prefix}mag_db", f"{prefix}phase_deg")
+        cells += (map(repr, sweep.mag_db), map(repr, sweep.phase_deg))
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*cells)))
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _sweep_meta(head: dict, args) -> dict:
+    return {
+        **head,
+        "fmin": args.fmin,
+        "fmax": args.fmax,
+        "points_per_decade": args.points_per_decade,
+        "unit": args.unit,
+    }
 
 
 def _exact_tf(tf: TransferFunction) -> TransferFunction:
-    """Exact-coefficient copy for synthesis: float coefficients convert
-    binary-exactly, a numeric gain tag folds into the numerator."""
-    if tf.ring == "symbolic":
-        raise ValidationError("ladder synthesis needs numeric coefficients")
+    """Exact-coefficient copy of a parsed tf-document for synthesis: float
+    coefficients convert binary-exactly, a numeric gain tag folds into the
+    numerator."""
     num, den = tf.num, tf.den
     if tf.ring == "float":
         num = tuple(Fraction(c) for c in num)
@@ -229,7 +257,7 @@ def _build_controller(args, numeric: bool) -> TransferFunction:
     controller = args.controller
     params = _CONTROLLER_PARAMS[controller]
     values: dict = {}
-    for name, flag in _RAT_FLAGS:
+    for name, flag, _ in _RAT_FLAGS:
         raw = getattr(args, name)
         if raw is None:
             values[name] = None
@@ -242,7 +270,7 @@ def _build_controller(args, numeric: bool) -> TransferFunction:
     if args.sign is not None and controller != "diffint":
         raise ValidationError("--sign only applies to diffint")
     if numeric:
-        flags = dict(_RAT_FLAGS)
+        flags = {name: flag for name, flag, _ in _RAT_FLAGS}
         for name in params:
             if name != "T" and values[name] is None:
                 raise ValidationError(f"{controller} needs {flags[name]}")
@@ -267,7 +295,7 @@ def _build_controller(args, numeric: bool) -> TransferFunction:
 
 def _controller_meta(command: str, args) -> dict:
     meta: dict = {"command": command, "controller": args.controller, "order": args.order}
-    for name, flag in _RAT_FLAGS:
+    for name, flag, _ in _RAT_FLAGS:
         raw = getattr(args, name)
         if raw is not None:
             meta[flag[2:]] = raw
@@ -305,40 +333,19 @@ def _run_ladder(args) -> int:
         }
         for el in net.elements
     ]
-    doc: dict = {"format": "ladder", "variable": "s", "elements": elements}
-    if not args.no_meta:
-        doc["meta"] = {"command": "ladder", "tf": args.tf}
-    _write_text(args.output, json.dumps(doc, indent=2) + "\n")
+    doc = {"format": "ladder", "variable": "s", "elements": elements}
+    meta = None if args.no_meta else {"command": "ladder", "tf": args.tf}
+    _write_text(args.output, _json_document(doc, meta))
     if args.netlist is not None:
         _write_text(args.netlist, export_netlist(map_elements(net)))
     return 0
 
 
-def _sweep_grid(args):
-    if args.points_per_decade < 1:
-        raise ValidationError("--points-per-decade must be at least 1")
-    return log_grid(args.fmin, args.fmax, args.points_per_decade, args.unit)
-
-
 def _run_bode(args) -> int:
     tf, _ = parse_tf_document(_read_text(args.tf))
-    grid = _sweep_grid(args)
-    sweep = bode(tf, grid)
-    lines = []
-    if not args.no_meta:
-        meta = {
-            "command": "bode",
-            "tf": args.tf,
-            "fmin": args.fmin,
-            "fmax": args.fmax,
-            "points_per_decade": args.points_per_decade,
-            "unit": args.unit,
-        }
-        lines.append("# " + json.dumps(meta, separators=(",", ":")))
-    lines.append(f"freq,{args.unit},mag_db,phase_deg")
-    for f, m, p in zip(grid.values, sweep.mag_db, sweep.phase_deg):
-        lines.append(f"{_csv_num(f)},{args.unit},{_csv_num(m)},{_csv_num(p)}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    grid = log_grid(args.fmin, args.fmax, args.points_per_decade, args.unit)
+    meta = None if args.no_meta else _sweep_meta({"command": "bode", "tf": args.tf}, args)
+    _write_csv(args.output, meta, grid, [("", bode(tf, grid))])
     return 0
 
 
@@ -365,19 +372,6 @@ def _compare_tf(method: str, lam: Fraction, args) -> TransferFunction:
     return core.reciprocal()
 
 
-def _report_entry(report) -> dict:
-    return {
-        "max_phase_err_deg": report.max_phase_err_deg,
-        "mean_phase_err_deg": report.mean_phase_err_deg,
-        "max_mag_err_db": report.max_mag_err_db,
-        "mean_mag_err_db": report.mean_mag_err_db,
-        "band": list(report.band),
-        "constant_phase_band": None
-        if report.constant_phase_band is None
-        else list(report.constant_phase_band),
-    }
-
-
 def _run_compare(args) -> int:
     lam = _rat(args.lam, "--lambda")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -388,61 +382,33 @@ def _run_compare(args) -> int:
             raise ValidationError(f"unknown method {m!r}; choose from {', '.join(_METHODS)}")
     if len(set(methods)) != len(methods):
         raise ValidationError("--methods lists a method twice")
-    grid = _sweep_grid(args)
+    grid = log_grid(args.fmin, args.fmax, args.points_per_decade, args.unit)
     ideal = ideal_response(Differintegrator(lam), grid)
     sweeps = {m: bode(_compare_tf(m, lam, args), grid) for m in methods}
 
-    meta = {
-        "command": "compare",
-        "lambda": args.lam,
-        "order": args.order,
-        "methods": args.methods,
-        "fmin": args.fmin,
-        "fmax": args.fmax,
-        "points_per_decade": args.points_per_decade,
-        "unit": args.unit,
-    }
-    if args.T is not None:
-        meta["T"] = args.T
-    if args.omega_b is not None:
-        meta["omega_b"] = args.omega_b
-    if args.omega_h is not None:
-        meta["omega_h"] = args.omega_h
-
-    columns = [m.replace("-", "_") for m in methods]
-    lines = []
+    meta = None
     if not args.no_meta:
-        lines.append("# " + json.dumps(meta, separators=(",", ":")))
-    header = ["freq", args.unit, "ideal_mag_db", "ideal_phase_deg"]
-    for name in columns:
-        header.extend((f"{name}_mag_db", f"{name}_phase_deg"))
-    lines.append(",".join(header))
-    for i, f in enumerate(grid.values):
-        row = [
-            _csv_num(f),
-            args.unit,
-            _csv_num(ideal.mag_db[i]),
-            _csv_num(ideal.phase_deg[i]),
-        ]
-        for m in methods:
-            row.extend((_csv_num(sweeps[m].mag_db[i]), _csv_num(sweeps[m].phase_deg[i])))
-        lines.append(",".join(row))
-    _write_text(args.output, "\n".join(lines) + "\n")
+        meta = _sweep_meta(
+            {"command": "compare", "lambda": args.lam, "order": args.order, "methods": args.methods},
+            args,
+        )
+        for key in ("T", "omega_b", "omega_h"):
+            if getattr(args, key) is not None:
+                meta[key] = getattr(args, key)
+    columns = [("ideal_", ideal)]
+    columns += [(m.replace("-", "_") + "_", sweeps[m]) for m in methods]
+    _write_csv(args.output, meta, grid, columns)
 
     if args.report is not None:
         band = (grid.values[0], grid.values[-1])
-        doc: dict = {
+        doc = {
             "format": "fit-report",
             "unit": args.unit,
             "band": list(band),
             "phase_tol_deg": 5.0,
-            "methods": {
-                m: _report_entry(fit_report(sweeps[m], ideal, band)) for m in methods
-            },
+            "methods": {m: asdict(fit_report(sweeps[m], ideal, band)) for m in methods},
         }
-        if not args.no_meta:
-            doc["meta"] = meta
-        _write_text(args.report, json.dumps(doc, indent=2) + "\n")
+        _write_text(args.report, _json_document(doc, meta))
     return 0
 
 
@@ -459,15 +425,8 @@ def _add_controller_flags(p: argparse.ArgumentParser):
         "--controller", required=True, choices=sorted(_CONTROLLER_PARAMS), help="controller family"
     )
     p.add_argument("--order", required=True, type=int, help="order n of the [n/n] approximant")
-    p.add_argument("--lambda", dest="lam", metavar="RAT", help="fractional order, e.g. 1/2 or 0.5")
-    p.add_argument("--mu", metavar="RAT", help="fractional differential order")
-    p.add_argument("--alpha", metavar="RAT", help="lead-lag exponent in [0, 1]")
-    p.add_argument("--x", metavar="RAT", help="lead-lag pole/zero ratio in (0, 1]")
-    p.add_argument("--kp", metavar="RAT", help="proportional gain")
-    p.add_argument("--ki", metavar="RAT", help="integral gain")
-    p.add_argument("--kd", metavar="RAT", help="derivative gain")
-    p.add_argument("--kc", metavar="RAT", help="compensator gain")
-    p.add_argument("--T", metavar="RAT", help="time constant of the high-range form (default 1)")
+    for name, flag, text in _RAT_FLAGS:
+        p.add_argument(flag, dest=name, metavar="RAT", help=text)
     p.add_argument("--range", choices=("low", "high"), help="expansion band (default low)")
     p.add_argument(
         "--sign",
@@ -496,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("realize", help="numeric rational realization of one controller")
+    p.set_defaults(run=_run_realize)
     _add_controller_flags(p)
     p.add_argument(
         "--float",
@@ -506,20 +466,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("symbolic", help="realization with omitted parameters kept symbolic")
+    p.set_defaults(run=_run_symbolic)
     _add_controller_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("ladder", help="domino-ladder synthesis of a tf-document")
+    p.set_defaults(run=_run_ladder)
     p.add_argument("--tf", required=True, metavar="FILE", help="tf-document to expand")
     p.add_argument("--netlist", metavar="FILE", help="also write a SPICE-dialect netlist here")
     _add_output_flags(p)
 
     p = sub.add_parser("bode", help="frequency sweep of a tf-document as CSV")
+    p.set_defaults(run=_run_bode)
     p.add_argument("--tf", required=True, metavar="FILE", help="tf-document to sweep")
     _add_sweep_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("compare", help="sweep several integrator approximations side by side")
+    p.set_defaults(run=_run_compare)
     p.add_argument("--lambda", dest="lam", required=True, metavar="RAT", help="fractional order")
     p.add_argument(
         "--order",
@@ -546,22 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUNNERS = {
-    "realize": _run_realize,
-    "symbolic": _run_symbolic,
-    "ladder": _run_ladder,
-    "bode": _run_bode,
-    "compare": _run_compare,
-}
-
-
 def main(argv=None) -> int:
     """Run one fracrat command through a freshly built parser and return
     its exit code: 2 for a ValidationError, 3 for any other FracratError."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _RUNNERS[args.command](args)
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -349,8 +349,12 @@ def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     coefficients (ParamPolys over the integers for a symbolic alpha), and
     the map clears the denominator of a numeric x, so every Moebius product
     runs on ints.
-    The value at s = 0 is Kc*x^alpha, carried as a gain tag unless it is
-    exactly rational.
+    The value at s = 0 is Kc*x^alpha, carried as a gain tag whose value is
+    the float formula once Kc, x and alpha are all numbers, even where the
+    product is rational (Kc = 2, x = 1/20, alpha = 1 gives the value 0.1).
+    Only at alpha = 0 or x = 1 is the tag dropped: the compensator is then
+    the constant Kc/1, while symbolic-then-substitute at those values keeps
+    the tag on 1/1, and which of the two conventions to keep is still open.
     """
     _check_order(order)
     alpha = _gain_sym(spec.alpha, "alpha")

@@ -20,7 +20,7 @@ from fracrat import (
     rational_to_cfe,
     tf_equal,
 )
-from fracrat.series import exp_series
+from fracrat.series import binomial_series, exp_series
 
 
 def _random_series(rng: random.Random, order: int) -> PowerSeries:
@@ -58,16 +58,26 @@ def test_pade_exponential_2_2():
 
 
 def test_pade_matches_series_through_m_plus_k():
+    # random draws are rarely singular; (1 + t)^a at an integer a is a
+    # rational function, so most of its [m/k] systems have a defect and the
+    # reduced approximant must still match through m + k
     rng = random.Random(77)
+    cases = []
     for _ in range(60):
         m = rng.randint(0, 3)
         k = rng.randint(0, 3)
-        s = _random_series(rng, m + k)
+        cases.append((_random_series(rng, m + k), m, k))
+    for a in (1, -1, 2, -2, 3, -3):
+        for m in range(5):
+            for k in range(5):
+                cases.append((binomial_series(a, m + k), m, k))
+    defects = 0
+    for s, m, k in cases:
         t = pade(s, m, k)
-        if any(n.startswith("pade-defect") for n in t.notes):
-            continue  # degenerate draw; behavior covered separately
+        defects += any(n.startswith("pade-defect") for n in t.notes)
         assert t.num_degree <= m and t.den_degree <= k
         assert _match_order(s, t) >= m + k
+    assert defects >= 40
 
 
 def test_pade_unequal_degrees():

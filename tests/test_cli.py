@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from fracrat import GainTag, ParamPoly, ValidationError, make_tf
+from fracrat import (
+    GainTag,
+    LadderElement,
+    LadderNetwork,
+    ParamPoly,
+    ValidationError,
+    ladder_to_tf,
+    make_tf,
+    tf_equal,
+)
 from fracrat.cli import (
     build_parser,
     emit_symbolic_document,
@@ -194,6 +203,36 @@ def test_ladder_non_affine_quotient_exits_3(tmp_path):
     assert run("ladder", "--tf", str(tf_file)) == 3
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # order 8 has coefficients past 15 significant digits, so the float
+        # document's values differ from the exact realization
+        ("--controller", "diffint", "--lambda", "37/100", "--order", "8"),
+        ("--controller", "leadlag", "--kc", "2", "--lambda", "1/10", "--x", "1/20",
+         "--alpha", "1/2", "--order", "3"),
+    ],
+)
+def test_ladder_of_a_float_document(tmp_path, flags):
+    tf_file = tmp_path / "tf.json"
+    assert run("realize", *flags, "--float", "-o", str(tf_file)) == 0
+    out = tmp_path / "ladder.json"
+    assert run("ladder", "--tf", str(tf_file), "-o", str(out)) == 0
+    tf_doc = json.loads(tf_file.read_text())
+    assert tf_doc["ring"] == "float"
+    # the rungs fold back to the float coefficients read binary-exactly,
+    # with a numeric gain tag folded into the numerator
+    num = [Fraction(float(c)) for c in reversed(tf_doc["num"])]
+    den = [Fraction(float(c)) for c in reversed(tf_doc["den"])]
+    if tf_doc["gain"] is not None:
+        num = [Fraction(tf_doc["gain"]["value"]) * c for c in num]
+    net = LadderNetwork(tuple(
+        LadderElement(e["role"], Fraction(e["g"]), Fraction(e["h"]), e["position"])
+        for e in json.loads(out.read_text())["elements"]
+    ))
+    assert tf_equal(ladder_to_tf(net), make_tf(tuple(num), tuple(den)))
+
+
 def test_bode_csv_layout(tmp_path):
     tf_file = tmp_path / "tf.json"
     tf_file.write_text(emit_tf_document(make_tf((1,), (1,))))
@@ -309,6 +348,21 @@ def test_sweeps_reject_a_non_finite_band(tmp_path, capsys):
         assert rc == 2, omega_h
         assert capsys.readouterr().err == "error: need 0 < omega_b < omega_h < inf\n"
         assert not out.exists() and not report.exists()
+
+
+def test_sweeps_reject_a_grid_without_points(tmp_path, capsys):
+    tf_file = tmp_path / "halfint.json"
+    assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "2",
+               "-o", str(tf_file)) == 0
+    out = tmp_path / "sweep.csv"
+    band = ("--fmin", "1", "--fmax", "10", "--points-per-decade", "0", "-o", str(out))
+    for argv in (
+        ("bode", "--tf", str(tf_file)) + band,
+        ("compare", "--lambda", "1/2", "--order", "2", "--methods", "cfe-low") + band,
+    ):
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err == "error: points_per_decade must be at least 1\n"
+        assert not out.exists()
 
 
 def test_symbolic_diffint_requires_unit_time_constant():
