@@ -144,7 +144,7 @@ def carlson(lam, iterations: int) -> TransferFunction:
     if q == 1:
         return make_tf((0,) * m + (1,), (1,))
     if q not in (2, 3, 4):
-        raise ValidationError("Carlson requires rational order")
+        raise ValidationError(f"Carlson needs lam = m/q with q in {{2, 3, 4}}; got {lam}")
     degree = 0
     for _ in range(iterations):
         degree = (q + 1) * degree + m

@@ -199,6 +199,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"cannot read {path} as UTF-8") from None
 
 
 def _write_text(path: str | None, text: str):

@@ -3,18 +3,24 @@
 Everything numeric here runs in double precision; exact coefficients are
 converted at evaluation time. Grids carry an explicit unit (hertz or
 rad/s) and the 2*pi conversion is applied exactly once, on entry.
+
+numpy is imported on first evaluation, inside the functions that use it,
+so importing fracrat and running the construction commands (realize,
+symbolic, ladder) never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .approx import TransferFunction
 from .controllers import FOPID, Differintegrator, FOPDBracket, LeadLag
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _UNITS = ("hz", "rad")
 
@@ -30,19 +36,21 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.unit not in _UNITS:
             raise ValidationError(f"unit must be one of {_UNITS}")
-        values = np.array([float(v) for v in self.values])
-        if not values.size:
+        values = tuple(float(v) for v in self.values)
+        if not values:
             raise ValidationError("empty frequency grid")
-        if not np.all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             raise ValidationError("frequencies must be finite")
-        if np.any(values[1:] <= values[:-1]):
+        if any(b <= a for a, b in zip(values, values[1:])):
             raise ValidationError("grid must be strictly increasing")
         if values[0] <= 0:
             raise ValidationError("frequencies must be positive")
-        object.__setattr__(self, "values", tuple(values.tolist()))
+        object.__setattr__(self, "values", values)
 
     def omega(self) -> np.ndarray:
         """Angular frequencies in rad/s."""
+        import numpy as np
+
         scale = 2 * math.pi if self.unit == "hz" else 1.0
         return np.asarray(self.values) * scale
 
@@ -52,6 +60,8 @@ class FrequencyGrid:
 
 def log_grid(fmin, fmax, points_per_decade: int = 50, unit: str = "hz") -> FrequencyGrid:
     """Logarithmic grid over [fmin, fmax] at the given density."""
+    import numpy as np
+
     fmin = float(fmin)
     fmax = float(fmax)
     if not 0 < fmin < fmax < math.inf:
@@ -97,6 +107,8 @@ def _unwrap_deg(phases: np.ndarray) -> np.ndarray:
     jump takes the fewest whole turns into [-180, 180]; as the offsets
     move the jumps by rounding, the turns are retaken from the shifted
     phases until they stop changing, which equals a sequential pass."""
+    import numpy as np
+
     out = phases.copy()
     finite = np.isfinite(phases)
     p = phases[finite]
@@ -118,6 +130,8 @@ def bode(tf: TransferFunction, grid: FrequencyGrid) -> BodeSweep:
 
     The coefficients must be numeric: a symbolic TF is a ValidationError.
     """
+    import numpy as np
+
     if tf.ring == "symbolic":
         raise ValidationError("substitute symbols before evaluating")
     w = grid.omega()
@@ -141,6 +155,8 @@ def ideal_response(spec, grid: FrequencyGrid) -> BodeSweep:
 
     Uses principal-branch closed forms; no unwrapping is involved.
     """
+    import numpy as np
+
     w = grid.omega()
     if isinstance(spec, Differintegrator):
         if spec.lam is None:
@@ -198,6 +214,8 @@ def constant_phase_band(sweep: BodeSweep, target_deg: float, tol_deg: float):
     Returns (f_lo, f_hi) in the sweep's grid unit, or None when no point
     qualifies. Ties go to the lowest-frequency run.
     """
+    import numpy as np
+
     if tol_deg <= 0:
         raise ValidationError("tol_deg must be positive")
     phases = np.asarray(sweep.phase_deg)
@@ -223,6 +241,8 @@ def fit_report(
     ideal sweep's phase at the band's low edge (the ideal phase of every
     controller in scope is flat wherever it is used as a target).
     """
+    import numpy as np
+
     if approx.grid != ideal.grid:
         raise ValidationError("sweeps must share one grid")
     lo, hi = float(band[0]), float(band[1])

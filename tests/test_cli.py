@@ -1,10 +1,15 @@
 """Command-line interface: document formats, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fracrat
 from fracrat import (
     GainTag,
     LadderElement,
@@ -24,8 +29,25 @@ from fracrat.cli import (
 )
 
 
+SRC = Path(fracrat.__file__).resolve().parents[1]
+PERFBENCH = SRC.parent / "perfbench"
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def run_fresh(code):
+    """Run `code` in a new interpreter that imports this fracrat."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_realize_half_integrator_document(tmp_path):
@@ -305,6 +327,18 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     assert run("ladder", "--tf", str(tmp_path / "missing.json")) == 2
 
 
+def test_documents_that_are_not_utf8_exit_2(tmp_path, capsys):
+    tf_file = tmp_path / "latin1.json"
+    tf_file.write_bytes(b"\xff\xfe")
+    for argv in (("ladder", "--tf", str(tf_file)),
+                 ("bode", "--tf", str(tf_file), "--fmin", "1", "--fmax", "10")):
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot read {tf_file} as UTF-8\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 def test_bode_rejects_non_finite_documents(tmp_path, capsys):
     good = json.loads(emit_tf_document(make_tf((1.0,), (1.0, 1.0))))
     assert good["ring"] == "float"
@@ -373,7 +407,9 @@ def test_compare_rejects_unsupported_fixed_point_order(capsys):
     rc = run("compare", "--lambda", "3/10", "--order", "2", "--methods", "carlson",
              "--fmin", "0.01", "--fmax", "1", "--unit", "rad")
     assert rc == 2
-    assert "rational order" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: Carlson needs lam = m/q with q in {2, 3, 4}; got 3/10\n"
+    )
 
 
 def test_compare_refuses_a_carlson_degree_past_the_budget(capsys):
@@ -463,3 +499,65 @@ def test_parse_tf_document_rejects_malformed_input():
     assert parse_tf_document(json.dumps(doc))[0].notes == ()
     doc["notes"] = ["pade-defect=1"]
     assert parse_tf_document(json.dumps(doc))[0].notes == ("pade-defect=1",)
+
+
+# numpy is loaded only by the evaluating functions of fracrat.freqresp, so
+# these run in fresh interpreters: the test process has numpy loaded already.
+
+
+def test_building_the_parser_loads_no_numpy():
+    run_fresh(
+        "import sys, fracrat.cli\n"
+        "fracrat.cli.build_parser()\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+
+
+def test_construction_commands_load_no_numpy(tmp_path):
+    tf, sym, lad, cir = (str(tmp_path / n) for n in ("tf.json", "sym.json", "lad.json", "lad.cir"))
+    calls = [
+        ["realize", "--controller", "diffint", "--lambda", "1/2", "--order", "3", "-o", tf],
+        ["symbolic", "--controller", "diffint", "--order", "3", "-o", sym],
+        ["ladder", "--tf", tf, "-o", lad, "--netlist", cir],
+    ]
+    run_fresh(
+        "import sys\n"
+        "from fracrat.cli import main\n"
+        f"assert [main(argv) for argv in {calls!r}] == [0, 0, 0]\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    for path in (tf, sym, lad, cir):
+        assert Path(path).stat().st_size > 0
+
+
+def test_bode_loads_numpy_and_writes_the_in_process_csv(tmp_path):
+    tf = tmp_path / "tf.json"
+    assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "3",
+               "-o", str(tf)) == 0
+    sweep = ("bode", "--tf", str(tf), "--fmin", "0.01", "--fmax", "100",
+             "--points-per-decade", "5")
+    fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
+    run_fresh(
+        "import sys\n"
+        "from fracrat.cli import main\n"
+        f"assert main({[*sweep, '-o', str(fresh)]!r}) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    assert run(*sweep, "-o", str(here)) == 0
+    assert fresh.read_bytes() == here.read_bytes()
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # perfbench/run.py --trace 1 wraps names in every LAYERS module, whether
+    # or not the workload's commands import it
+    run_fresh(
+        "import sys\n"
+        "import fracrat.cli\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "from tracing import LAYERS, Tracer\n"
+        "missing = [m for m in LAYERS if 'fracrat.' + m not in sys.modules]\n"
+        "assert not missing, missing\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tracer.uninstall()\n"
+    )
