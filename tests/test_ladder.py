@@ -205,3 +205,71 @@ def test_netlist_structure_and_determinism():
     # series rungs advance the chain: the shunt pair lands on the new node
     assert any(l.startswith("R3 n2 0") for l in lines)
     assert any(l.startswith("C2 n2 0") for l in lines)
+
+
+def test_netlist_golden_low_band_differentiator():
+    # Z3 and Z5 are positive R+L series rungs, Y2 and Y4 NIC-wrapped shunts;
+    # a series rung's target node is numbered before its internal node
+    tf = realize_differintegrator(
+        Differintegrator(Fraction(37, 100), sign="differentiator"), 4
+    )
+    assert export_netlist(map_elements(synthesize_ladder(tf))) == (
+        "R1 n0 n1 1\n"
+        "X1 n1 0 ladder_nic1\n"
+        "R2 n1 n3 2.57212374001\n"
+        "L1 n3 n2 5.14424748001\n"
+        "X2 n2 0 ladder_nic2\n"
+        "R3 n2 n4 2.6158867868\n"
+        "L2 n4 0 5.23177357359\n"
+        ".subckt ladder_nic1 p t\n"
+        "E1 o t p m 1e6\n"
+        "R1 p o 1000\n"
+        "R2 m o 1000\n"
+        "R3 m t 0.540145985401\n"
+        "C1 m t 2.7027027027\n"
+        ".ends\n"
+        ".subckt ladder_nic2 p t\n"
+        "E1 o t p m 1e6\n"
+        "R1 p o 1000\n"
+        "R2 m o 1000\n"
+        "R3 m t 0.662424748001\n"
+        "C1 m t 3.01921087042\n"
+        ".ends\n"
+        "* port n0 0\n"
+    )
+
+
+def test_netlist_golden_mixed_signs_and_wrapped_series():
+    # Z1 splits into a resistor and a wrapped inductor, Y2 into a resistor
+    # and a wrapped capacitor; the wrapped R+L of Z3 numbers its internal
+    # node inside its own subcircuit
+    net = _ladder((1, -2), (Fraction(1, 2), -3), (-3, -5), (2, 1))
+    assert export_netlist(map_elements(net), name="mix") == (
+        "R1 n0 n2 1\n"
+        "X1 n2 n1 mix_nic1\n"
+        "R2 n1 0 2\n"
+        "X2 n1 0 mix_nic2\n"
+        "X3 n1 n3 mix_nic3\n"
+        "R3 n3 0 0.5\n"
+        "C1 n3 0 1\n"
+        ".subckt mix_nic1 p t\n"
+        "E1 o t p m 1e6\n"
+        "R1 p o 1000\n"
+        "R2 m o 1000\n"
+        "L1 m t 2\n"
+        ".ends\n"
+        ".subckt mix_nic2 p t\n"
+        "E1 o t p m 1e6\n"
+        "R1 p o 1000\n"
+        "R2 m o 1000\n"
+        "C1 m t 3\n"
+        ".ends\n"
+        ".subckt mix_nic3 p t\n"
+        "E1 o t p m 1e6\n"
+        "R1 p o 1000\n"
+        "R2 m o 1000\n"
+        "R3 m n1 3\n"
+        "L1 n1 t 5\n"
+        ".ends\n"
+        "* port n0 0\n"
+    )
