@@ -50,12 +50,10 @@ from .freqresp import (
     log_grid,
 )
 from .ladder import (
-    CascadeBlocks,
     CircuitElement,
     LadderElement,
     LadderNetwork,
     export_netlist,
-    factor_negative_admittance,
     ladder_to_tf,
     map_elements,
     synthesize_ladder,
@@ -65,7 +63,6 @@ from .series import PowerSeries, binomial_series, leadlag_kernel_series
 __all__ = [
     "BaselineConfig",
     "BodeSweep",
-    "CascadeBlocks",
     "CircuitElement",
     "ContinuedFraction",
     "DegenerateMathError",
@@ -90,7 +87,6 @@ __all__ = [
     "cfe_to_tf",
     "constant_phase_band",
     "export_netlist",
-    "factor_negative_admittance",
     "fit_report",
     "ideal_response",
     "ladder_to_tf",

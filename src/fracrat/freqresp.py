@@ -136,10 +136,12 @@ def bode(tf: TransferFunction, grid: FrequencyGrid) -> BodeSweep:
         raise ValidationError("substitute symbols before evaluating")
     w = grid.omega()
     s = 1j * w
-    num = np.polyval([float(c) for c in reversed(tf.num)], s)
-    den = np.polyval([float(c) for c in reversed(tf.den)], s)
-    gain = _tf_gain_value(tf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # overflow and 0/0 leave inf or nan points, which the sweep returns as
+    # values rather than warning about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        num = np.polyval([float(c) for c in reversed(tf.num)], s)
+        den = np.polyval([float(c) for c in reversed(tf.den)], s)
+        gain = _tf_gain_value(tf)
         h = gain * num / den
         mag = 20.0 * np.log10(np.abs(h))
     pole = den == 0

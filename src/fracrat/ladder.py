@@ -2,20 +2,18 @@
 
 A numeric rational impedance is expanded into alternating series/shunt
 affine elements Z1, Y2, Z3, ... (Cauer form). Elements with negative
-coefficients are realized behind negative impedance converters; negative
-admittances additionally carry the two-block cascade factorization as an
-alternative realization. A small SPICE-dialect netlist exporter closes the
-loop to a circuit description.
+coefficients are realized behind negative impedance converters. A small
+SPICE-dialect netlist exporter closes the loop to a circuit description.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from . import polys
-from .approx import ContinuedFraction, TransferFunction, cfe_to_tf, make_tf, rational_to_cfe
-from .controllers import _rat
+from .approx import ContinuedFraction, TransferFunction, cfe_to_tf, rational_to_cfe
 from .errors import DegenerateMathError, ValidationError
 
 _NIC_OPAMP_GAIN = "1e6"
@@ -97,52 +95,16 @@ def ladder_to_tf(net: LadderNetwork) -> TransferFunction:
 
 
 @dataclass(frozen=True)
-class CascadeBlocks:
-    """Two-block realization of 1/(g + h*s) per the negative-admittance trick.
-
-    first = 1/(g - h*s), second = (g - h*s)/(g + h*s); their product equals
-    the original impedance identically. `unstable` marks a right-half-plane
-    pole in the first block.
-    """
-
-    first: TransferFunction
-    second: TransferFunction
-    unstable: bool
-    note: str | None = None
-
-
-def factor_negative_admittance(g, h) -> CascadeBlocks:
-    """Split Z = 1/(g + h*s) into the mirrored-denominator cascade pair.
-
-    g and h enter through controllers._rat: a float is read as printed
-    (0.1 is 1/10), and input that is not a rational number raises
-    ValidationError.
-    """
-    g = _rat(g, "g")
-    h = _rat(h, "h")
-    if not g and not h:
-        raise DegenerateMathError("zero admittance")
-    if not h:
-        return CascadeBlocks(
-            first=make_tf((1,), (g,)),
-            second=make_tf((1,), (1,)),
-            unstable=False,
-            note="plain resistor",
-        )
-    first = make_tf((1,), (g, -h))
-    second = make_tf((g, -h), (g, h))
-    return CascadeBlocks(first, second, unstable=g * h > 0)
-
-
-@dataclass(frozen=True)
 class CircuitElement:
     """Passive one-port piece realizing one sign-uniform part of a rung.
 
     Series impedances become a resistor (g ohms) in series with an inductor
     (h henries); shunt admittances a resistor (1/g ohms) in parallel with a
     capacitor (h farads). All stored values are positive magnitudes; a
-    negative part is the same component set behind an ideal NIC
-    (nic_wrapped). A vanished g or h leaves the matching field None.
+    negative part is the same component set behind a negative impedance
+    converter (nic_wrapped), which export_netlist builds around a VCVS of
+    finite gain 1e6 rather than an ideal op-amp. A vanished g or h leaves
+    the matching field None.
     """
 
     role: str
@@ -151,7 +113,6 @@ class CircuitElement:
     inductance: Fraction | None = None
     capacitance: Fraction | None = None
     nic_wrapped: bool = False
-    cascade: CascadeBlocks | None = None
 
 
 def _sign_uniform_parts(g: Fraction, h: Fraction):
@@ -177,40 +138,24 @@ def map_elements(net: LadderNetwork) -> list:
 
     Mixed-sign rungs split into two sign-uniform parts sharing the rung's
     position: in series for a Z rung, in parallel for a Y rung. Zero rungs
-    produce no components. Wrapped shunt parts carry the cascade
-    factorization of their (negative) admittance as an annotation.
+    produce no components.
     """
     out = []
     for el in net.elements:
         if not (el.g or el.h):
             continue
+        series = el.role == "Z"
         for g, h, negative in _sign_uniform_parts(el.g, el.h):
-            cascade = None
-            if negative and el.role == "Y":
-                # annotate with the cascade route for the signed admittance
-                cascade = factor_negative_admittance(-g, -h)
-            if el.role == "Z":
-                out.append(
-                    CircuitElement(
-                        role="Z",
-                        position=el.position,
-                        resistance=g or None,
-                        inductance=h or None,
-                        nic_wrapped=negative,
-                        cascade=cascade,
-                    )
+            out.append(
+                CircuitElement(
+                    role=el.role,
+                    position=el.position,
+                    resistance=(g if series else Fraction(1) / g) if g else None,
+                    inductance=(h or None) if series else None,
+                    capacitance=None if series else (h or None),
+                    nic_wrapped=negative,
                 )
-            else:
-                out.append(
-                    CircuitElement(
-                        role="Y",
-                        position=el.position,
-                        resistance=(Fraction(1) / g) if g else None,
-                        capacitance=h or None,
-                        nic_wrapped=negative,
-                        cascade=cascade,
-                    )
-                )
+            )
     return out
 
 
@@ -221,65 +166,25 @@ def _fmt(value: Fraction) -> str:
     return f"{f:.12g}"
 
 
-class _Netlist:
-    """Line builder with deterministic node and reference numbering."""
-
-    def __init__(self):
-        self.lines = []
-        self.subckts = []
-        self.node_count = 1  # n0 exists from the start
-        self.counts = {"R": 0, "L": 0, "C": 0, "X": 0}
-
-    def new_node(self) -> str:
-        node = f"n{self.node_count}"
-        self.node_count += 1
-        return node
-
-    def ref(self, kind: str) -> str:
-        self.counts[kind] += 1
-        return f"{kind}{self.counts[kind]}"
+def _next(counts: dict, kind: str) -> str:
+    """Take the next reference (R, L, C, X) or internal node (n) of a scope."""
+    counts[kind] += 1
+    return f"{kind}{counts[kind]}"
 
 
-def _emit_component(nl: _Netlist, element: CircuitElement, a: str, b: str):
-    """Element body between nodes a and b (R+L in series, or R parallel C)."""
-    if element.role == "Z":
-        stages = []
-        if element.resistance is not None:
-            stages.append(("R", element.resistance))
-        if element.inductance is not None:
-            stages.append(("L", element.inductance))
-        node = a
-        for i, (kind, value) in enumerate(stages):
-            nxt = b if i == len(stages) - 1 else nl.new_node()
-            nl.lines.append(f"{nl.ref(kind)} {node} {nxt} {_fmt(value)}")
-            node = nxt
-    else:
-        if element.resistance is not None:
-            nl.lines.append(f"{nl.ref('R')} {a} {b} {_fmt(element.resistance)}")
-        if element.capacitance is not None:
-            nl.lines.append(f"{nl.ref('C')} {a} {b} {_fmt(element.capacitance)}")
-
-
-def _emit_nic(nl: _Netlist, element: CircuitElement, a: str, b: str, name: str):
-    """One-port NIC instance presenting the negated element between a and b.
-
-    Fig.-2 style converter: ideal op-amp as a VCVS, two equal feedback
-    resistors, wrapped element from the inverting node to the far terminal.
-    """
-    ref = nl.ref("X")
-    sub = f"{name}_nic{nl.counts['X']}"
-    nl.lines.append(f"{ref} {a} {b} {sub}")
-    body = _Netlist()
-    body.lines.append(f".subckt {sub} p t")
-    body.lines.append(f"E1 o t p m {_NIC_OPAMP_GAIN}")
-    body.lines.append(f"R1 p o {_NIC_RESISTOR}")
-    body.lines.append(f"R2 m o {_NIC_RESISTOR}")
-    inner = _Netlist()
-    inner.counts["R"] = 2  # R1, R2 are taken by the converter itself
-    _emit_component(inner, element, "m", "t")
-    body.lines.extend(inner.lines)
-    body.lines.append(".ends")
-    nl.subckts.extend(body.lines)
+def _component_lines(element: CircuitElement, a: str, b: str, counts: dict) -> list:
+    """Element body between nodes a and b: R then L in series, or R and C in
+    parallel, numbered from the scope counts."""
+    if element.role == "Y":
+        values = (("R", element.resistance), ("C", element.capacitance))
+        return [f"{_next(counts, k)} {a} {b} {_fmt(v)}" for k, v in values if v is not None]
+    values = [(k, v) for k, v in (("R", element.resistance), ("L", element.inductance)) if v is not None]
+    lines = []
+    for i, (kind, value) in enumerate(values):
+        end = b if i == len(values) - 1 else _next(counts, "n")
+        lines.append(f"{_next(counts, kind)} {a} {end} {_fmt(value)}")
+        a = end
+    return lines
 
 
 def export_netlist(elements, name: str = "ladder") -> str:
@@ -287,35 +192,47 @@ def export_netlist(elements, name: str = "ladder") -> str:
 
     Series rungs advance the chain node, shunt rungs hang off it; the last
     rung closes to ground so the one-port impedance seen at n0 equals the
-    folded ladder. Output is deterministic for identical input.
+    folded ladder. A series rung numbers its far node before the nodes
+    inside it. Output is deterministic for identical input.
+
+    Each NIC-wrapped part becomes an instance of its own subcircuit, listed
+    after the main lines: the Fig.-2 style converter, a VCVS of finite gain
+    1e6 with two equal feedback resistors, presents the negated element
+    between its ports p and t. Subcircuit nodes and references are numbered
+    locally.
     """
-    elements = list(elements)
+    elements = sorted(elements, key=lambda el: el.position)
     if not elements:
         raise ValidationError("no elements to export")
-    positions = sorted({el.position for el in elements})
-    nl = _Netlist()
+    counts = dict.fromkeys("RLCXn", 0)  # n0 is the port, so n1 comes first
+    lines, subckts = [], []
+
+    def place(element, a, b):
+        if not element.nic_wrapped:
+            lines.extend(_component_lines(element, a, b, counts))
+            return
+        ref = _next(counts, "X")
+        sub = f"{name}_nic{counts['X']}"
+        lines.append(f"{ref} {a} {b} {sub}")
+        subckts.append(f".subckt {sub} p t")
+        subckts.append(f"E1 o t p m {_NIC_OPAMP_GAIN}")
+        subckts.append(f"R1 p o {_NIC_RESISTOR}")
+        subckts.append(f"R2 m o {_NIC_RESISTOR}")
+        # the wrapped element's resistors follow the converter's own R1, R2
+        inner = {"R": 2, "L": 0, "C": 0, "n": 0}
+        subckts.extend(_component_lines(element, "m", "t", inner))
+        subckts.append(".ends")
+
+    groups = [list(g) for _, g in groupby(elements, key=lambda el: el.position)]
     node = "n0"
-    for pos_index, position in enumerate(positions):
-        group = [el for el in elements if el.position == position]
-        role = group[0].role
-        last = pos_index == len(positions) - 1
-        if role == "Z":
-            target = "0" if last else nl.new_node()
-            chain = node
-            for i, el in enumerate(group):
-                seg_end = target if i == len(group) - 1 else nl.new_node()
-                if el.nic_wrapped:
-                    _emit_nic(nl, el, chain, seg_end, name)
-                else:
-                    _emit_component(nl, el, chain, seg_end)
-                chain = seg_end
-            node = target
-        else:
+    for i, group in enumerate(groups):
+        if group[0].role == "Y":
             for el in group:
-                if el.nic_wrapped:
-                    _emit_nic(nl, el, node, "0", name)
-                else:
-                    _emit_component(nl, el, node, "0")
-    out = nl.lines + nl.subckts
-    out.append("* port n0 0")
-    return "\n".join(out) + "\n"
+                place(el, node, "0")
+            continue
+        target = "0" if i == len(groups) - 1 else _next(counts, "n")
+        for j, el in enumerate(group):
+            end = target if j == len(group) - 1 else _next(counts, "n")
+            place(el, node, end)
+            node = end
+    return "\n".join(lines + subckts + ["* port n0 0"]) + "\n"

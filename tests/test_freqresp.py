@@ -2,7 +2,9 @@
 constant-phase band bookkeeping."""
 
 import cmath
+import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,7 @@ from fracrat import (
     ideal_response,
     log_grid,
     make_tf,
+    realize_differintegrator,
 )
 from fracrat.freqresp import _unwrap_deg
 
@@ -109,6 +112,22 @@ def test_pole_on_grid_stays_isolated():
     assert math.isfinite(sweep.mag_db[0]) and math.isfinite(sweep.mag_db[2])
     assert sweep.phase_deg[0] == pytest.approx(0.0)
     assert abs(sweep.phase_deg[2]) == pytest.approx(180.0)
+
+
+def test_overflowing_sweep_returns_its_rows_without_warning():
+    # at n = 60 the coefficient form overflows float over the upper decades;
+    # those rows come back non-finite, quietly, with the finite rows unchanged
+    tf = realize_differintegrator(Differintegrator(Fraction(37, 100)), 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = bode(tf, log_grid(1e-4, 1e4, 20))
+    assert len(sweep.mag_db) == 161
+    assert sum(not math.isfinite(m) for m in sweep.mag_db) == 49
+    assert sweep.mag_db[:2] == (23.787238108219086, 23.355824777675185)
+    rows = repr((sweep.mag_db, sweep.phase_deg)).encode()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "118254b6a0777e50e7b39d62a18d22460c361e39a6db151f5ecabbaf64eebe31"
+    )
 
 
 def test_phase_unwraps_past_minus_180():

@@ -1,5 +1,4 @@
-"""Domino ladder synthesis, the negative-admittance cascade trick,
-component mapping, and netlist export."""
+"""Domino ladder synthesis, component mapping, and netlist export."""
 
 import random
 from fractions import Fraction
@@ -13,15 +12,12 @@ from fracrat import (
     LadderNetwork,
     ValidationError,
     export_netlist,
-    factor_negative_admittance,
     ladder_to_tf,
     make_tf,
     map_elements,
     realize_differintegrator,
     synthesize_ladder,
-    tf_equal,
 )
-from fracrat import polys
 
 
 def _ladder(*pairs) -> LadderNetwork:
@@ -107,37 +103,6 @@ def test_element_rendering():
     assert str(LadderElement("Z", Fraction(1), Fraction(0), 1)) == "Z1(s) = 1"
 
 
-def test_negative_admittance_cascade_recomposes():
-    for g, h in [(Fraction(-2), Fraction(-3)), (Fraction(2), Fraction(-3)), (Fraction(1, 2), Fraction(4))]:
-        blocks = factor_negative_admittance(g, h)
-        product = make_tf(
-            polys.mul(blocks.first.num, blocks.second.num),
-            polys.mul(blocks.first.den, blocks.second.den),
-        )
-        assert tf_equal(product, make_tf((1,), (g, h)))
-        assert blocks.unstable == (g * h > 0)
-
-
-def test_negative_admittance_degenerate_cases():
-    flat = factor_negative_admittance(Fraction(3), Fraction(0))
-    assert flat.note == "plain resistor"
-    assert flat.second.num == (1,) and flat.second.den == (1,)
-    assert not flat.unstable
-    with pytest.raises(DegenerateMathError):
-        factor_negative_admittance(Fraction(0), Fraction(0))
-
-
-def test_negative_admittance_reads_scalars_as_printed():
-    # a float is read as printed, not binary-exactly
-    blocks = factor_negative_admittance(0.1, 1)
-    assert blocks.first == make_tf((1,), (Fraction(1, 10), -1))
-    assert str(blocks.first) == "(-10) / (10*s - 1)"
-    assert factor_negative_admittance("1/2", 2) == factor_negative_admittance(Fraction(1, 2), 2)
-    for bad in ("abc", float("nan"), None):
-        with pytest.raises(ValidationError):
-            factor_negative_admittance(bad, 1)
-
-
 def test_map_elements_on_mixed_network():
     net = _ladder((1, 0), (Fraction(1, 2), 2), (-4, -8), (1, 2))
     parts = map_elements(net)
@@ -152,7 +117,6 @@ def test_map_elements_on_mixed_network():
     # shunt resistance is the reciprocal of the admittance constant
     assert (y2.resistance, y2.capacitance) == (2, 2)
     assert (z3.resistance, z3.inductance, z3.nic_wrapped) == (4, 8, True)
-    assert z3.cascade is None  # the cascade annotation is for shunt rungs
     assert (y4.resistance, y4.capacitance) == (1, 2)
 
 
@@ -161,15 +125,7 @@ def test_map_elements_annotates_negative_shunt():
     parts = map_elements(net)
     y = parts[-1]
     assert y.nic_wrapped
-    assert y.cascade is not None
-    assert y.cascade.unstable  # g*h > 0 puts the mirror pole in the RHP
-    assert tf_equal(
-        make_tf(
-            polys.mul(y.cascade.first.num, y.cascade.second.num),
-            polys.mul(y.cascade.first.den, y.cascade.second.den),
-        ),
-        make_tf((1,), (Fraction(-1, 2), -2)),
-    )
+    assert (y.resistance, y.capacitance) == (2, 2)
 
 
 def test_map_elements_splits_mixed_signs_and_skips_zeros():
