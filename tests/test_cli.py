@@ -467,6 +467,53 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
+_COMMAND_NAMES = ("realize", "symbolic", "ladder", "bode", "compare")
+
+# argv that stop in the parser: every help text, a missing or unknown
+# command, and each kind of flag error
+_PARSER_STOPS = [
+    ("--help",),
+    *((name, "--help") for name in _COMMAND_NAMES),
+    (),
+    ("bogus",),
+    ("--bogus",),
+    *((name,) for name in _COMMAND_NAMES),
+    ("realize", "--controller", "diffint", "--order", "x"),
+    ("compare", "--lambda", "1/2", "--order", "2", "--methods", "cfe-low",
+     "--fmin", "1", "--fmax", "10", "--points-per-decade", "x"),
+    ("realize", "--controller", "pid", "--order", "3"),
+    ("bode", "--tf", "tf.json", "--fmin", "1", "--fmax", "10", "--unit", "deg"),
+    ("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "2", "extra"),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_STOPS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_stops_where_the_full_parser_stops(argv, capsys, monkeypatch):
+    # main prints, on the same stream and with the same exit code, what the
+    # parser of every subcommand prints for the same argv
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(call):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def full_parser():
+        try:
+            build_parser().parse_args(list(argv))
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        raise AssertionError(f"{argv} parsed without stopping")
+
+    expected = outcome(full_parser)
+    assert expected[0] in (0, 2)
+    assert outcome(lambda: main(list(argv))) == expected
+
+
 def test_parse_tf_document_rejects_malformed_input():
     with pytest.raises(ValidationError):
         parse_tf_document("not json")
