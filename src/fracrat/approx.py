@@ -244,15 +244,22 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     Solves the Toeplitz system for the denominator with q0 = 1, then reads
     the numerator off the series product. A singular system yields the
     particular solution with free variables zeroed, and the notes report
-    its defect. The common factor g of that solution's numerator P and
-    denominator Q is cancelled, and the reduced pair P' = P/g, Q' = Q/g
-    still matches the series c through order m + k: g divides Q, whose
-    constant term is q0 = 1, so g(0) != 0 and g*(Q'c - P') = 0 mod
-    s^(m+k+1) gives Q'c - P' = 0 mod s^(m+k+1). An inconsistent system
-    raises DegenerateMathError: a denominator (q0, q') with q0 != 0 would
-    give the solution q'/q0, so every denominator left vanishes at the
-    expansion point and no [m/k] approximant exists (the block structure
-    of the Pade table). A symbolic coefficient raises ValidationError.
+    its defect. That solution's numerator P and denominator Q are coprime,
+    so nothing is left to cancel. Suppose g = gcd(P, Q) had degree >= 1,
+    scaled to g(0) = 1 (g divides Q, whose constant term is q0 = 1). The
+    reduced pair P' = P/g, Q' = Q/g still matches the series c through
+    order m + k, since g*(Q'c - P') = 0 mod s^(m+k+1) and g is a unit of
+    the power series ring; so Q' solves the system too, and Q - Q' =
+    (g - 1)*Q' is a null vector of it whose highest nonzero entry is
+    q_deg(Q). The solver takes pivot columns left to right, and a column
+    that ends a null vector lies in the span of the columns before it, so
+    q_deg(Q) is a free variable, set to zero: a contradiction.
+
+    An inconsistent system raises DegenerateMathError: a denominator
+    (q0, q') with q0 != 0 would give the solution q'/q0, so every
+    denominator left vanishes at the expansion point and no [m/k]
+    approximant exists (the block structure of the Pade table). A symbolic
+    coefficient raises ValidationError.
 
     This is the general route for an arbitrary series, and the reference
     the controller realizations are tested against. They do not take it:
@@ -283,10 +290,7 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
         sum((q[j] * _series_at(c, i - j) for j in range(min(i, k) + 1)), Fraction(0))
         for i in range(m + 1)
     ]
-    notes = ()
-    if defect:
-        notes = (f"pade-defect={defect}",)
-        num, q = _cancel_common_factor(num, q)
+    notes = (f"pade-defect={defect}",) if defect else ()
     return make_tf(num, q, notes=notes)
 
 

@@ -449,15 +449,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser):
     p.add_argument("--unit", choices=("hz", "rad"), default="hz", help="frequency unit")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="fracrat",
-        description="Rational approximations of fractional-order operators and controllers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("realize", help="numeric rational realization of one controller")
-    p.set_defaults(run=_run_realize)
+def _add_realize_flags(p: argparse.ArgumentParser):
     _add_controller_flags(p)
     p.add_argument(
         "--float",
@@ -467,25 +459,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_output_flags(p)
 
-    p = sub.add_parser("symbolic", help="realization with omitted parameters kept symbolic")
-    p.set_defaults(run=_run_symbolic)
+
+def _add_symbolic_flags(p: argparse.ArgumentParser):
     _add_controller_flags(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("ladder", help="domino-ladder synthesis of a tf-document")
-    p.set_defaults(run=_run_ladder)
+
+def _add_ladder_flags(p: argparse.ArgumentParser):
     p.add_argument("--tf", required=True, metavar="FILE", help="tf-document to expand")
     p.add_argument("--netlist", metavar="FILE", help="also write a SPICE-dialect netlist here")
     _add_output_flags(p)
 
-    p = sub.add_parser("bode", help="frequency sweep of a tf-document as CSV")
-    p.set_defaults(run=_run_bode)
+
+def _add_bode_flags(p: argparse.ArgumentParser):
     p.add_argument("--tf", required=True, metavar="FILE", help="tf-document to sweep")
     _add_sweep_flags(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("compare", help="sweep several integrator approximations side by side")
-    p.set_defaults(run=_run_compare)
+
+def _add_compare_flags(p: argparse.ArgumentParser):
     p.add_argument("--lambda", dest="lam", required=True, metavar="RAT", help="fractional order")
     p.add_argument(
         "--order",
@@ -509,13 +501,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="FILE", help="write a fit-report JSON here")
     _add_output_flags(p)
 
+
+# name -> (help, flag-adding function, runner) of every subcommand, in the
+# order the top-level help lists them
+_COMMANDS = {
+    "realize": ("numeric rational realization of one controller", _add_realize_flags, _run_realize),
+    "symbolic": (
+        "realization with omitted parameters kept symbolic",
+        _add_symbolic_flags,
+        _run_symbolic,
+    ),
+    "ladder": ("domino-ladder synthesis of a tf-document", _add_ladder_flags, _run_ladder),
+    "bode": ("frequency sweep of a tf-document as CSV", _add_bode_flags, _run_bode),
+    "compare": (
+        "sweep several integrator approximations side by side",
+        _add_compare_flags,
+        _run_compare,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A new parser holding every subcommand, or only the named one.
+
+    argparse builds a help formatter for every flag it adds, so a parser
+    that holds one subcommand costs a fraction of the full one; both parse
+    that subcommand's argv to the same namespace.
+    """
+    parser = _Parser(
+        prog="fracrat",
+        description="Rational approximations of fractional-order operators and controllers.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name in _COMMANDS if command is None else (command,):
+        text, add_flags, run = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        add_flags(p)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one fracrat command through a freshly built parser and return
-    its exit code: 2 for a ValidationError, 3 for any other FracratError."""
-    parser = build_parser()
+    """Run one fracrat command and return its exit code: 2 for a
+    ValidationError, 3 for any other FracratError.
+
+    argv defaults to sys.argv[1:]. Each call parses through a new parser
+    that holds only the subcommand argv names first; when the first
+    argument names none, the parser holds every subcommand, so the
+    top-level help and the missing- and unknown-command errors list all
+    of them.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.run(args)

@@ -20,6 +20,7 @@ from fracrat import (
     rational_to_cfe,
     tf_equal,
 )
+from fracrat import polys
 from fracrat.series import binomial_series, exp_series
 
 
@@ -59,8 +60,9 @@ def test_pade_exponential_2_2():
 
 def test_pade_matches_series_through_m_plus_k():
     # random draws are rarely singular; (1 + t)^a at an integer a is a
-    # rational function, so most of its [m/k] systems have a defect and the
-    # reduced approximant must still match through m + k
+    # rational function, so most of its [m/k] systems have a defect, and the
+    # particular solution must come out reduced and still match through
+    # m + k (pade cancels no common factor)
     rng = random.Random(77)
     cases = []
     for _ in range(60):
@@ -77,6 +79,7 @@ def test_pade_matches_series_through_m_plus_k():
         defects += any(n.startswith("pade-defect") for n in t.notes)
         assert t.num_degree <= m and t.den_degree <= k
         assert _match_order(s, t) >= m + k
+        assert polys.degree(polys.gcd_field(t.num, t.den)) < 1
     assert defects >= 40
 
 

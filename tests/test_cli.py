@@ -514,6 +514,38 @@ def test_main_stops_where_the_full_parser_stops(argv, capsys, monkeypatch):
     assert outcome(lambda: main(list(argv))) == expected
 
 
+def test_one_subcommand_parser_gives_the_full_namespace():
+    # every flag, default and the runner come through a parser that holds
+    # the named subcommand only, and no flag has left either parser
+    controller = {"controller", "order", "lam", "mu", "alpha", "x", "kp", "ki", "kd", "kc",
+                  "T", "range", "sign"}
+    output = {"command", "run", "output", "no_meta"}
+    sweep = {"fmin", "fmax", "points_per_decade", "unit"}
+    dests = {
+        "realize": controller | {"as_float"} | output,
+        "symbolic": controller | output,
+        "ladder": {"tf", "netlist"} | output,
+        "bode": {"tf"} | sweep | output,
+        "compare": {"lam", "order", "methods", "T", "omega_b", "omega_h", "report"} | sweep | output,
+    }
+    valid = {
+        "realize": ("--controller", "diffint", "--lambda", "1/2", "--order", "3"),
+        "symbolic": ("--controller", "fopid", "--order", "2"),
+        "ladder": ("--tf", "tf.json"),
+        "bode": ("--tf", "tf.json", "--fmin", "1", "--fmax", "10"),
+        "compare": ("--lambda", "1/2", "--order", "2", "--methods", "cfe-low",
+                    "--fmin", "1", "--fmax", "10"),
+    }
+    assert tuple(valid) == _COMMAND_NAMES
+    for name, flags in valid.items():
+        argv = [name, *flags]
+        namespace = vars(build_parser(name).parse_args(argv))
+        assert namespace == vars(build_parser().parse_args(argv))
+        assert set(namespace) == dests[name]
+    with pytest.raises(ValidationError, match=r"invalid choice: 'realize' \(choose from 'ladder'\)"):
+        build_parser("ladder").parse_args(["realize", *valid["realize"]])
+
+
 def test_parse_tf_document_rejects_malformed_input():
     with pytest.raises(ValidationError):
         parse_tf_document("not json")
