@@ -546,7 +546,7 @@ def main(argv=None) -> int:
     ValidationError, 3 for any other FracratError.
 
     argv defaults to sys.argv[1:]. Each call parses through a new parser
-    that holds only the subcommand argv names first; when the first
+    that holds only the subcommand named by the first argument; when that
     argument names none, the parser holds every subcommand, so the
     top-level help and the missing- and unknown-command errors list all
     of them.

@@ -17,10 +17,10 @@ from fracrat import (
     cfe_to_tf,
     make_tf,
     pade,
+    polys,
     rational_to_cfe,
     tf_equal,
 )
-from fracrat import polys
 from fracrat.series import binomial_series, exp_series
 
 

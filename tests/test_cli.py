@@ -490,7 +490,7 @@ _PARSER_STOPS = [
 @pytest.mark.parametrize("argv", _PARSER_STOPS, ids=lambda argv: " ".join(argv) or "no-args")
 def test_main_stops_where_the_full_parser_stops(argv, capsys, monkeypatch):
     # main prints, on the same stream and with the same exit code, what the
-    # parser of every subcommand prints for the same argv
+    # parser holding every subcommand prints for the same argv
     monkeypatch.setenv("COLUMNS", "80")
 
     def outcome(call):
