@@ -359,30 +359,26 @@ def rational_to_cfe(tf: TransferFunction) -> ContinuedFraction:
 def cfe_to_tf(cf: ContinuedFraction) -> TransferFunction:
     """Fold the nested fraction back into a single rational function.
 
-    Exact numeric quotients fold over int. With q = Q/d_q, d_q the lcm of
-    q's denominators, each step maps num/den to (Q*num + d_q*den)/(d_q*num)
-    and divides the pair by its integer content; without that division the
-    coefficients grow and the fold runs several times slower. Symbolic and
-    float quotients fold the same way with d_q = 1 and no content.
+    The quotients must be exact numbers, as rational_to_cfe and ladder
+    rungs give; a symbolic or float quotient raises ValidationError. The
+    fold runs over int: with q = Q/d_q, d_q the lcm of q's denominators,
+    each step maps num/den to (Q*num + d_q*den)/(d_q*num) and divides the
+    pair by its integer content; without that division the coefficients
+    grow and the fold runs several times slower.
     """
     if not cf.quotients:
         raise DegenerateMathError("empty continued fraction")
-    exact = all(isinstance(c, (int, Fraction)) for q in cf.quotients for c in q)
-
-    def split(q):
-        q = polys.trim(q)
-        return clear_denominators(q) if exact else (1, q)
-
-    d, num = split(cf.quotients[-1])
+    if not all(isinstance(c, (int, Fraction)) for q in cf.quotients for c in q):
+        raise ValidationError("folding a continued fraction needs exact numeric quotients")
+    d, num = clear_denominators(polys.trim(cf.quotients[-1]))
     den: tuple = (d,)
     if not num:
         raise DegenerateMathError("zero trailing quotient")
     for q in reversed(cf.quotients[:-1]):
-        d, q = split(q)
+        d, q = clear_denominators(polys.trim(q))
         num, den = polys.add(polys.mul(q, num), polys.scale(den, d)), polys.scale(num, d)
-        if exact:
-            g = gcd(*num, *den)
-            if g > 1:
-                num = tuple(c // g for c in num)
-                den = tuple(c // g for c in den)
+        g = gcd(*num, *den)
+        if g > 1:
+            num = tuple(c // g for c in num)
+            den = tuple(c // g for c in den)
     return make_tf(num, den)

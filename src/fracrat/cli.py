@@ -40,7 +40,6 @@ from .controllers import (
     realize_fopd_bracket,
     realize_fopid,
     realize_leadlag,
-    symbolic_differintegrator,
 )
 from .errors import FracratError, ValidationError
 from .freqresp import bode, fit_report, ideal_response, log_grid
@@ -132,7 +131,9 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and an integer literal past the
+        # int-to-str digit cap; RecursionError, nesting past the stack
         raise ValidationError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != "tf-document":
         raise ValidationError('expected a JSON object with format "tf-document"')
@@ -271,6 +272,8 @@ def _build_controller(args, numeric: bool) -> TransferFunction:
         raise ValidationError(f"--range does not apply to {controller}")
     if args.sign is not None and controller != "diffint":
         raise ValidationError("--sign only applies to diffint")
+    if values["T"] is not None and args.range != "high":
+        raise ValidationError("--T only applies to --range high")
     if numeric:
         flags = {name: flag for name, flag, _ in _RAT_FLAGS}
         for name in params:
@@ -279,14 +282,9 @@ def _build_controller(args, numeric: bool) -> TransferFunction:
     order = args.order
     rng = args.range or "low"
     if controller == "diffint":
-        sign = args.sign or "integrator"
-        T = values["T"] if values["T"] is not None else Fraction(1)
-        if numeric or values["lam"] is not None:
-            spec = Differintegrator(values["lam"], sign=sign, freq_range=rng, T=T)
-            return realize_differintegrator(spec, order)
-        if T != 1:
-            raise ValidationError("the symbolic differintegrator is produced at T = 1")
-        return symbolic_differintegrator(rng, order, sign=sign)
+        T = Fraction(1) if values["T"] is None else values["T"]
+        spec = Differintegrator(values["lam"], args.sign or "integrator", rng, T)
+        return realize_differintegrator(spec, order)
     if controller == "fopid":
         spec = FOPID(values["kp"], values["ki"], values["kd"], values["lam"], values["mu"])
         return realize_fopid(spec, rng, order)
@@ -346,8 +344,12 @@ def _run_ladder(args) -> int:
 def _run_bode(args) -> int:
     tf, _ = parse_tf_document(_read_text(args.tf))
     grid = log_grid(args.fmin, args.fmax, args.points_per_decade, args.unit)
+    try:
+        sweep = bode(tf, grid)
+    except OverflowError:
+        raise ValidationError(f"{args.tf} has a coefficient past float range") from None
     meta = None if args.no_meta else _sweep_meta({"command": "bode", "tf": args.tf}, args)
-    _write_csv(args.output, meta, grid, [("", bode(tf, grid))])
+    _write_csv(args.output, meta, grid, [("", sweep)])
     return 0
 
 

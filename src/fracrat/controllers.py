@@ -1,7 +1,9 @@
 """Rational realizations of the four fractional-order controller families.
 
 Each builder accepts exact numeric parameters or leaves them symbolic
-(pass None) and produces a normalized TransferFunction. Irrational scalar
+(pass None) and produces a normalized TransferFunction; an omitted
+parameter becomes the symbol named after its field (Kp, lam, mu, x, ...),
+and the differintegrator follows the same rule. Irrational scalar
 prefactors (Kp^mu, Kc*x^alpha) are carried as opaque gain tags, never
 expanded into coefficients. Every family rests on the diagonal Pade
 approximant of (1 + z)^a, which is read off its hypergeometric closed form
@@ -141,19 +143,22 @@ def _check_order(order: int):
         raise ValidationError("order must be a positive integer")
 
 
+def _sym(value, name: str):
+    """The exact value when numeric, else the named symbol."""
+    return ParamPoly.var(name) if value is None else value
+
+
 def _binomial_pade(a, n: int) -> tuple[list, list]:
     """Coefficient lists (p, q) of the [n/n] Pade approximant of (1 + z)^a.
 
     Closed form (Baker & Graves-Morris, Pade Approximants, 2nd ed., 1996):
     P(z) = 2F1(-n, -a-n; -2n; -z) and Q(z) = 2F1(-n, a-n; -2n; -z), so each
     coefficient follows from the last by the term ratio of the series and
-    no linear system is solved. `a` is an exact scalar, a symbol name or a
-    ParamPoly; coefficient k is then a degree-k polynomial in it. For an
-    integer a with |a| <= n, P and Q share a factor that is not removed
-    here; _kernel_pade handles a = +1 and -1 instead.
+    no linear system is solved. `a` is an exact scalar or a ParamPoly;
+    coefficient k is then a degree-k polynomial in it. For an integer a
+    with |a| <= n, P and Q share a factor that is not removed here;
+    _kernel_pade handles a = +1 and -1 instead.
     """
-    if isinstance(a, str):
-        a = ParamPoly.var(a)
     sides = []
     for b in (-a - n, a - n):
         c = Fraction(1)
@@ -189,19 +194,16 @@ def _rescale(coeffs, r) -> tuple:
 
 
 def _integrator_tf(lam, freq_range: str, T, order: int) -> TransferFunction:
-    """[order/order] realization of s^(-lam); lam exact or a symbol name.
+    """[order/order] realization of s^(-lam); lam exact or a ParamPoly.
 
     The low band is the Pade approximant of (1 + v)^lam in v = 1/s with s^n
     cleared from both sides, the high band that of (1 + sT)^(-lam), both
     from _kernel_pade: the hypergeometric closed form, or at lam = 1 the
-    kernel itself with a pade-defect note. Shared by the public
-    differintegrator entry point (lam in (0,1]) and the FOPID assembly
-    (lam in (0,2)); no range check here.
+    kernel itself with a pade-defect note. Shared by the differintegrator
+    (lam in (0,1]) and the FOPID assembly (lam in (0,2)); no range check
+    here.
     """
-    a = ParamPoly.var(lam) if isinstance(lam, str) else lam
-    scale = Fraction(1)
-    if freq_range == "high":
-        a, scale = -a, T
+    a, scale = (-lam, T) if freq_range == "high" else (lam, Fraction(1))
     p, q, notes = _kernel_pade(a, order)
     num, den = _rescale(p, scale), _rescale(q, scale)
     if freq_range == "high":
@@ -211,48 +213,33 @@ def _integrator_tf(lam, freq_range: str, T, order: int) -> TransferFunction:
 
 
 def realize_differintegrator(spec: Differintegrator, order: int) -> TransferFunction:
-    """Numeric [n/n] realization of the differintegrator.
+    """[n/n] realization of the differintegrator, numeric or symbolic in lam.
 
     Built from the closed-form Pade approximant of the band's binomial
-    kernel (see _integrator_tf). At lam = 1 the kernel is its own
-    approximant, so the result is (s+1)/s or 1/(1+sT) at every order, noted
-    pade-defect=n-1 for n >= 2.
+    kernel (see _integrator_tf) at the spec's band, sign and T. At lam = 1
+    the kernel is its own approximant, so the result is (s+1)/s or
+    1/(1+sT) at every order, noted pade-defect=n-1 for n >= 2. With lam
+    None, coefficient k of the kernel's approximant is a degree-k
+    polynomial in the symbol lam, read off the closed form without a
+    symbolic linear solve; orders beyond 5 work but are noted
+    beyond-validated-order.
     """
     _check_order(order)
-    if spec.lam is None:
-        raise ValidationError("lam must be numeric here; see symbolic_differintegrator")
-    tf = _integrator_tf(spec.lam, spec.freq_range, spec.T, order)
+    tf = _integrator_tf(_sym(spec.lam, "lam"), spec.freq_range, spec.T, order)
     if spec.sign == "differentiator":
         tf = tf.reciprocal()
+    if spec.lam is None and order > 5:
+        tf = tf.with_notes("beyond-validated-order")
     return tf
 
 
 def symbolic_differintegrator(
     freq_range: str, order: int, sign: str = "integrator"
 ) -> TransferFunction:
-    """[n/n] realization with the fractional order kept as the symbol lam.
-
-    Coefficient k of the kernel's approximant is a degree-k polynomial in
-    lam, read off the closed form without a symbolic linear solve. The
-    high-range form is produced at T = 1. Orders beyond 5 work but are
-    marked as exceeding the validated range.
+    """The differintegrator symbolic in lam at T = 1: the same form as
+    realize_differintegrator(Differintegrator(None, sign, freq_range), order).
     """
-    _check_order(order)
-    if freq_range not in _RANGES:
-        raise ValidationError(f"freq_range must be one of {_RANGES}")
-    if sign not in _SIGNS:
-        raise ValidationError(f"sign must be one of {_SIGNS}")
-    tf = _integrator_tf("lam", freq_range, Fraction(1), order)
-    if sign == "differentiator":
-        tf = tf.reciprocal()
-    if order > 5:
-        tf = tf.with_notes("beyond-validated-order")
-    return tf
-
-
-def _gain_sym(value, name: str):
-    """The exact value when numeric, else the named symbol."""
-    return ParamPoly.var(name) if value is None else value
+    return realize_differintegrator(Differintegrator(None, sign, freq_range), order)
 
 
 def realize_fopid(spec: FOPID, freq_range: str, order: int) -> TransferFunction:
@@ -266,15 +253,13 @@ def realize_fopid(spec: FOPID, freq_range: str, order: int) -> TransferFunction:
     _check_order(order)
     if freq_range not in _RANGES:
         raise ValidationError(f"freq_range must be one of {_RANGES}")
-    kp = _gain_sym(spec.Kp, "Kp")
-    ki = _gain_sym(spec.Ki, "Ki")
-    kd = _gain_sym(spec.Kd, "Kd")
+    kp = _sym(spec.Kp, "Kp")
+    ki = _sym(spec.Ki, "Ki")
+    kd = _sym(spec.Kd, "Kd")
+    lam = _sym(spec.lam, "lam")
+    mu = _sym(spec.mu, "mu")
     with_i = spec.Ki is None or spec.Ki != 0
     with_d = spec.Kd is None or spec.Kd != 0
-    if not with_i and not with_d:
-        return make_tf((kp,), (1,))
-    lam = "lam" if spec.lam is None else spec.lam
-    mu = "mu" if spec.mu is None else spec.mu
     num: tuple = ()
     den: tuple = (Fraction(1),)
     notes: tuple = ()
@@ -304,18 +289,15 @@ def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
     otherwise it rides along as a gain tag.
     """
     _check_order(order)
-    kp = _gain_sym(spec.Kp, "Kp")
-    kd = _gain_sym(spec.Kd, "Kd")
-    if spec.mu is None:
-        # symbolic mu is treated as purely fractional; an integer split
-        # needs a numeric value
-        exponent, mu_int = "mu", 0
-    else:
-        mu_int = int(spec.mu)  # mu in (0,2): floor is 0 or 1
-        exponent = spec.mu - mu_int
-        if exponent == 0:
-            # mu = 1: plain polynomial, no irrational prefactor
-            return make_tf((kp, kd), (1,))
+    kp = _sym(spec.Kp, "Kp")
+    kd = _sym(spec.Kd, "Kd")
+    # mu in (0,2) splits at its floor, 0 or 1; a symbolic mu is treated as
+    # purely fractional, since the split needs a numeric value
+    mu_int = 0 if spec.mu is None else int(spec.mu)
+    exponent = _sym(spec.mu, "mu") - mu_int
+    if exponent == 0:
+        # mu = 1: plain polynomial, no irrational prefactor
+        return make_tf((kp, kd), (1,))
     p, q = _binomial_pade(exponent, order)
     num = _homogenize(p, kp, kd, order)
     den = _homogenize(q, kp, kd, order)
@@ -357,10 +339,10 @@ def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     the tag on 1/1, and which of the two conventions to keep is still open.
     """
     _check_order(order)
-    alpha = _gain_sym(spec.alpha, "alpha")
-    x = _gain_sym(spec.x, "x")
-    lam = _gain_sym(spec.lam, "lam")
-    kc = _gain_sym(spec.Kc, "Kc")
+    alpha = _sym(spec.alpha, "alpha")
+    x = _sym(spec.x, "x")
+    lam = _sym(spec.lam, "lam")
+    kc = _sym(spec.Kc, "Kc")
     degenerate = (spec.alpha is not None and spec.alpha == 0) or (
         spec.x is not None and spec.x == 1
     )

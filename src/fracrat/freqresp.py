@@ -12,7 +12,7 @@ symbolic, ladder) never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
 from .approx import TransferFunction
@@ -27,8 +27,8 @@ _UNITS = ("hz", "rad")
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing, positive, finite evaluation frequencies in a
-    stated unit."""
+    """Strictly increasing, positive evaluation frequencies in a stated
+    unit, finite in that unit and in rad/s."""
 
     values: tuple
     unit: str = "hz"
@@ -45,6 +45,8 @@ class FrequencyGrid:
             raise ValidationError("grid must be strictly increasing")
         if values[0] <= 0:
             raise ValidationError("frequencies must be positive")
+        if self.unit == "hz" and values[-1] * (2 * math.pi) == math.inf:
+            raise ValidationError("frequencies must be finite in rad/s")
         object.__setattr__(self, "values", values)
 
     def omega(self) -> np.ndarray:
@@ -68,7 +70,10 @@ def log_grid(fmin, fmax, points_per_decade: int = 50, unit: str = "hz") -> Frequ
         raise ValidationError("need 0 < fmin < fmax < inf")
     if points_per_decade < 1:
         raise ValidationError("points_per_decade must be at least 1")
-    decades = math.log10(fmax / fmin)
+    ratio = fmax / fmin
+    if ratio == math.inf:
+        raise ValidationError("band too wide: fmax/fmin overflows")
+    decades = math.log10(ratio)
     count = max(2, int(round(decades * points_per_decade)) + 1)
     values = np.logspace(math.log10(fmin), math.log10(fmax), count)
     values[0] = fmin
@@ -155,47 +160,39 @@ def bode(tf: TransferFunction, grid: FrequencyGrid) -> BodeSweep:
 def ideal_response(spec, grid: FrequencyGrid) -> BodeSweep:
     """Analytic sweep of the ideal (irrational) controller.
 
-    Uses principal-branch closed forms; no unwrapping is involved.
+    Every field of the spec must be a number. Uses principal-branch closed
+    forms; no unwrapping is involved.
     """
     import numpy as np
 
     w = grid.omega()
+    if not isinstance(spec, (Differintegrator, FOPDBracket, LeadLag, FOPID)):
+        raise ValidationError(f"no ideal response for {type(spec).__name__}")
+    if None in astuple(spec):
+        raise ValidationError("ideal response needs numeric parameters")
     if isinstance(spec, Differintegrator):
-        if spec.lam is None:
-            raise ValidationError("ideal response needs numeric parameters")
         lam = float(spec.lam)
         sign = -1.0 if spec.sign == "integrator" else 1.0
         mag = sign * 20.0 * lam * np.log10(w)
         phase = np.full_like(w, sign * 90.0 * lam)
         return BodeSweep(grid, tuple(mag.tolist()), tuple(phase.tolist()))
     if isinstance(spec, FOPDBracket):
-        _need_numeric(spec, ("Kp", "Kd", "mu"))
         h = (float(spec.Kp) + 1j * w * float(spec.Kd)) ** float(spec.mu)
     elif isinstance(spec, LeadLag):
-        _need_numeric(spec, ("Kc", "lam", "x", "alpha"))
         lam = float(spec.lam)
         x = float(spec.x)
         core = (1 + 1j * w * lam) / (1 + 1j * w * x * lam)
         h = float(spec.Kc) * x ** float(spec.alpha) * core ** float(spec.alpha)
-    elif isinstance(spec, FOPID):
-        _need_numeric(spec, ("Kp", "Ki", "Kd", "lam", "mu"))
+    else:
         jw = 1j * w
         h = (
             float(spec.Kp)
             + float(spec.Ki) * jw ** -float(spec.lam)
             + float(spec.Kd) * jw ** float(spec.mu)
         )
-    else:
-        raise ValidationError(f"no ideal response for {type(spec).__name__}")
     mag = 20.0 * np.log10(np.abs(h))
     phase = np.degrees(np.angle(h))
     return BodeSweep(grid, tuple(mag.tolist()), tuple(phase.tolist()))
-
-
-def _need_numeric(spec, names):
-    for name in names:
-        if getattr(spec, name) is None:
-            raise ValidationError("ideal response needs numeric parameters")
 
 
 @dataclass(frozen=True)

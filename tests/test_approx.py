@@ -289,9 +289,9 @@ def test_cfe_to_tf_folds_simple_fraction():
     t = cfe_to_tf(ContinuedFraction(((Fraction(1),), (Fraction(2),))))
     assert t.num == (3,)
     assert t.den == (2,)
-    # the ring follows the quotients: symbolic and float folds are labelled so
+    # only exact quotients fold, as only an exact TF expands
     lam = ParamPoly.var("lam")
-    t = cfe_to_tf(ContinuedFraction(((Fraction(1),), (lam,))))
-    assert t.ring == "symbolic" and t.num == (lam + 1,) and t.den == (lam,)
-    t = cfe_to_tf(ContinuedFraction(((1.0,), (2.0,))))
-    assert t.ring == "float" and t.num == (3.0,) and t.den == (2.0,)
+    with pytest.raises(ValidationError, match="exact numeric quotients"):
+        cfe_to_tf(ContinuedFraction(((Fraction(1),), (lam,))))
+    with pytest.raises(ValidationError, match="exact numeric quotients"):
+        cfe_to_tf(ContinuedFraction(((1.0,), (2.0,))))

@@ -11,6 +11,7 @@ import pytest
 
 import fracrat
 from fracrat import (
+    Differintegrator,
     GainTag,
     LadderElement,
     LadderNetwork,
@@ -18,6 +19,7 @@ from fracrat import (
     ValidationError,
     ladder_to_tf,
     make_tf,
+    realize_differintegrator,
     tf_equal,
 )
 from fracrat.cli import (
@@ -348,6 +350,8 @@ def test_bode_rejects_non_finite_documents(tmp_path, capsys):
         bad_docs.append(dict(good, den=["1", text]))
     bad_docs.append(dict(good, gain={"label": "g", "value": "inf"}))
     bad_docs.append(dict(good, gain={"label": "g", "value": "abc"}))
+    # exact, but past the floats the sweep runs in
+    bad_docs.append(dict(good, ring="rational", num=["1e999"]))
     for i, doc in enumerate(bad_docs):
         tf_file = tmp_path / f"bad{i}.json"
         tf_file.write_text(json.dumps(doc))
@@ -363,7 +367,10 @@ def test_sweeps_reject_a_non_finite_band(tmp_path, capsys):
     assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "2",
                "-o", str(tf_file)) == 0
     out = tmp_path / "sweep.csv"
-    for fmin, fmax in (("nan", "10"), ("1e-3", "inf"), ("1", "nan"), ("inf", "inf")):
+    for fmin, fmax in (
+        ("nan", "10"), ("1e-3", "inf"), ("1", "nan"), ("inf", "inf"), ("1e-200", "1e200"),
+        ("1", "1.7e308"),
+    ):
         band = ("--fmin", fmin, "--fmax", fmax, "-o", str(out))
         for argv in (
             ("bode", "--tf", str(tf_file)) + band,
@@ -399,8 +406,19 @@ def test_sweeps_reject_a_grid_without_points(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_symbolic_diffint_requires_unit_time_constant():
-    assert run("symbolic", "--controller", "diffint", "--order", "3", "--T", "2") == 2
+def test_time_constant_only_applies_to_the_high_band(capsys):
+    # --T is refused wherever it does not apply, as --range and --sign are
+    for argv in (
+        ("symbolic", "--controller", "diffint", "--order", "3", "--T", "2"),
+        ("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "3", "--T", "2"),
+    ):
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", "error: --T only applies to --range high\n")
+    # in the high band it applies to the symbolic form too
+    argv = ("--controller", "diffint", "--order", "3", "--range", "high", "--T", "1/10")
+    assert run("symbolic", *argv, "--no-meta") == 0
+    spec = Differintegrator(None, freq_range="high", T=Fraction(1, 10))
+    assert capsys.readouterr() == (emit_symbolic_document(realize_differintegrator(spec, 3)), "")
 
 
 def test_compare_rejects_unsupported_fixed_point_order(capsys):

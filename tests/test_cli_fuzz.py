@@ -1,0 +1,224 @@
+"""The CLI contract under drawn input: `main` exits 0, 2 or 3 and lets no
+exception escape, for `realize`, `symbolic`, `compare` and `bode`.
+
+Each test drives `cli.main` in-process with a fixed budget. The draws stay
+inside caps that keep clear of defects and open questions recorded in the
+ROADMAP, so a failure here is a new escape:
+
+- order <= 8 and points-per-decade <= 20, since resource bounds are still
+  open (item 5);
+- controller parameters are at most 1e+-99 in size, which keeps every
+  order-8 coefficient under CPython's 4300-digit int-to-str cap (item 5);
+- no Carlson at q = 4 (lambda = 1/4, 3/4) with 5 or more iterations, whose
+  sweep overflows (item 6);
+- no `ladder`, which still fails past the 4300-digit cap (item 5).
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from fracrat.cli import main  # noqa: E402
+
+BUDGET = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+_NON_FINITE = ("nan", "NaN", "-nan", "inf", "-inf", "+inf", "Infinity", "-Infinity")
+_MALFORMED = ("", " ", "abc", "1/", "/2", "1/0", "0/0", "1//2", "1e", "--1", "0x10", "1_0")
+
+
+def _rationals(limit):
+    return st.builds(
+        "{}/{}".format, st.integers(-limit, limit), st.integers(-limit, limit)
+    )
+
+
+def _numbers(max_exp):
+    """Number spellings: rationals, decimals, exponents, NaN and inf,
+    malformed text; exponents up to max_exp in size."""
+    return st.one_of(
+        _rationals(10**6),
+        st.integers(-10**6, 10**6).map(str),
+        st.decimals(allow_nan=False, allow_infinity=False, places=6).map(str),
+        st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-max_exp, max_exp)),
+        st.sampled_from(_NON_FINITE + _MALFORMED),
+    )
+
+
+_PARAM = _numbers(99)
+_FREQ = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e6).map(repr),
+    st.sampled_from(("1e-300", "1e300", "5e-324", "1e-200", "1e200", "1.7e308", "0", "-1")),
+    st.sampled_from(_NON_FINITE + _MALFORMED),
+)
+_ORDER = st.one_of(st.integers(1, 8).map(str), st.sampled_from(("0", "-2", "x", "", "1.5")))
+_PPD = st.one_of(st.integers(1, 20).map(str), st.sampled_from(("0", "-1", "x")))
+_RAT_FLAGS = ("--lambda", "--mu", "--alpha", "--x", "--kp", "--ki", "--kd", "--kc", "--T")
+_METHODS = ("cfe-low", "cfe-high", "oustaloup", "mod-oustaloup", "carlson")
+
+
+def _optional(flag, values):
+    return st.one_of(st.just(()), values.map(lambda v: (flag, v)))
+
+
+def _run(argv):
+    """main's exit code, with its output kept off the test's streams."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(list(argv))
+    assert rc in (0, 2, 3), argv
+    return rc
+
+
+@st.composite
+def _controller_argv(draw):
+    argv = ["--controller", draw(st.sampled_from(("diffint", "fopid", "fopd", "leadlag", "pid")))]
+    argv += ["--order", draw(_ORDER)]
+    for flag, value in draw(st.dictionaries(st.sampled_from(_RAT_FLAGS), _PARAM, max_size=6)).items():
+        argv += [flag, value]
+    argv += draw(_optional("--range", st.sampled_from(("low", "high", "mid"))))
+    argv += draw(_optional("--sign", st.sampled_from(("integrator", "differentiator", "both"))))
+    if draw(st.booleans()):
+        argv.append("--no-meta")
+    return argv
+
+
+@st.composite
+def _sweep_argv(draw):
+    argv = ["--fmin", draw(_FREQ), "--fmax", draw(_FREQ)]
+    argv += draw(_optional("--points-per-decade", _PPD))
+    argv += draw(_optional("--unit", st.sampled_from(("hz", "rad", "octave"))))
+    return argv
+
+
+@BUDGET
+@given(st.sampled_from(("realize", "symbolic")), _controller_argv(), st.booleans())
+def test_construction_commands_keep_the_exit_contract(command, argv, as_float):
+    if command == "realize" and as_float:
+        argv = argv + ["--float"]
+    _run([command] + argv)
+
+
+@st.composite
+def _compare_argv(draw):
+    lam = draw(st.one_of(_PARAM, st.sampled_from(("1/2", "1/3", "1/4", "2/3", "3/4", "1"))))
+    order = draw(_ORDER)
+    methods = draw(st.lists(st.sampled_from(_METHODS + ("bogus", "")), min_size=1, max_size=6))
+    try:
+        q, n = Fraction(lam).denominator, int(order)
+    except (ValueError, ZeroDivisionError):
+        q = n = 0
+    assume(not ("carlson" in methods and q == 4 and n >= 5))
+    argv = ["compare", "--lambda", lam, "--order", order, "--methods", ",".join(methods)]
+    argv += draw(_sweep_argv())
+    argv += draw(_optional("--T", _PARAM))
+    argv += draw(_optional("--omega-b", _FREQ))
+    argv += draw(_optional("--omega-h", _FREQ))
+    return argv
+
+
+@BUDGET
+@given(_compare_argv(), st.booleans())
+def test_compare_keeps_the_exit_contract(argv, with_report):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = argv + ["-o", os.path.join(tmp, "sweep.csv")]
+        if with_report:
+            argv += ["--report", os.path.join(tmp, "fit.json")]
+        _run(argv)
+
+
+_COEFF = st.one_of(
+    _numbers(999),
+    st.sampled_from(("1e999", "-1e999", "1e-999", "1e5000", "9" * 5000)),
+    st.integers(-10**400, 10**400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+)
+
+_DOCUMENT = st.fixed_dictionaries(
+    {
+        "format": st.sampled_from(("tf-document", "symbolic-tf", 1)),
+        "ring": st.sampled_from(("rational", "float", "symbolic", None)),
+    },
+    optional={
+        "variable": st.sampled_from(("s", "z")),
+        "num": st.one_of(st.lists(_COEFF, max_size=9), _COEFF),
+        "den": st.one_of(st.lists(_COEFF, max_size=9), _COEFF),
+        "gain": st.one_of(
+            st.none(),
+            st.fixed_dictionaries({"label": st.text(max_size=5)}, optional={"value": _COEFF}),
+            st.just("Kp^mu"),
+        ),
+        "notes": st.one_of(st.lists(st.text(max_size=5), max_size=3), st.just("x"), st.just([1])),
+    },
+)
+
+
+_UNIT = st.builds(lambda p, q: f"{min(p, q)}/{max(p, q)}", st.integers(1, 99), st.integers(1, 99))
+_POSITIVE = st.one_of(
+    st.builds("{}/{}".format, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds("1e{}".format, st.integers(-99, 99)),
+)
+_GAIN = st.one_of(_POSITIVE, st.just("0"))
+
+
+def _flags(**values):
+    return st.tuples(*(st.tuples(st.just("--" + k), v) for k, v in values.items())).map(
+        lambda pairs: [x for pair in pairs for x in pair]
+    )
+
+
+_REALIZABLE = st.one_of(
+    st.tuples(
+        _flags(controller=st.just("diffint"), **{"lambda": _UNIT}),
+        st.one_of(st.just([]), _flags(range=st.just("high"), T=_POSITIVE)),
+        _optional("--sign", st.sampled_from(("integrator", "differentiator"))).map(list),
+    ).map(lambda parts: sum(parts, [])),
+    _flags(controller=st.just("fopid"), kp=_GAIN, ki=_GAIN, kd=_GAIN, mu=_UNIT, **{"lambda": _UNIT}),
+    _flags(controller=st.just("fopd"), kp=_POSITIVE, kd=_POSITIVE, mu=st.one_of(_UNIT, st.just("3/2"))),
+    _flags(controller=st.just("leadlag"), kc=_POSITIVE, x=_UNIT, alpha=st.one_of(_UNIT, st.just("0")),
+           **{"lambda": _POSITIVE}),
+)
+
+
+@st.composite
+def _bode_input(draw):
+    """The bytes of a tf-document: one that `realize` emitted, a drawn
+    document, or raw bytes."""
+    kind = draw(st.sampled_from(("realized", "drawn", "raw")))
+    if kind == "realized":
+        argv = ["realize"] + draw(_REALIZABLE) + ["--order", str(draw(st.integers(1, 8)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "tf.json")
+            assert _run(argv + ["-o", path]) == 0, argv
+            with open(path, "rb") as handle:
+                return handle.read()
+    if kind == "drawn":
+        return json.dumps(draw(_DOCUMENT)).encode()
+    return draw(
+        st.one_of(
+            st.binary(max_size=40),
+            st.sampled_from((b"[" * 100000, b'{"format": "tf-document", "num": [' + b"9" * 5000 + b"]}")),
+        )
+    )
+
+
+@BUDGET
+@given(_bode_input(), _sweep_argv())
+def test_bode_keeps_the_exit_contract(document, sweep):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tf.json")
+        with open(path, "wb") as handle:
+            handle.write(document)
+        _run(["bode", "--tf", path] + sweep + ["-o", os.path.join(tmp, "bode.csv")])

@@ -91,8 +91,8 @@ def test_differintegrator_validation():
         Differintegrator(HALF, T=0)
     with pytest.raises(ValidationError):
         realize_differintegrator(Differintegrator(HALF), 0)
-    with pytest.raises(ValidationError):
-        realize_differintegrator(Differintegrator(None), 3)
+    # lam = None keeps the order symbolic, as every other builder does
+    assert realize_differintegrator(Differintegrator(None), 3) == symbolic_differintegrator("low", 3)
 
 
 def test_spec_intake_rejects_non_rational_input():
@@ -417,6 +417,19 @@ def test_random_cross_paths_symbolic_vs_numeric():
         assert tf_equal(sym_high.substitute({"lam": lam}), high)
 
 
+@pytest.mark.parametrize("sign", ("integrator", "differentiator"))
+def test_symbolic_high_band_keeps_its_time_constant(sign):
+    # the high band is symbolic in lam at any T, and substituting lam gives
+    # the numeric realization at that T
+    for T in (Fraction(1, 10), Fraction(7, 3), Fraction(1)):
+        for n in (1, 3, 6):
+            sym = realize_differintegrator(Differintegrator(None, sign, "high", T), n)
+            assert ("beyond-validated-order" in sym.notes) == (n > 5)
+            for lam in (Fraction(37, 100), HALF, Fraction(1)):
+                numeric = realize_differintegrator(Differintegrator(lam, sign, "high", T), n)
+                assert tf_equal(sym.substitute({"lam": lam}), numeric), (T, n, lam)
+
+
 def _degenerate_substitutions(n: int):
     """(symbolic tf, substitution, numeric tf) at integer exponents, where
     the symbolic form specializes to a ratio with a common factor in s."""
@@ -538,6 +551,6 @@ def test_symbolic_pade_agrees_with_the_closed_form(n):
     Q*f - P has degree <= n + i <= 3n: D = 3n, checked at 3n + 1 points
     against the numeric solve of the Toeplitz system, an independent route.
     """
-    closed = make_tf(*_binomial_pade("lam", n))
+    closed = make_tf(*_binomial_pade(ParamPoly.var("lam"), n))
     assert _max_degree(closed, "lam") <= n
     _agrees_at_points(closed, "lam", 3 * n, lambda a: pade(binomial_series(a, 2 * n), n, n))

@@ -46,6 +46,13 @@ def test_grid_validation():
     for values in ((1.0, inf), (nan, 1.0), (1.0, nan), (inf,)):
         with pytest.raises(ValidationError, match="finite"):
             FrequencyGrid(values, "hz")
+    # finite in hertz, but not in rad/s
+    with pytest.raises(ValidationError, match="finite in rad/s"):
+        FrequencyGrid((1.0, 1.7e308), "hz")
+    assert FrequencyGrid((1.0, 1.7e308), "rad").omega()[-1] == 1.7e308
+    # each edge is finite, but fmax/fmin is not
+    with pytest.raises(ValidationError, match="fmax/fmin"):
+        log_grid(1e-200, 1e200)
 
 
 def test_grid_units():
@@ -246,10 +253,15 @@ def test_ideal_leadlag_spot_value():
 
 def test_ideal_response_needs_numbers():
     grid = FrequencyGrid((1.0,), "rad")
-    with pytest.raises(ValidationError):
-        ideal_response(Differintegrator(None), grid)
-    with pytest.raises(ValidationError):
-        ideal_response(FOPID(Fraction(1), None, Fraction(1), Fraction(1), Fraction(1)), grid)
+    one = Fraction(1)
+    for spec in (
+        Differintegrator(None),
+        FOPID(one, None, one, one, one),
+        FOPDBracket(one, one, None),
+        LeadLag(one, one, None, one),
+    ):
+        with pytest.raises(ValidationError, match="needs numeric parameters"):
+            ideal_response(spec, grid)
     with pytest.raises(ValidationError):
         ideal_response(make_tf((1,), (1,)), grid)
 
