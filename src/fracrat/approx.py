@@ -135,11 +135,6 @@ class TransferFunction:
             gain = _gain_tag(gain.label, {**mapping, **fixed})
         return make_tf(num, den, gain=gain, notes=self.notes)
 
-    def with_notes(self, *extra: str) -> "TransferFunction":
-        return TransferFunction(
-            self.num, self.den, self.ring, self.gain, self.notes + tuple(extra)
-        )
-
     def __str__(self):
         """Descending powers of s. A coefficient whose (leading) sign is
         negative is subtracted, a symbolic one is parenthesized, and a unit

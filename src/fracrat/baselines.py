@@ -70,11 +70,14 @@ def _poly_from_roots(roots) -> tuple:
 
 
 def _rung(cfg: BaselineConfig, k: int):
-    """Zero/pole frequencies of the k-th recursion rung."""
+    """Zero/pole frequencies of the k-th recursion rung, inf past float range."""
     ratio = cfg.omega_h / cfg.omega_b
     span = 2 * cfg.N + 1
-    zero = cfg.omega_b * ratio ** ((k + cfg.N + (1 - cfg.lam) / 2) / span)
-    pole = cfg.omega_b * ratio ** ((k + cfg.N + (1 + cfg.lam) / 2) / span)
+    try:
+        zero = cfg.omega_b * ratio ** ((k + cfg.N + (1 - cfg.lam) / 2) / span)
+        pole = cfg.omega_b * ratio ** ((k + cfg.N + (1 + cfg.lam) / 2) / span)
+    except OverflowError:
+        return math.inf, math.inf
     return zero, pole
 
 
@@ -103,8 +106,13 @@ def _polyval(coeffs, s):
 
 
 def _anchored(num, den, cfg: BaselineConfig) -> TransferFunction:
+    """The core scaled to |H| = omega_u^lam at the band center omega_u;
+    a band whose coefficients or anchor magnitude leave the floats is refused."""
     wu = math.sqrt(cfg.omega_b * cfg.omega_h)
-    raw = abs(_polyval(num, 1j * wu) / _polyval(den, 1j * wu))
+    at_wu = _polyval(den, 1j * wu)
+    raw = abs(_polyval(num, 1j * wu) / at_wu) if at_wu else math.inf
+    if not (0 < raw < math.inf and all(map(math.isfinite, num + den))):
+        raise ValidationError(f"baseline band [{cfg.omega_b:g}, {cfg.omega_h:g}] rad/s is past float range")
     gain = wu**cfg.lam / raw
     return make_tf(tuple(gain * c for c in num), den)
 

@@ -71,6 +71,13 @@ _RANGED = ("diffint", "fopid")
 
 _METHODS = ("cfe-low", "cfe-high", "oustaloup", "mod-oustaloup", "carlson")
 
+# compare flags that only some methods read: dest -> (flag, those methods)
+_METHOD_FLAGS = {
+    "T": ("--T", ("cfe-high",)),
+    "omega_b": ("--omega-b", ("oustaloup", "mod-oustaloup")),
+    "omega_h": ("--omega-h", ("oustaloup", "mod-oustaloup")),
+}
+
 
 def _coeff_str(c) -> str:
     if isinstance(c, float):
@@ -353,12 +360,13 @@ def _run_bode(args) -> int:
     return 0
 
 
-def _compare_tf(method: str, lam: Fraction, args) -> TransferFunction:
+def _compare_tf(method: str, lam: Fraction, args, grid) -> TransferFunction:
     """One integrator approximation of s^(-lam) per requested method.
 
     --order is the [n/n] order for the expansion methods, the recursion
     depth N for the two recursive baselines (orders 2N+1 and 2N+3) and
-    the iteration count for the fixed-point method.
+    the iteration count for the fixed-point method. The recursive
+    baselines' band defaults to the grid's ends in rad/s.
     """
     if method == "cfe-low":
         return realize_differintegrator(Differintegrator(lam), args.order)
@@ -368,9 +376,9 @@ def _compare_tf(method: str, lam: Fraction, args) -> TransferFunction:
         return realize_differintegrator(spec, args.order)
     if method == "carlson":
         return carlson(lam, args.order).reciprocal()
-    factor = 2.0 * math.pi if args.unit == "hz" else 1.0
-    omega_b = args.omega_b if args.omega_b is not None else factor * args.fmin
-    omega_h = args.omega_h if args.omega_h is not None else factor * args.fmax
+    omega = grid.omega()
+    omega_b = args.omega_b if args.omega_b is not None else omega[0]
+    omega_h = args.omega_h if args.omega_h is not None else omega[-1]
     cfg = BaselineConfig(lam, omega_b, omega_h, args.order)
     core = oustaloup(cfg) if method == "oustaloup" else modified_oustaloup(cfg)
     return core.reciprocal()
@@ -386,9 +394,12 @@ def _run_compare(args) -> int:
             raise ValidationError(f"unknown method {m!r}; choose from {', '.join(_METHODS)}")
     if len(set(methods)) != len(methods):
         raise ValidationError("--methods lists a method twice")
+    for key, (flag, readers) in _METHOD_FLAGS.items():
+        if getattr(args, key) is not None and not set(readers) & set(methods):
+            raise ValidationError(f"{flag} only applies to {' or '.join(readers)}")
     grid = log_grid(args.fmin, args.fmax, args.points_per_decade, args.unit)
     ideal = ideal_response(Differintegrator(lam), grid)
-    sweeps = {m: bode(_compare_tf(m, lam, args), grid) for m in methods}
+    sweeps = {m: bode(_compare_tf(m, lam, args, grid), grid) for m in methods}
 
     meta = None
     if not args.no_meta:
@@ -396,7 +407,7 @@ def _run_compare(args) -> int:
             {"command": "compare", "lambda": args.lam, "order": args.order, "methods": args.methods},
             args,
         )
-        for key in ("T", "omega_b", "omega_h"):
+        for key in _METHOD_FLAGS:
             if getattr(args, key) is not None:
                 meta[key] = getattr(args, key)
     columns = [("ideal_", ideal)]

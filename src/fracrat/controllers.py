@@ -5,9 +5,12 @@ Each builder accepts exact numeric parameters or leaves them symbolic
 parameter becomes the symbol named after its field (Kp, lam, mu, x, ...),
 and the differintegrator follows the same rule. Irrational scalar
 prefactors (Kp^mu, Kc*x^alpha) are carried as opaque gain tags, never
-expanded into coefficients. Every family rests on the diagonal Pade
-approximant of (1 + z)^a, which is read off its hypergeometric closed form
-rather than solved for; at a = +1 or -1 it is (1 + z)^a itself.
+expanded into coefficients. Every family takes one route: the diagonal
+Pade approximant of (1 + z)^a on the integers (_kernel_pade, read off its
+hypergeometric closed form rather than solved for; at a = +1 or -1 it is
+(1 + z)^a itself), one change of variable (a scalar one by _homogenize,
+1/s by reversal in the low band, the lead-lag's Moebius map before its
+scalar one), and a single make_tf at the end.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ class FOPDBracket:
 
 @dataclass(frozen=True)
 class LeadLag:
-    """Kc*x^alpha*((1 + lam*s)/(1 + x*lam*s))^alpha with 0 < x < 1."""
+    """Kc*x^alpha*((1 + lam*s)/(1 + x*lam*s))^alpha with 0 < x <= 1."""
 
     Kc: Fraction | None
     lam: Fraction | None
@@ -171,66 +174,65 @@ def _binomial_pade(a, n: int) -> tuple[list, list]:
 
 
 def _kernel_pade(a, n: int) -> tuple:
-    """(p, q, notes) of the [n/n] Pade approximant of (1 + z)^a.
-
-    At a = +1 or -1 the kernel is rational and is its own approximant,
-    returned with p and q both of length 2; its n - 1 unused degrees are
-    the defect the generic Pade solve reports, so they go in the notes.
-    Every other exponent takes the closed form of _binomial_pade.
+    """(p, q, notes) of the [n/n] Pade approximant of (1 + z)^a on the
+    integers (ints, or ParamPolys with int coefficients), p and q of equal
+    length. At a = +1 or -1 the kernel is its own approximant, of length 2,
+    and its n - 1 unused degrees, the defect the generic Pade solve
+    reports, go in the notes. Any other a takes _binomial_pade divided by
+    the common rational content of p and q.
     """
     if isinstance(a, Fraction) and abs(a) == 1:
-        one, zero = Fraction(1), Fraction(0)
         notes = (f"pade-defect={n - 1}",) if n > 1 else ()
-        if a == 1:
-            return (one, one), (one, zero), notes
-        return (one, zero), (one, one), notes
+        return ((1, 1), (1, 0), notes) if a == 1 else ((1, 0), (1, 1), notes)
     p, q = _binomial_pade(a, n)
-    return p, q, ()
+    inv = 1 / polys.sequence_content([p, q])
+    return [_ring(c * inv) for c in p], [_ring(c * inv) for c in q], ()
 
 
-def _rescale(coeffs, r) -> tuple:
-    """Coefficient k times r^k: the substitution z -> r*z."""
-    return tuple(c * r**k for k, c in enumerate(coeffs))
-
-
-def _integrator_tf(lam, freq_range: str, T, order: int) -> TransferFunction:
-    """[order/order] realization of s^(-lam); lam exact or a ParamPoly.
-
-    The low band is the Pade approximant of (1 + v)^lam in v = 1/s with s^n
-    cleared from both sides, the high band that of (1 + sT)^(-lam), both
-    from _kernel_pade: the hypergeometric closed form, or at lam = 1 the
-    kernel itself with a pade-defect note. Shared by the differintegrator
-    (lam in (0,1]) and the FOPID assembly (lam in (0,2)); no range check
-    here.
+def _homogenize(coeffs, u, v, n: int) -> tuple:
+    """c(z) at z = (u/v)s with v^n cleared: c_k * u^k * v^(n-k), for
+    len(coeffs) <= n + 1. A numeric u/v is taken in lowest terms, so
+    integer c_k stay ints; a symbolic u or v is used as given.
     """
-    a, scale = (-lam, T) if freq_range == "high" else (lam, Fraction(1))
-    p, q, notes = _kernel_pade(a, order)
-    num, den = _rescale(p, scale), _rescale(q, scale)
+    if not isinstance(u, ParamPoly) and not isinstance(v, ParamPoly):
+        r = Fraction(u, v)
+        u, v = r.numerator, r.denominator
+    return tuple(c * u**k * v ** (n - k) for k, c in enumerate(coeffs))
+
+
+def _integrator(lam, freq_range: str, T, order: int) -> tuple:
+    """Unnormalized (num, den, notes) of the [order/order] realization of
+    s^(-lam), lam exact or a ParamPoly: the kernel of (1 + v)^lam at
+    v = 1/s with s^n cleared, which reverses p and q (low band), or of
+    (1 + z)^(-lam) at z = sT (high band). No range check: the
+    differintegrator takes lam in (0,1], the FOPID assembly (0,2).
+    """
     if freq_range == "high":
-        return make_tf(num, den, notes=notes)
-    width = max(len(num), len(den))
-    return make_tf(polys.reverse(num, width), polys.reverse(den, width), notes=notes)
+        p, q, notes = _kernel_pade(-lam, order)
+        return _homogenize(p, T, 1, order), _homogenize(q, T, 1, order), notes
+    p, q, notes = _kernel_pade(lam, order)
+    return polys.reverse(p), polys.reverse(q), notes
 
 
 def realize_differintegrator(spec: Differintegrator, order: int) -> TransferFunction:
     """[n/n] realization of the differintegrator, numeric or symbolic in lam.
 
     Built from the closed-form Pade approximant of the band's binomial
-    kernel (see _integrator_tf) at the spec's band, sign and T. At lam = 1
-    the kernel is its own approximant, so the result is (s+1)/s or
-    1/(1+sT) at every order, noted pade-defect=n-1 for n >= 2. With lam
-    None, coefficient k of the kernel's approximant is a degree-k
-    polynomial in the symbol lam, read off the closed form without a
-    symbolic linear solve; orders beyond 5 work but are noted
-    beyond-validated-order.
+    kernel (see _integrator) at the spec's band and T, with num and den
+    swapped for the differentiator and one make_tf. At lam = 1 the kernel
+    is its own approximant, so the result is (s+1)/s or 1/(1+sT) at every
+    order, noted pade-defect=n-1 for n >= 2. With lam None, coefficient k
+    of the kernel's approximant is a degree-k polynomial in the symbol lam,
+    read off the closed form without a symbolic linear solve; orders beyond
+    5 work but are noted beyond-validated-order.
     """
     _check_order(order)
-    tf = _integrator_tf(_sym(spec.lam, "lam"), spec.freq_range, spec.T, order)
+    num, den, notes = _integrator(_sym(spec.lam, "lam"), spec.freq_range, spec.T, order)
     if spec.sign == "differentiator":
-        tf = tf.reciprocal()
+        num, den = den, num
     if spec.lam is None and order > 5:
-        tf = tf.with_notes("beyond-validated-order")
-    return tf
+        notes += ("beyond-validated-order",)
+    return make_tf(num, den, notes=notes)
 
 
 def symbolic_differintegrator(
@@ -245,10 +247,11 @@ def symbolic_differintegrator(
 def realize_fopid(spec: FOPID, freq_range: str, order: int) -> TransferFunction:
     """Kp + Ki*Q_int(lam) + Kd*Q_diff(mu) over the common denominator.
 
-    Q_int is the [n/n] integrator realization at lam, Q_diff the exact
-    reciprocal construction at mu; the result has degree 2n (less when a
-    zero gain drops a branch). Each branch's Pade notes (an integer order
-    reports its defect) carry over prefixed "int:" or "diff:".
+    Q_int is the [n/n] integrator at lam and Q_diff the one at mu with num
+    and den swapped, both unnormalized from _integrator; make_tf normalizes
+    once. The result has degree 2n (less when a zero gain drops a branch).
+    Each branch's Pade notes (an integer order reports its defect) carry
+    over prefixed "int:" or "diff:".
     """
     _check_order(order)
     if freq_range not in _RANGES:
@@ -261,18 +264,17 @@ def realize_fopid(spec: FOPID, freq_range: str, order: int) -> TransferFunction:
     with_i = spec.Ki is None or spec.Ki != 0
     with_d = spec.Kd is None or spec.Kd != 0
     num: tuple = ()
-    den: tuple = (Fraction(1),)
+    den: tuple = (1,)
     notes: tuple = ()
     if with_i:
-        q_int = _integrator_tf(lam, freq_range, Fraction(1), order)
-        num = polys.scale(q_int.num, ki)
-        den = q_int.den
-        notes += tuple(f"int:{note}" for note in q_int.notes)
+        i_num, den, i_notes = _integrator(lam, freq_range, 1, order)
+        num = polys.scale(i_num, ki)
+        notes += tuple(f"int:{note}" for note in i_notes)
     if with_d:
-        q_diff = _integrator_tf(mu, freq_range, Fraction(1), order).reciprocal()
-        num = polys.add(polys.mul(num, q_diff.den), polys.scale(polys.mul(q_diff.num, den), kd))
-        den = polys.mul(den, q_diff.den)
-        notes += tuple(f"diff:{note}" for note in q_diff.notes)
+        d_den, d_num, d_notes = _integrator(mu, freq_range, 1, order)
+        num = polys.add(polys.mul(num, d_den), polys.scale(polys.mul(d_num, den), kd))
+        den = polys.mul(den, d_den)
+        notes += tuple(f"diff:{note}" for note in d_notes)
     num = polys.add(num, polys.scale(den, kp))
     return make_tf(num, den, notes=notes)
 
@@ -281,12 +283,12 @@ def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
     """[n/n]-based realization of (Kp + Kd*s)^mu.
 
     mu splits into integer and fractional parts. The fractional part is the
-    closed-form Pade approximant of (1 + t)^frac (see _binomial_pade) at
-    t = (Kd/Kp)s, homogenized in Kp and Kd; numeric gains are the same
-    construction evaluated at their values, and make_tf divides out the
-    scalar Kp^(n + floor(mu)) this leaves. The integer part is an exact
-    factor Kp + Kd*s. The scalar Kp^mu stays rational only for integer mu;
-    otherwise it rides along as a gain tag.
+    kernel approximant of (1 + t)^frac (see _kernel_pade) at t = (Kd/Kp)s,
+    homogenized in Kp and Kd; numeric gains are the same construction
+    evaluated at their values, and make_tf divides out the scalar this
+    leaves. The integer part is an exact factor Kp + Kd*s. The scalar
+    Kp^mu stays rational only for integer mu; otherwise it rides along as
+    a gain tag.
     """
     _check_order(order)
     kp = _sym(spec.Kp, "Kp")
@@ -298,22 +300,14 @@ def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
     if exponent == 0:
         # mu = 1: plain polynomial, no irrational prefactor
         return make_tf((kp, kd), (1,))
-    p, q = _binomial_pade(exponent, order)
-    num = _homogenize(p, kp, kd, order)
-    den = _homogenize(q, kp, kd, order)
+    p, q, _ = _kernel_pade(exponent, order)
+    num = _homogenize(p, kd, kp, order)
+    den = _homogenize(q, kd, kp, order)
     if mu_int:
         num = polys.mul(num, (kp, kd))
         den = polys.scale(den, kp)
     gain = _gain_tag("Kp^mu", {"Kp": spec.Kp, "mu": spec.mu})
     return make_tf(num, den, gain=gain)
-
-
-def _homogenize(coeffs, kp, kd, order: int):
-    """Substitute t = (Kd/Kp)s and clear Kp^order from num and den alike."""
-    out = []
-    for j, c in enumerate(coeffs):
-        out.append(c * kd**j * kp ** (order - j))
-    return polys.trim(out)
 
 
 def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
@@ -323,37 +317,32 @@ def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     u = (1-x)w/(1+x*w), and diagonal Pade approximants are covariant under
     that Moebius map: with p, q the closed-form [n/n] coefficients of
     (1+u)^alpha, the numerator is sum_k p_k (1-x)^k w^k (1+x*w)^(n-k) and
-    the denominator the same with q_k. Then w = lam*s is substituted. At
-    alpha = 1 the kernel (1+w)/(1+x*w) is its own approximant; it comes out
-    of the same map from (1+u)/1 and is noted pade-defect=n-1 for n >= 2.
-    p and q are first divided by their common rational content, one scale
-    for both that leaves the ratio alone, so they enter the map with integer
-    coefficients (ParamPolys over the integers for a symbolic alpha), and
-    the map clears the denominator of a numeric x, so every Moebius product
-    runs on ints.
+    the denominator the same with q_k. At alpha = 1 the kernel
+    (1+w)/(1+x*w) is its own approximant; it comes out of the same map from
+    (1+u)/1 and is noted pade-defect=n-1 for n >= 2. p and q come from
+    _kernel_pade on the integers, and the map clears the denominator of a
+    numeric x, so every Moebius product runs on ints; then w = lam*s goes
+    through _homogenize, and make_tf normalizes once.
     The value at s = 0 is Kc*x^alpha, carried as a gain tag whose value is
     the float formula once Kc, x and alpha are all numbers, even where the
     product is rational (Kc = 2, x = 1/20, alpha = 1 gives the value 0.1).
-    Only at alpha = 0 or x = 1 is the tag dropped: the compensator is then
-    the constant Kc/1, while symbolic-then-substitute at those values keeps
-    the tag on 1/1, and which of the two conventions to keep is still open.
+    At alpha = 0 or x = 1 the kernel is 1, so the compensator is 1/1 under
+    the same tag, whose value is then Kc: the form symbolic-then-substitute
+    gives at those values.
     """
     _check_order(order)
     alpha = _sym(spec.alpha, "alpha")
     x = _sym(spec.x, "x")
     lam = _sym(spec.lam, "lam")
-    kc = _sym(spec.Kc, "Kc")
+    gain = _gain_tag("Kc*x^alpha", {"Kc": spec.Kc, "x": spec.x, "alpha": spec.alpha})
     degenerate = (spec.alpha is not None and spec.alpha == 0) or (
         spec.x is not None and spec.x == 1
     )
     if degenerate:
-        return make_tf((kc,), (1,))
+        return make_tf((1,), (1,), gain=gain)
     p, q, notes = _kernel_pade(alpha, order)
-    inv = 1 / polys.sequence_content([p, q])
-    p, q = ([_ring(c * inv) for c in cs] for cs in (p, q))
-    num, den = _moebius(p, x), _moebius(q, x)
-    gain = _gain_tag("Kc*x^alpha", {"Kc": spec.Kc, "x": spec.x, "alpha": spec.alpha})
-    return make_tf(_rescale(num, lam), _rescale(den, lam), gain=gain, notes=notes)
+    num, den = (_homogenize(_moebius(c, x), lam, 1, order) for c in (p, q))
+    return make_tf(num, den, gain=gain, notes=notes)
 
 
 def _moebius(coeffs, x) -> tuple:

@@ -65,17 +65,9 @@ def scale(a, factor) -> tuple:
     return trim(tuple(c * factor for c in a))
 
 
-def reverse(coeffs, length: int | None = None) -> tuple:
-    """Reverse coefficient order, padding with zeros up to `length` first.
-
-    Realizes the substitution s -> 1/s followed by clearing denominators.
-    """
-    coeffs = list(coeffs)
-    if length is not None:
-        if length < len(coeffs):
-            raise ValueError("length shorter than the coefficient sequence")
-        coeffs += [Fraction(0)] * (length - len(coeffs))
-    return trim(reversed(coeffs))
+def reverse(coeffs) -> tuple:
+    """Reverse coefficient order: s -> 1/s, then times s^(len(coeffs) - 1)."""
+    return trim(reversed(tuple(coeffs)))
 
 
 def primitive(coeffs) -> tuple[Fraction, tuple]:

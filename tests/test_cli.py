@@ -1,6 +1,7 @@
 """Command-line interface: document formats, determinism, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,14 +12,19 @@ import pytest
 
 import fracrat
 from fracrat import (
+    BaselineConfig,
     Differintegrator,
     GainTag,
     LadderElement,
     LadderNetwork,
     ParamPoly,
     ValidationError,
+    bode,
     ladder_to_tf,
+    log_grid,
     make_tf,
+    modified_oustaloup,
+    oustaloup,
     realize_differintegrator,
     tf_equal,
 )
@@ -389,6 +395,22 @@ def test_sweeps_reject_a_non_finite_band(tmp_path, capsys):
         assert rc == 2, omega_h
         assert capsys.readouterr().err == "error: need 0 < omega_b < omega_h < inf\n"
         assert not out.exists() and not report.exists()
+    # nor must a finite band whose rungs, coefficients or anchor leave the floats
+    for order, method, fmax, edges in (
+        ("1", "mod-oustaloup", "2", ("--omega-h", "1e300")),
+        ("3", "oustaloup", "10", ("--omega-b", "1e-300")),
+        ("3", "oustaloup", "10", ("--omega-h", "1e200")),
+        ("3", "mod-oustaloup", "10", ("--omega-h", "1e200")),
+        ("2", "oustaloup", "10", ("--omega-b", "5e-324")),
+        ("2", "mod-oustaloup", "10", ("--omega-b", "1e-300", "--omega-h", "1e300")),
+        ("8", "oustaloup", "10", ("--omega-b", "1e-150", "--omega-h", "1e150")),
+    ):
+        rc = run("compare", "--lambda", "1/2", "--order", order, "--methods", method,
+                 "--fmin", "1", "--fmax", fmax, *edges, "-o", str(out), "--report", str(report))
+        assert rc == 2, edges
+        err = capsys.readouterr().err
+        assert err.startswith("error: baseline band [") and err.endswith(" is past float range\n")
+        assert not out.exists() and not report.exists()
 
 
 def test_sweeps_reject_a_grid_without_points(tmp_path, capsys):
@@ -437,6 +459,68 @@ def test_compare_refuses_a_carlson_degree_past_the_budget(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Carlson degree" in err
     assert "Traceback" not in err
+
+
+_COMPARE_BAND = ("--fmin", "0.5", "--fmax", "50", "--points-per-decade", "3")
+
+
+@pytest.mark.parametrize("unit", ["hz", "rad"])
+@pytest.mark.parametrize(
+    "flags",
+    [(), ("--T", "1/10"), ("--omega-b", "2"), ("--omega-h", "300"),
+     ("--T", "7/2", "--omega-b", "2", "--omega-h", "300")],
+)
+def test_compare_columns_are_the_bode_of_each_method(tmp_path, unit, flags):
+    # each column is the sweep of the TF built directly, from the flags given
+    # or their defaults: T = 1 and the grid's ends in rad/s
+    out = tmp_path / "cmp.csv"
+    rc = run("compare", "--lambda", "1/3", "--order", "3", "--methods",
+             "cfe-high,oustaloup,mod-oustaloup", *_COMPARE_BAND, "--unit", unit, *flags,
+             "-o", str(out))
+    assert rc == 0
+    given = dict(zip(flags[::2], flags[1::2]))
+    lam = Fraction(1, 3)
+    T = Fraction(given.get("--T", 1))
+    scale = 2 * math.pi if unit == "hz" else 1.0
+    omega_b = float(given.get("--omega-b", 0.5 * scale))
+    omega_h = float(given.get("--omega-h", 50 * scale))
+    cfg = BaselineConfig(lam, omega_b, omega_h, 3)
+    grid = log_grid(0.5, 50, 3, unit)
+    sweeps = [
+        bode(realize_differintegrator(Differintegrator(lam, freq_range="high", T=T), 3), grid),
+        bode(oustaloup(cfg).reciprocal(), grid),
+        bode(modified_oustaloup(cfg).reciprocal(), grid),
+    ]
+    lines = out.read_text().splitlines()
+    assert lines[1] == f"freq,{unit},ideal_mag_db,ideal_phase_deg," + ",".join(
+        f"{m}_{part}" for m in ("cfe_high", "oustaloup", "mod_oustaloup")
+        for part in ("mag_db", "phase_deg")
+    )
+    for i, line in enumerate(lines[2:]):
+        want = [v for sweep in sweeps for v in (sweep.mag_db[i], sweep.phase_deg[i])]
+        assert [float(c) for c in line.split(",")[4:]] == want
+    assert len(lines) == 2 + len(grid)
+    meta = json.loads(lines[0][2:])
+    recorded = {key: meta[key] for key in ("T", "omega_b", "omega_h") if key in meta}
+    assert recorded == {
+        key: float(given[flag]) if key != "T" else given[flag]
+        for key, flag in (("T", "--T"), ("omega_b", "--omega-b"), ("omega_h", "--omega-h"))
+        if flag in given
+    }
+
+
+def test_compare_refuses_a_flag_no_method_reads(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    for methods, flags, err in (
+        ("cfe-low,oustaloup,carlson", ("--T", "2"), "--T only applies to cfe-high"),
+        ("cfe-low,cfe-high", ("--omega-b", "2"), "--omega-b only applies to oustaloup or mod-oustaloup"),
+        ("carlson", ("--omega-h", "300"), "--omega-h only applies to oustaloup or mod-oustaloup"),
+    ):
+        rc = run("compare", "--lambda", "1/2", "--order", "2", "--methods", methods, *_COMPARE_BAND,
+                 *flags, "-o", str(out))
+        assert rc == 2, flags
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not out.exists()
 
 
 def test_compare_validates_method_list():

@@ -25,7 +25,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fracrat.cli import main  # noqa: E402
@@ -129,6 +129,12 @@ def _compare_argv(draw):
 
 @BUDGET
 @given(_compare_argv(), st.booleans())
+# an overflowing rung that the budget above finds only now and then
+@example(
+    ["compare", "--lambda", "1/2", "--order", "1", "--methods", "mod-oustaloup",
+     "--fmin", "1", "--fmax", "2", "--omega-h", "1e300"],
+    False,
+)
 def test_compare_keeps_the_exit_contract(argv, with_report):
     with tempfile.TemporaryDirectory() as tmp:
         argv = argv + ["-o", os.path.join(tmp, "sweep.csv")]

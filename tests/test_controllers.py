@@ -312,12 +312,13 @@ def test_leadlag_kernel_scaling_in_lam():
 
 
 def test_leadlag_degenerate_cases_flatten():
+    # the kernel is 1; Kc rides in the tag, as for every other lead-lag
     flat_alpha = realize_leadlag(LeadLag(Fraction(5), Fraction(2), HALF, Fraction(0)), 3)
-    assert flat_alpha.num == (5,)
-    assert flat_alpha.den == (1,)
+    assert (flat_alpha.num, flat_alpha.den) == ((1,), (1,))
+    assert flat_alpha.gain == GainTag("Kc*x^alpha", 5.0)
     flat_x = realize_leadlag(LeadLag(Fraction(5), Fraction(2), Fraction(1), HALF), 3)
-    assert flat_x.num == (5,)
-    assert flat_x.den == (1,)
+    assert (flat_x.num, flat_x.den) == ((1,), (1,))
+    assert flat_x.gain == GainTag("Kc*x^alpha", 5.0)
 
 
 def test_leadlag_symbolic_specializes_to_numeric():
@@ -446,17 +447,19 @@ def _degenerate_substitutions(n: int):
         for lam, mu in ((one, one), (one, HALF), (HALF, one)):
             numeric = realize_fopid(FOPID(*gains, lam, mu), band, n)
             yield sym, {"lam": lam, "mu": mu}, numeric
-    kc, lam = Fraction(2), Fraction(1, 10)
+    # the lead-lag at alpha = 1, and where its kernel is 1: alpha = 0 or x = 1
+    kc, lam, zero = Fraction(2), Fraction(1, 10), Fraction(0)
     sym = realize_leadlag(LeadLag(kc, lam, None, None), n)
-    for x in (Fraction(1, 20), HALF):
-        yield sym, {"alpha": one, "x": x}, realize_leadlag(LeadLag(kc, lam, x, one), n)
+    cases = ((one, Fraction(1, 20)), (one, HALF), (zero, HALF), (HALF, one), (zero, one), (one, one))
+    for alpha, x in cases:
+        yield sym, {"alpha": alpha, "x": x}, realize_leadlag(LeadLag(kc, lam, x, alpha), n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_symbolic_substitution_at_integer_exponents_matches_numeric(n):
     for sym, values, numeric in _degenerate_substitutions(n):
         got = sym.substitute(values)
-        assert (got.num, got.den) == (numeric.num, numeric.den), values
+        assert (got.num, got.den, got.gain) == (numeric.num, numeric.den, numeric.gain), values
 
 
 def _generic_integrator(band: str, T, n: int):
@@ -467,7 +470,8 @@ def _generic_integrator(band: str, T, n: int):
         return pade(PowerSeries(tuple(c * T**k for k, c in enumerate(series))), n, n)
     ref = pade(binomial_series(1, 2 * n), n, n)
     width = max(len(ref.num), len(ref.den))
-    return make_tf(polys.reverse(ref.num, width), polys.reverse(ref.den, width), notes=ref.notes)
+    num, den = (side + (0,) * (width - len(side)) for side in (ref.num, ref.den))
+    return make_tf(polys.reverse(num), polys.reverse(den), notes=ref.notes)
 
 
 def _same(tf, ref):
