@@ -190,8 +190,8 @@ def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
     makes the whole TF float, and a float beside a ParamPoly raises
     ValidationError. Exact rings are scaled to collectively
     integer-primitive coefficients with a positive leading denominator
-    coefficient; the float ring is only trimmed. A zero denominator is
-    rejected.
+    coefficient (a unit content leaves them as given); the float ring is
+    only trimmed. A zero denominator is rejected.
     """
     num = [_coerce_exact(c) for c in num]
     den = [_coerce_exact(c) for c in den]
@@ -210,10 +210,10 @@ def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
         )
     if not num:
         return TransferFunction((Fraction(0),), (Fraction(1),), ring, gain, tuple(notes))
-    content = polys.sequence_content([num, den])
-    inv = Fraction(1) / content
-    num = [c * inv for c in num]
-    den = [c * inv for c in den]
+    inv = Fraction(1) / polys.sequence_content([num, den])
+    if inv != 1:
+        num = [c * inv for c in num]
+        den = [c * inv for c in den]
     lead = den[-1]
     if (lead.leading_coeff() if isinstance(lead, ParamPoly) else lead) < 0:
         num = [-c for c in num]

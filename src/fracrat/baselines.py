@@ -16,7 +16,7 @@ Three classical constructions, frozen here so results are reproducible:
   factor.
 * Carlson: the Newton-type fixed-point iteration on H^q = s^m,
   H_{k+1} = H_k * ((q-1)H_k^q + (q+1)s^m) / ((q+1)H_k^q + (q-1)s^m),
-  starting from H_0 = 1, carried out in exact integer arithmetic.
+  from H_0 = 1, on the numerator alone (the denominator is its reverse).
 
 All three build the differentiator s^{+lambda}; take reciprocal() for
 the integrator. The two Oustaloup variants are numeric (float ring);
@@ -137,10 +137,14 @@ def modified_oustaloup(cfg: BaselineConfig) -> TransferFunction:
 def carlson(lam, iterations: int) -> TransferFunction:
     """Fixed-point iterate for s^lam with lam = m/q, q in {2, 3, 4}.
 
-    Runs over Python ints (the seeds s^m, 1, 1 and every step are
-    integral); make_tf returns the exact rational TF. The degree grows as
-    d' = (q+1)*d + m, so q = 2 gives degrees 1, 4, 13, ...; a final
-    degree past _MAX_DEGREE raises ValidationError before any product.
+    Runs over Python ints; make_tf returns the exact rational TF. The
+    degree grows as d' = (q+1)*d + m, so q = 2 gives degrees 1, 4, 13, ...;
+    a final degree past _MAX_DEGREE raises ValidationError before any
+    product. Only num is iterated: with den = rev(num) of degree d, keep =
+    (q-1)num^q + (q+1)s^m*den^q and move (q-1 and q+1 swapped), padded to
+    length qd+m+1, satisfy move = rev(keep), so den*move = rev(num*keep).
+    All coefficients stay positive, so no length drops. Each step divides
+    num by its content, which leaves H unchanged: keep is homogeneous in num.
     """
     lam = _rat(lam, "lam")
     if lam <= 0:
@@ -158,22 +162,16 @@ def carlson(lam, iterations: int) -> TransferFunction:
         degree = (q + 1) * degree + m
         if degree > _MAX_DEGREE:
             raise ValidationError(f"Carlson degree passes {_MAX_DEGREE} at {iterations} iterations")
-    g = (0,) * m + (1,)
     num = (1,)
-    den = (1,)
     for _ in range(iterations):
         num_q = _pow(num, q)
-        den_q = _pow(den, q)
-        gd = polys.mul(g, den_q)
+        gd = (0,) * m + num_q[::-1]  # s^m * den^q
         keep = polys.add(polys.scale(num_q, q - 1), polys.scale(gd, q + 1))
-        move = polys.add(polys.scale(num_q, q + 1), polys.scale(gd, q - 1))
-        num = polys.mul(num, keep)
-        den = polys.mul(den, move)
-    return make_tf(num, den)
+        num = polys.primitive(polys.mul(num, keep))[1]
+    return make_tf(num, num[::-1])
 
 
 def _pow(coeffs, n: int):
-    out = (1,)
-    for _ in range(n):
-        out = polys.mul(out, coeffs)
-    return out
+    """coeffs^n for n in {2, 3, 4} by squaring: one product at 2, two at 3 or 4."""
+    square = polys.mul(coeffs, coeffs)
+    return square if n == 2 else polys.mul(square, square if n == 4 else coeffs)

@@ -129,6 +129,9 @@ def test_make_tf_normalizes_exact_coefficients():
     assert t.num == (1, 2)
     assert t.den == (3, 4)
     assert t.ring == "rational"
+    t = make_tf((2, 4), (6,))
+    assert (t.num, t.den) == ((1, 2), (3,))
+    assert all(type(c) is Fraction for c in t.num + t.den)
     # trailing zeros drop, leading denominator coefficient stays positive
     t = make_tf((1, 0), (-2, -4, 0))
     assert t.num == (-1,)
@@ -157,6 +160,23 @@ def test_make_tf_normalizes_symbolic_coefficients():
         t = make_tf((Fraction(2, 9),), (sign * p,))
         assert t.num == (sign,)
         assert t.den == (6 * lam**2 - 3 * lam,)
+
+
+@pytest.mark.parametrize(
+    "num, den, gain",
+    [
+        ((Fraction(1, 2), 3), (2, 5), GainTag("Kp^mu", 2.0)),
+        ((ParamPoly.var("lam"), 1), (2 * ParamPoly.var("lam"), 3), GainTag("Kp^mu")),
+        ((0.5, 1.0), (2.0, 3.0), None),
+    ],
+)
+def test_make_tf_returns_a_normalized_tf_unchanged(num, den, gain):
+    tf = make_tf(num, den, gain=gain, notes=("pade-defect=1",))
+    again = make_tf(tf.num, tf.den, gain=tf.gain, notes=tf.notes)
+    assert (again.num, again.den, again.ring, again.gain, again.notes) == (
+        tf.num, tf.den, tf.ring, tf.gain, tf.notes
+    )
+    assert [type(c) for c in again.num + again.den] == [type(c) for c in tf.num + tf.den]
 
 
 def test_make_tf_rejects_zero_denominator():

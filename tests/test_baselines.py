@@ -184,13 +184,28 @@ def _fraction_carlson(lam, iterations):
     return make_tf(num, den)
 
 
-@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3), Fraction(3, 4)])
-@pytest.mark.parametrize("iterations", [1, 2, 3, 4])
+_ORACLE_LAMS = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3), Fraction(3, 4),
+                Fraction(3, 2), Fraction(5, 4), Fraction(5, 3), Fraction(7, 4)]
+
+
+@pytest.mark.parametrize(
+    "lam, iterations",
+    # every case up to five iterations of degree m((q+1)^k - 1)/q <= 500, the
+    # sweep's lam = 1/2 and 1/3 at five among them; past that bound (5/4 and
+    # 7/4 at four iterations) the oracle takes 2-5 s a case
+    [
+        pytest.param(lam, k, id=f"{k}-lam{i}")
+        for k in (1, 2, 3, 4, 5)
+        for i, lam in enumerate(_ORACLE_LAMS)
+        if lam.numerator * ((lam.denominator + 1) ** k - 1) // lam.denominator <= 500
+    ],
+)
 def test_carlson_matches_the_fraction_iteration(lam, iterations):
     tf = carlson(lam, iterations)
     ref = _fraction_carlson(lam, iterations)
     assert (tf.num, tf.den) == (ref.num, ref.den)
     assert all(type(c) is Fraction for c in tf.num + tf.den)
+    assert tf.den == tuple(reversed(tf.num))
 
 
 def test_carlson_degree_budget_refuses_before_building():

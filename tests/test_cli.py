@@ -461,6 +461,22 @@ def test_compare_refuses_a_carlson_degree_past_the_budget(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="ROADMAP item 6: bode overflows on the coefficients of a deep Carlson iterate")
+def test_compare_sweeps_a_deep_carlson_iterate(tmp_path):
+    # degree 1365 is inside the 4096 budget; the exact TF equals s^-1/3 at
+    # these points to every printed digit
+    out = tmp_path / "cmp.csv"
+    rc = run("compare", "--lambda", "1/3", "--order", "6", "--methods", "carlson",
+             "--fmin", "0.01", "--fmax", "1", "--unit", "rad", "-o", str(out))
+    assert rc == 0
+    rows = [[float(c) for c in line.split(",")[2:]] for line in out.read_text().splitlines()[2:]]
+    assert rows
+    for ideal_mag, ideal_phase, mag, phase in rows:
+        assert mag == pytest.approx(ideal_mag, abs=1e-6)
+        assert phase == pytest.approx(ideal_phase, abs=1e-6)
+
+
 _COMPARE_BAND = ("--fmin", "0.5", "--fmax", "50", "--points-per-decade", "3")
 
 
