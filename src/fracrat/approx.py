@@ -271,28 +271,23 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     c = [_coerce_exact(v) for v in series.coeffs]
     if any(isinstance(v, ParamPoly) for v in c):
         raise ValidationError("pade needs numeric coefficients; substitute the symbols first")
+    z = [Fraction(0)] * k + c  # z[k + i] = c_i, and 0 for i < 0; the check keeps i <= m + k
     defect = 0
     q = [Fraction(1)]
     if k:
-        rows = [[_series_at(c, m + r - j) for j in range(k)] for r in range(k)]
-        rhs = [-_series_at(c, m + 1 + r) for r in range(k)]
+        rows = [[z[k + m + r - j] for j in range(k)] for r in range(k)]
+        rhs = [-c[m + 1 + r] for r in range(k)]
         try:
             sol, defect = solve_particular(rows, rhs)
         except InconsistentSystemError:
             raise DegenerateMathError("denominator vanishes at the expansion point") from None
         q += sol
     num = [
-        sum((q[j] * _series_at(c, i - j) for j in range(min(i, k) + 1)), Fraction(0))
+        sum((q[j] * c[i - j] for j in range(min(i, k) + 1)), Fraction(0))
         for i in range(m + 1)
     ]
     notes = (f"pade-defect={defect}",) if defect else ()
     return make_tf(num, q, notes=notes)
-
-
-def _series_at(c, idx):
-    if idx < 0 or idx >= len(c):
-        return Fraction(0)
-    return c[idx]
 
 
 def _cancel_common_factor(num, den):

@@ -42,7 +42,7 @@ from .controllers import (
     realize_leadlag,
 )
 from .errors import FracratError, ValidationError
-from .freqresp import bode, fit_report, ideal_response, log_grid
+from .freqresp import PHASE_TOL_DEG, bode, fit_report, ideal_response, log_grid
 from .ladder import export_netlist, map_elements, synthesize_ladder
 
 # (dest, flag, help) of the controllers' rational parameters: the parser
@@ -420,7 +420,7 @@ def _run_compare(args) -> int:
             "format": "fit-report",
             "unit": args.unit,
             "band": list(band),
-            "phase_tol_deg": 5.0,
+            "phase_tol_deg": PHASE_TOL_DEG,
             "methods": {m: asdict(fit_report(sweeps[m], ideal, band)) for m in methods},
         }
         _write_text(args.report, _json_document(doc, meta))

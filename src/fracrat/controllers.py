@@ -54,7 +54,8 @@ class Differintegrator:
     """s^(-lam) (integrator) or s^(+lam) (differentiator) to approximate.
 
     freq_range picks the generating function: "low" expands (1 + 1/s)^lam
-    about s = infinity, "high" expands (1 + sT)^(-lam) about s = 0.
+    about s = infinity, "high" expands (1 + sT)^(-lam) about s = 0. The low
+    band has no time constant, so T must stay 1 there.
     """
 
     lam: Fraction | None
@@ -71,6 +72,8 @@ class Differintegrator:
             raise ValidationError(f"freq_range must be one of {_RANGES}")
         if self.T <= 0:
             raise ValidationError("T must be positive")
+        if self.freq_range == "low" and self.T != 1:
+            raise ValidationError(f"T = {self.T} only applies to the high band, not the low one")
         if self.lam is not None and not 0 < self.lam <= 1:
             raise ValidationError("lam must lie in (0, 1]")
 

@@ -124,15 +124,6 @@ class ParamPoly:
             raise ValidationError("polynomial is not constant")
         return Fraction(self.terms[_ZERO_KEY])
 
-    def degree(self, symbol: str | None = None) -> int:
-        """Total degree, or the degree in one symbol. Zero polynomial: -1."""
-        if not self.terms:
-            return -1
-        if symbol is None:
-            return max(sum(key) for key in self.terms)
-        i = _INDEX[symbol]
-        return max(key[i] for key in self.terms)
-
     def leading_key(self) -> tuple:
         if not self.terms:
             raise ValidationError("zero polynomial has no leading term")
@@ -231,6 +222,9 @@ class ParamPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes like it too
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(frozenset(self.terms.items()))
 
     # -- structure ---------------------------------------------------------

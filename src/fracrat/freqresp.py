@@ -24,6 +24,9 @@ if TYPE_CHECKING:
 
 _UNITS = ("hz", "rad")
 
+#: Half-width, in degrees, of fit_report's constant-phase band around its target.
+PHASE_TOL_DEG = 5.0
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -232,13 +235,13 @@ def fit_report(
     approx: BodeSweep,
     ideal: BodeSweep,
     band: tuple,
-    phase_tol_deg: float = 5.0,
 ) -> FitReport:
     """Compare two sweeps over a band of the shared grid.
 
     The constant-phase band is measured on the approximation against the
     ideal sweep's phase at the band's low edge (the ideal phase of every
-    controller in scope is flat wherever it is used as a target).
+    controller in scope is flat wherever it is used as a target), within
+    PHASE_TOL_DEG.
     """
     import numpy as np
 
@@ -254,7 +257,7 @@ def fit_report(
     dphase = np.abs(np.asarray(approx.phase_deg) - np.asarray(ideal.phase_deg))[mask]
     dmag = np.abs(np.asarray(approx.mag_db) - np.asarray(ideal.mag_db))[mask]
     target = float(np.asarray(ideal.phase_deg)[mask][0])
-    cpb = constant_phase_band(approx, target, phase_tol_deg)
+    cpb = constant_phase_band(approx, target, PHASE_TOL_DEG)
     return FitReport(
         max_phase_err_deg=float(np.max(dphase)),
         mean_phase_err_deg=float(np.mean(dphase)),

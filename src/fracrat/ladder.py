@@ -115,24 +115,6 @@ class CircuitElement:
     nic_wrapped: bool = False
 
 
-def _sign_uniform_parts(g: Fraction, h: Fraction):
-    """Split an affine value into at most two sign-uniform (g, h, negative) parts."""
-    if g >= 0 and h >= 0:
-        return [(g, h, False)]
-    if g <= 0 and h <= 0:
-        return [(-g, -h, True)]
-    parts = []
-    if g > 0:
-        parts.append((g, Fraction(0), False))
-    elif g < 0:
-        parts.append((-g, Fraction(0), True))
-    if h > 0:
-        parts.append((Fraction(0), h, False))
-    elif h < 0:
-        parts.append((Fraction(0), -h, True))
-    return parts
-
-
 def map_elements(net: LadderNetwork) -> list:
     """Passive components (with NIC wrapping) for every ladder rung.
 
@@ -145,7 +127,10 @@ def map_elements(net: LadderNetwork) -> list:
         if not (el.g or el.h):
             continue
         series = el.role == "Z"
-        for g, h, negative in _sign_uniform_parts(el.g, el.h):
+        parts = ((el.g, 0), (0, el.h)) if el.g * el.h < 0 else ((el.g, el.h),)
+        for g, h in parts:
+            negative = g < 0 or h < 0
+            g, h = abs(g), abs(h)
             out.append(
                 CircuitElement(
                     role=el.role,
@@ -187,7 +172,7 @@ def _component_lines(element: CircuitElement, a: str, b: str, counts: dict) -> l
     return lines
 
 
-def export_netlist(elements, name: str = "ladder") -> str:
+def export_netlist(elements) -> str:
     """SPICE-dialect netlist of the mapped ladder.
 
     Series rungs advance the chain node, shunt rungs hang off it; the last
@@ -198,8 +183,8 @@ def export_netlist(elements, name: str = "ladder") -> str:
     Each NIC-wrapped part becomes an instance of its own subcircuit, listed
     after the main lines: the Fig.-2 style converter, a VCVS of finite gain
     1e6 with two equal feedback resistors, presents the negated element
-    between its ports p and t. Subcircuit nodes and references are numbered
-    locally.
+    between its ports p and t. Instance XK takes subcircuit ladder_nicK;
+    subcircuit nodes and references are numbered locally.
     """
     elements = sorted(elements, key=lambda el: el.position)
     if not elements:
@@ -212,7 +197,7 @@ def export_netlist(elements, name: str = "ladder") -> str:
             lines.extend(_component_lines(element, a, b, counts))
             return
         ref = _next(counts, "X")
-        sub = f"{name}_nic{counts['X']}"
+        sub = f"ladder_nic{counts['X']}"
         lines.append(f"{ref} {a} {b} {sub}")
         subckts.append(f".subckt {sub} p t")
         subckts.append(f"E1 o t p m {_NIC_OPAMP_GAIN}")

@@ -1,8 +1,8 @@
 """Truncated formal power series with exact rational coefficients.
 
 Generates the series that the generic Pade construction consumes: the
-generalized binomial power (1 + t)^a, exp(t), and the lead-lag kernel
-((1 + w)/(1 + x w))^a, the last built as exp(a*(log(1+w) - log(1+x*w))).
+generalized binomial power (1 + t)^a and the lead-lag kernel
+((1 + w)/(1 + x w))^a = (1 + w)^a (1 + x w)^(-a), a product of two of them.
 The controller realizations read their approximants off closed forms
 instead; these series are the reference those closed forms are checked
 against. Parameters and coefficients are exact scalars (BigRat); a
@@ -62,40 +62,15 @@ def binomial_series(exponent, n: int) -> PowerSeries:
     return PowerSeries(tuple(coeffs))
 
 
-def exp_series(n: int) -> PowerSeries:
-    """Series of exp(t): coefficient k is 1/k!."""
-    if n < 0:
-        raise ValidationError("series order must be non-negative")
-    coeffs = [Fraction(1)]
-    for k in range(1, n + 1):
-        coeffs.append(coeffs[-1] / k)
-    return PowerSeries(tuple(coeffs))
-
-
-def _scalar_exp_recurrence(u_coeffs, n: int):
-    """exp of a series with zero constant term, via k*e_k = sum j*u_j*e_{k-j}."""
-    e = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc = acc + j * u_coeffs[j] * e[k - j]
-        e.append(acc / k)
-    return e
-
-
 def leadlag_kernel_series(alpha, x, n: int) -> PowerSeries:
     """Series of ((1 + w)/(1 + x*w))^alpha in w through order n.
 
-    Built as exp(alpha * (log(1+w) - log(1+x*w))); the log difference has
-    coefficient (-1)^(k+1) (1 - x^k)/k.
+    Built as the truncated product of (1 + w)^alpha and (1 + x*w)^(-alpha),
+    the binomial series of -alpha with coefficient k scaled by x^k.
     """
-    if n < 0:
-        raise ValidationError("series order must be non-negative")
-    a = _coerce_rat(alpha)
+    lead = binomial_series(alpha, n).coeffs
     xv = _coerce_rat(x)
-    u = [Fraction(0)]
-    xpow = xv
-    for k in range(1, n + 1):
-        u.append(a * Fraction((-1) ** (k + 1), k) * (1 - xpow))
-        xpow = xpow * xv
-    return PowerSeries(tuple(_scalar_exp_recurrence(u, n)))
+    lag = [c * xv**k for k, c in enumerate(binomial_series(-_coerce_rat(alpha), n).coeffs)]
+    return PowerSeries(
+        tuple(sum((lead[i] * lag[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n + 1))
+    )

@@ -45,7 +45,6 @@ NUMERIC_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 20, 40, 60, 120)
 SMALL_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8)
 _SIGNS = ("integrator", "differentiator")
 _BANDS = ("low", "high")
-_GAINS = ("--kp", "--ki", "--kd")
 
 
 def _realizations():
@@ -70,8 +69,8 @@ def _realizations():
             flags = ("--controller", "fopid", "--kp", "1", "--ki", "1/2", "--kd", "1/4")
             orders = NUMERIC_ORDERS if (lam, mu) == ("1/2", "1/2") else SMALL_ORDERS
             yield flags + ("--lambda", lam, "--mu", mu, "--range", band), orders, 60 if band == "low" else 20
-        for gains in (("0", "1/2", "1/4"), ("1", "0", "1/4"), ("1", "1/2", "0"), ("0", "0", "1")):
-            flags = ("--controller", "fopid", *_interleave(_GAINS, gains))
+        for kp, ki, kd in (("0", "1/2", "1/4"), ("1", "0", "1/4"), ("1", "1/2", "0"), ("0", "0", "1")):
+            flags = ("--controller", "fopid", "--kp", kp, "--ki", ki, "--kd", kd)
             yield flags + ("--lambda", "1/2", "--mu", "1/2", "--range", band), SMALL_ORDERS, None
     for mu in ("1/2", "13/10", "1", "3/2"):
         orders = NUMERIC_ORDERS if mu == "1/2" else SMALL_ORDERS
@@ -81,10 +80,6 @@ def _realizations():
         flags = ("--controller", "leadlag", "--kc", "2", "--lambda", "1/10", "--x", x, "--alpha", alpha)
         orders = NUMERIC_ORDERS if (x, alpha) == ("1/20", "1/2") else SMALL_ORDERS
         yield flags, orders, 20
-
-
-def _interleave(flags, values):
-    return tuple(item for pair in zip(flags, values) for item in pair)
 
 
 def _float_realizations():

@@ -21,7 +21,15 @@ from fracrat import (
     rational_to_cfe,
     tf_equal,
 )
-from fracrat.series import binomial_series, exp_series
+from fracrat.series import binomial_series
+
+
+def _exp_series(n: int) -> PowerSeries:
+    """Series of exp(t) through order n: coefficient k is 1/k!."""
+    coeffs = [Fraction(1)]
+    for k in range(1, n + 1):
+        coeffs.append(coeffs[-1] / k)
+    return PowerSeries(tuple(coeffs))
 
 
 def _random_series(rng: random.Random, order: int) -> PowerSeries:
@@ -52,7 +60,7 @@ def _match_order(series: PowerSeries, tf) -> int:
 
 
 def test_pade_exponential_2_2():
-    t = pade(exp_series(4), 2, 2)
+    t = pade(_exp_series(4), 2, 2)
     assert t.num == (12, 6, 1)
     assert t.den == (12, -6, 1)
     assert t.notes == ()
@@ -84,8 +92,8 @@ def test_pade_matches_series_through_m_plus_k():
 
 
 def test_pade_unequal_degrees():
-    t = pade(exp_series(3), 2, 1)
-    s = exp_series(3)
+    t = pade(_exp_series(3), 2, 1)
+    s = _exp_series(3)
     assert t.num_degree == 2 and t.den_degree == 1
     assert _match_order(s, t) >= 3
 
@@ -119,9 +127,9 @@ def test_pade_rejects_symbolic_series():
 
 def test_pade_preconditions():
     with pytest.raises(ValidationError):
-        pade(exp_series(3), -1, 1)
+        pade(_exp_series(3), -1, 1)
     with pytest.raises(ValidationError):
-        pade(exp_series(2), 2, 2)
+        pade(_exp_series(2), 2, 2)
 
 
 def test_make_tf_normalizes_exact_coefficients():

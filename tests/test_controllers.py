@@ -29,6 +29,7 @@ from fracrat import (
 )
 from fracrat import polys
 from fracrat.controllers import _binomial_pade
+from fracrat.exact import SYMBOLS
 
 
 HALF = Fraction(1, 2)
@@ -93,6 +94,17 @@ def test_differintegrator_validation():
         realize_differintegrator(Differintegrator(HALF), 0)
     # lam = None keeps the order symbolic, as every other builder does
     assert realize_differintegrator(Differintegrator(None), 3) == symbolic_differintegrator("low", 3)
+
+
+def test_low_band_refuses_a_time_constant():
+    # the low band's kernel (1 + 1/s)^lam has no T: a T other than 1 there
+    # was ignored, and the TF came out as at T = 1
+    for lam in (HALF, None):
+        for T in (Fraction(7), Fraction(1, 10), "2"):
+            with pytest.raises(ValidationError, match=r"^T = \S+ only applies to the high band"):
+                Differintegrator(lam, "integrator", "low", T)
+        assert Differintegrator(lam, "integrator", "low", Fraction(1)).T == 1
+        assert Differintegrator(lam, "integrator", "high", Fraction(7)).T == 7
 
 
 def test_spec_intake_rejects_non_rational_input():
@@ -525,7 +537,11 @@ def test_integer_exponents_match_the_generic_pade(n):
 
 
 def _max_degree(tf, symbol: str) -> int:
-    return max(c.degree(symbol) if isinstance(c, ParamPoly) else 0 for c in tf.num + tf.den)
+    i = SYMBOLS.index(symbol)
+    return max(
+        max(key[i] for key in c.terms) if isinstance(c, ParamPoly) and c else 0
+        for c in tf.num + tf.den
+    )
 
 
 def _agrees_at_points(sym, symbol: str, degree: int, reference):

@@ -200,27 +200,27 @@ def test_netlist_golden_mixed_signs_and_wrapped_series():
     # and a wrapped capacitor; the wrapped R+L of Z3 numbers its internal
     # node inside its own subcircuit
     net = _ladder((1, -2), (Fraction(1, 2), -3), (-3, -5), (2, 1))
-    assert export_netlist(map_elements(net), name="mix") == (
+    assert export_netlist(map_elements(net)) == (
         "R1 n0 n2 1\n"
-        "X1 n2 n1 mix_nic1\n"
+        "X1 n2 n1 ladder_nic1\n"
         "R2 n1 0 2\n"
-        "X2 n1 0 mix_nic2\n"
-        "X3 n1 n3 mix_nic3\n"
+        "X2 n1 0 ladder_nic2\n"
+        "X3 n1 n3 ladder_nic3\n"
         "R3 n3 0 0.5\n"
         "C1 n3 0 1\n"
-        ".subckt mix_nic1 p t\n"
+        ".subckt ladder_nic1 p t\n"
         "E1 o t p m 1e6\n"
         "R1 p o 1000\n"
         "R2 m o 1000\n"
         "L1 m t 2\n"
         ".ends\n"
-        ".subckt mix_nic2 p t\n"
+        ".subckt ladder_nic2 p t\n"
         "E1 o t p m 1e6\n"
         "R1 p o 1000\n"
         "R2 m o 1000\n"
         "C1 m t 3\n"
         ".ends\n"
-        ".subckt mix_nic3 p t\n"
+        ".subckt ladder_nic3 p t\n"
         "E1 o t p m 1e6\n"
         "R1 p o 1000\n"
         "R2 m o 1000\n"

@@ -1,4 +1,5 @@
-"""Truncated power series: the binomial, exp and lead-lag kernel generators."""
+"""Truncated power series: the binomial and lead-lag kernel generators, the
+reference series that the closed-form approximants are tested against."""
 
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fracrat import ParamPoly, PowerSeries, ValidationError, binomial_series
-from fracrat.series import exp_series, leadlag_kernel_series
+from fracrat.series import leadlag_kernel_series
 
 
 def _truncated_product(a: PowerSeries, b: PowerSeries) -> tuple:
@@ -55,12 +56,6 @@ def test_binomial_reciprocal_pair_multiplies_to_one():
         assert prod == (Fraction(1),) + (Fraction(0),) * 6
 
 
-def test_exp_series_coefficients():
-    e = exp_series(5)
-    assert e[3] == Fraction(1, 6)
-    assert e[5] == Fraction(1, 120)
-
-
 def test_leadlag_kernel_matches_direct_product():
     # ((1+w)/(1+x*w))^alpha == (1+w)^alpha * (1 + x*w)^(-alpha)
     rng = random.Random(47)
@@ -74,6 +69,23 @@ def test_leadlag_kernel_matches_direct_product():
         want = _truncated_product(lead, lag_scaled)
         got = leadlag_kernel_series(alpha, x, n)
         assert got.coeffs == want
+
+
+def test_leadlag_kernel_solves_its_differential_equation():
+    # f = ((1+w)/(1+x*w))^alpha has f'/f = alpha*(1-x)/((1+w)(1+x*w)), so
+    # (1 + (1+x)w + x*w^2) f' = alpha*(1-x) f, read coefficient by coefficient
+    # through order n - 1 (f' is known through order n - 1)
+    rng = random.Random(53)
+    n = 8
+    for _ in range(20):
+        alpha = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        f = leadlag_kernel_series(alpha, x, n).coeffs
+        assert f[0] == 1
+        df = [(k + 1) * f[k + 1] for k in range(n)]
+        for k in range(n):
+            lhs = df[k] + (1 + x) * (df[k - 1] if k >= 1 else 0) + x * (df[k - 2] if k >= 2 else 0)
+            assert lhs == alpha * (1 - x) * f[k], (alpha, x, k)
 
 
 def test_leadlag_kernel_degenerate_values():
