@@ -127,10 +127,12 @@ def map_elements(net: LadderNetwork) -> list:
         if not (el.g or el.h):
             continue
         series = el.role == "Z"
-        parts = ((el.g, 0), (0, el.h)) if el.g * el.h < 0 else ((el.g, el.h),)
+        mixed = el.g < 0 < el.h or el.h < 0 < el.g
+        parts = ((el.g, 0), (0, el.h)) if mixed else ((el.g, el.h),)
         for g, h in parts:
             negative = g < 0 or h < 0
-            g, h = abs(g), abs(h)
+            if negative:
+                g, h = -g, -h
             out.append(
                 CircuitElement(
                     role=el.role,
