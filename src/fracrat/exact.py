@@ -287,6 +287,20 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
+def _combine(scalars, polys) -> ParamPoly:
+    """sum_i scalars[i] * polys[i] for exact scalars and ParamPolys, in
+    one pass over their terms and with no product of ParamPolys."""
+    terms: dict = {}
+    get = terms.get
+    for s, poly in zip(scalars, polys):
+        if s:
+            for key, c in poly.terms.items():
+                terms[key] = get(key, 0) + s * c
+    out = ParamPoly.__new__(ParamPoly)
+    out.terms = _tidy(terms)
+    return out
+
+
 # -- linear solving -----------------------------------------------------------
 
 

@@ -177,6 +177,30 @@ def test_symbolic_document_partial_symbols(tmp_path):
     assert any("Kd" in c for c in doc["num"])
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (("--controller", "fopid", "--order", "5"), 142),
+        (("--controller", "fopd", "--order", "6"), 53),
+    ],
+)
+def test_symbolic_commands_count_few_parampoly_products(argv, bound, tmp_path, monkeypatch):
+    """A count, not a time: the kernel lifted once from ints in the
+    exponent keeps these commands at `bound` ParamPoly products, where one
+    ParamPoly times a Fraction per kernel coefficient took 194 and 156."""
+    calls = []
+    original = ParamPoly.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(ParamPoly, "__mul__", counting)
+    monkeypatch.setattr(ParamPoly, "__rmul__", counting)
+    assert run("symbolic", *argv, "-o", str(tmp_path / "sym.json")) == 0
+    assert 0 < len(calls) <= bound
+
+
 def test_symbolic_rejects_tf_document_emitter():
     sym = make_tf((ParamPoly.var("lam"),), (1,))
     with pytest.raises(ValidationError):

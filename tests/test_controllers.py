@@ -28,7 +28,7 @@ from fracrat import (
     tf_equal,
 )
 from fracrat import polys
-from fracrat.controllers import _binomial_pade
+from fracrat.controllers import _binomial_pade, _homogenize, _kernel_pade
 from fracrat.exact import SYMBOLS
 
 
@@ -574,3 +574,60 @@ def test_symbolic_pade_agrees_with_the_closed_form(n):
     closed = make_tf(*_binomial_pade(ParamPoly.var("lam"), n))
     assert _max_degree(closed, "lam") <= n
     _agrees_at_points(closed, "lam", 3 * n, lambda a: pade(binomial_series(a, 2 * n), n, n))
+
+
+def _exponents():
+    lam, mu, x = (ParamPoly.var(name) for name in ("lam", "mu", "x"))
+    # the last two have terms that share a factor, so the kernel keeps a
+    # content that it divides out after the lift
+    return {
+        "lam": lam,
+        "-lam": -lam,
+        "mu": mu,
+        "mu-1": mu - 1,
+        "2lam+x": 2 * lam + x,
+        "2lam": 2 * lam,
+        "lam/2": lam / 2,
+    }
+
+
+def _ring_types(c):
+    if isinstance(c, ParamPoly):
+        return ("ParamPoly", sorted({type(v).__name__ for v in c.terms.values()}))
+    return type(c).__name__
+
+
+@pytest.mark.parametrize("name", list(_exponents()))
+@pytest.mark.parametrize("n", range(1, 21))
+def test_symbolic_kernel_matches_the_generic_recurrence(name, n):
+    """The kernel built on ints in the exponent and lifted at a equals the
+    Fraction recurrence at a divided by its content, in value and in type:
+    an int constant entry, then ParamPolys with int coefficients."""
+    a = _exponents()[name]
+    p, q, notes = _kernel_pade(a, n)
+    ref_p, ref_q = _binomial_pade(a, n)
+    content = polys.sequence_content([ref_p, ref_q])
+    assert notes == ()
+    for got, ref in ((p, ref_p), (q, ref_q)):
+        assert len(got) == n + 1
+        assert list(got) == [c / content for c in ref]
+        assert type(got[0]) is int
+        assert [_ring_types(c) for c in got[1:]] == [("ParamPoly", ["int"])] * n
+
+
+@pytest.mark.parametrize("n", (1, 2, 6))
+def test_homogenize_matches_the_termwise_product(n):
+    mu, kp, kd = (ParamPoly.var(name) for name in ("mu", "Kp", "Kd"))
+    p, _, _ = _kernel_pade(mu, n)
+    for u, v in ((kd, kp), (kd, Fraction(3, 2)), (Fraction(5), kp)):
+        want = tuple(c * u**k * v ** (n - k) for k, c in enumerate(p))
+        got = _homogenize(p, u, v, n)
+        assert got == want
+        assert [_ring_types(c) for c in got] == [_ring_types(c) for c in want]
+    # a numeric u/v is read in lowest terms: 6/4 as 3/2, so ints stay ints
+    p, _, _ = _kernel_pade(Fraction(1, 3), n)
+    got = _homogenize(p, 6, 4, n)
+    assert got == tuple(c * 3**k * 2 ** (n - k) for k, c in enumerate(p))
+    assert all(type(c) is int for c in got)
+    # a shorter list, as for the a = -1 kernel, keeps v^n
+    assert _homogenize((1, 1), kd, kp, n) == (kp**n, kd * kp ** (n - 1))
