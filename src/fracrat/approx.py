@@ -188,10 +188,10 @@ def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
 
     The ring is read off the coefficients (see TransferFunction): one float
     makes the whole TF float, and a float beside a ParamPoly raises
-    ValidationError. Exact rings are scaled to collectively
-    integer-primitive coefficients with a positive leading denominator
-    coefficient (a unit content leaves them as given); the float ring is
-    only trimmed. A zero denominator is rejected.
+    ValidationError. Exact rings are scaled to collectively integer-primitive
+    coefficients with a positive leading denominator coefficient (a unit
+    content leaves them as given), and their zero TF is the rational
+    (0)/(1); the float ring is only trimmed. A zero denominator is rejected.
     """
     num = [_coerce_exact(c) for c in num]
     den = [_coerce_exact(c) for c in den]
@@ -209,7 +209,7 @@ def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
             tuple(notes),
         )
     if not num:
-        return TransferFunction((Fraction(0),), (Fraction(1),), ring, gain, tuple(notes))
+        return TransferFunction((Fraction(0),), (Fraction(1),), "rational", gain, tuple(notes))
     inv = Fraction(1) / polys.sequence_content([num, den])
     if inv != 1:
         num = [c * inv for c in num]

@@ -24,7 +24,7 @@ from math import factorial
 from . import polys
 from .approx import TransferFunction, _gain_tag, make_tf
 from .errors import ValidationError
-from .exact import ParamPoly, _combine, _ring
+from .exact import ParamPoly, _combine, _powers, _ring
 
 _SIGNS = ("integrator", "differentiator")
 _RANGES = ("low", "high")
@@ -235,14 +235,6 @@ def _exponent_pade(n: int) -> tuple[list, list]:
     return sides[0], sides[1]
 
 
-def _powers(x, n: int) -> list:
-    """[x^0, x, ..., x^n], one product per power past the first."""
-    out = [x**0, x]
-    while len(out) <= n:
-        out.append(out[-1] * x)
-    return out
-
-
 def _homogenize(coeffs, u, v, n: int) -> tuple:
     """c(z) at z = (u/v)s with v^n cleared: c_k * (u^k * v^(n-k)), for
     len(coeffs) <= n + 1. A numeric u/v is taken in lowest terms, so
@@ -255,16 +247,15 @@ def _homogenize(coeffs, u, v, n: int) -> tuple:
     return tuple(c * (pu[k] * pv[n - k]) for k, c in enumerate(coeffs))
 
 
-def _integrator(lam, freq_range: str, T, order: int) -> tuple:
+def _integrator(lam, freq_range: str, order: int) -> tuple:
     """Unnormalized (num, den, notes) of the [order/order] realization of
     s^(-lam), lam exact or a ParamPoly: the kernel of (1 + v)^lam at
     v = 1/s with s^n cleared, which reverses p and q (low band), or of
-    (1 + z)^(-lam) at z = sT (high band). No range check: the
-    differintegrator takes lam in (0,1], the FOPID assembly (0,2).
+    (1 + z)^(-lam) as it is, at z = s and so T = 1 (high band). No range
+    check: the differintegrator takes lam in (0,1], the FOPID assembly (0,2).
     """
     if freq_range == "high":
-        p, q, notes = _kernel_pade(-lam, order)
-        return _homogenize(p, T, 1, order), _homogenize(q, T, 1, order), notes
+        return _kernel_pade(-lam, order)
     p, q, notes = _kernel_pade(lam, order)
     return polys.reverse(p), polys.reverse(q), notes
 
@@ -273,16 +264,19 @@ def realize_differintegrator(spec: Differintegrator, order: int) -> TransferFunc
     """[n/n] realization of the differintegrator, numeric or symbolic in lam.
 
     Built from the closed-form Pade approximant of the band's binomial
-    kernel (see _integrator) at the spec's band and T, with num and den
-    swapped for the differentiator and one make_tf. At lam = 1 the kernel
-    is its own approximant, so the result is (s+1)/s or 1/(1+sT) at every
-    order, noted pade-defect=n-1 for n >= 2. With lam None, coefficient k
-    of the kernel's approximant is a degree-k polynomial in the symbol lam,
-    read off the closed form without a symbolic linear solve; orders beyond
-    5 work but are noted beyond-validated-order.
+    kernel (see _integrator) at the spec's band, at z = sT by _homogenize
+    when T != 1, with num and den swapped for the differentiator and one
+    make_tf. At lam = 1 the kernel is its own approximant, so the result
+    is (s+1)/s or 1/(1+sT) at every order, noted pade-defect=n-1 for
+    n >= 2. With lam None, coefficient k of the kernel's approximant is a
+    degree-k polynomial in the symbol lam, read off the closed form without
+    a symbolic linear solve; orders beyond 5 work but are noted
+    beyond-validated-order.
     """
     _check_order(order)
-    num, den, notes = _integrator(_sym(spec.lam, "lam"), spec.freq_range, spec.T, order)
+    num, den, notes = _integrator(_sym(spec.lam, "lam"), spec.freq_range, order)
+    if spec.T != 1:
+        num, den = (_homogenize(c, spec.T, 1, order) for c in (num, den))
     if spec.sign == "differentiator":
         num, den = den, num
     if spec.lam is None and order > 5:
@@ -322,11 +316,11 @@ def realize_fopid(spec: FOPID, freq_range: str, order: int) -> TransferFunction:
     den: tuple = (1,)
     notes: tuple = ()
     if with_i:
-        i_num, den, i_notes = _integrator(lam, freq_range, 1, order)
+        i_num, den, i_notes = _integrator(lam, freq_range, order)
         num = polys.scale(i_num, ki)
         notes += tuple(f"int:{note}" for note in i_notes)
     if with_d:
-        d_den, d_num, d_notes = _integrator(mu, freq_range, 1, order)
+        d_den, d_num, d_notes = _integrator(mu, freq_range, order)
         num = polys.add(polys.mul(num, d_den), polys.scale(polys.mul(d_num, den), kd))
         den = polys.mul(den, d_den)
         notes += tuple(f"diff:{note}" for note in d_notes)

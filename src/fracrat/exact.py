@@ -1,12 +1,13 @@
 """Exact arithmetic substrate.
 
-Arbitrary-precision rationals (`BigRat`, backed by `fractions.Fraction`),
+Arbitrary-precision rationals (`BigRat`, backed by `fractions.Fraction`);
 sparse multivariate polynomials over the controller-parameter symbols
 (`ParamPoly`, whose coefficients are int where integral and BigRat
 otherwise, so symbolic products of integer polynomials never touch
-`Fraction`), the one coercion every exact scalar of a numeric
-TF passes through (`_coerce_rat`, always to a BigRat), and the exact
-linear solver behind the generic Pade
+`Fraction`), each built by `_poly`, combined linearly by `_combine` and
+raised by `_powers`, which the symbolic Pade kernel shares; the one
+coercion every exact scalar of a numeric TF passes through (`_coerce_rat`,
+always to a BigRat); and the exact linear solver behind the generic Pade
 construction: fraction-free (Bareiss) elimination on exact scalars, with
 each row cleared to integers first, so every step is an exact integer
 division and the solution is formed by one division at the end.
@@ -18,7 +19,7 @@ threads; all operations return new objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add
 
 from .errors import InconsistentSystemError, ValidationError
@@ -50,11 +51,6 @@ def _ring(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
-def _tidy(terms: dict) -> dict:
-    """Drop zero coefficients and bring the rest into the ring."""
-    return {key: _ring(c) for key, c in terms.items() if c}
-
-
 def _grlex_key(exponents):
     # graded lexicographic: total degree first, then the exponent tuple
     return (sum(exponents), exponents)
@@ -67,22 +63,21 @@ class ParamPoly:
     coefficients: int where integral, BigRat otherwise, so no coefficient
     is a BigRat with denominator 1. Products and sums of integer
     polynomials then run on machine ints without a gcd per operation. The
-    zero polynomial has no terms.
+    zero polynomial has no terms, and `_poly` builds every one.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         cleaned: dict = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not isinstance(coeff, (int, Fraction)):
-                    raise TypeError(f"expected an exact scalar, got {type(coeff).__name__}")
-                key = tuple(key)
-                if len(key) != _NVARS:
-                    raise ValueError("exponent tuple has wrong length")
-                cleaned[key] = coeff
-        self.terms = _tidy(cleaned)
+        for key, coeff in (terms or {}).items():
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"expected an exact scalar, got {type(coeff).__name__}")
+            key = tuple(key)
+            if len(key) != _NVARS:
+                raise ValueError("exponent tuple has wrong length")
+            cleaned[key] = coeff
+        self.terms = _poly(cleaned).terms
 
     # -- constructors -----------------------------------------------------
 
@@ -91,13 +86,11 @@ class ParamPoly:
         return cls({_ZERO_KEY: value})
 
     @classmethod
-    def var(cls, name: str, power: int = 1) -> "ParamPoly":
+    def var(cls, name: str) -> "ParamPoly":
         if name not in _INDEX:
             raise ValidationError(f"unknown symbol {name!r}; choose from {SYMBOLS}")
-        if power < 0:
-            raise ValidationError("negative powers are not polynomial")
         key = [0] * _NVARS
-        key[_INDEX[name]] = power
+        key[_INDEX[name]] = 1
         return cls({tuple(key): 1})
 
     @classmethod
@@ -118,11 +111,9 @@ class ParamPoly:
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, as a BigRat."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {_ZERO_KEY}:
+        if not self.is_constant():
             raise ValidationError("polynomial is not constant")
-        return Fraction(self.terms[_ZERO_KEY])
+        return Fraction(self.terms.get(_ZERO_KEY, 0))
 
     def leading_key(self) -> tuple:
         if not self.terms:
@@ -140,7 +131,7 @@ class ParamPoly:
         if isinstance(other, ParamPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return ParamPoly.constant(other)
+            return _poly({_ZERO_KEY: other})
         return None
 
     def __add__(self, other):
@@ -151,35 +142,28 @@ class ParamPoly:
         get = terms.get
         for key, c in other.terms.items():
             terms[key] = get(key, 0) + c
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = _tidy(terms)
-        return out
+        return _poly(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = {key: -c for key, c in self.terms.items()}
-        return out
+        return _combine((-1,), (self,))
 
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _combine((1, -1), (self, other))
 
     def __rsub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _combine((1, -1), (other, self))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _ring(other)
-            out = ParamPoly.__new__(ParamPoly)
-            out.terms = _tidy({key: v * other for key, v in self.terms.items()})
-            return out
+            return _combine((_ring(other),), (self,))
         if not isinstance(other, ParamPoly):
             return NotImplemented
         terms: dict = {}
@@ -188,9 +172,7 @@ class ParamPoly:
             for k2, c2 in other.terms.items():
                 key = tuple(map(add, k1, k2))
                 terms[key] = get(key, 0) + c1 * c2
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = _tidy(terms)
-        return out
+        return _poly(terms)
 
     __rmul__ = __mul__
 
@@ -232,28 +214,26 @@ class ParamPoly:
     def substitute(self, mapping: dict) -> "ParamPoly":
         """Substitute symbols by exact scalars or polynomials.
 
-        Unmentioned symbols stay symbolic.
+        Unmentioned symbols stay symbolic. The result is one `_combine` of
+        the coefficients with the monomials, each a product of powers built
+        once per symbol. An unknown symbol raises ValidationError; a value
+        that is neither an exact scalar nor a ParamPoly, TypeError.
         """
-        values = {}
+        images = {}
         for name, val in mapping.items():
             if name not in _INDEX:
                 raise ValidationError(f"unknown symbol {name!r}")
             lifted = self._lift(val)
             if lifted is None:
                 raise TypeError(f"cannot substitute {type(val).__name__}")
-            values[_INDEX[name]] = lifted
-        total = ParamPoly.zero()
-        for key, c in self.terms.items():
-            factor = ParamPoly.constant(c)
-            for i, e in enumerate(key):
-                if not e:
-                    continue
-                if i in values:
-                    factor = factor * values[i] ** e
-                else:
-                    factor = factor * ParamPoly.var(SYMBOLS[i], e)
-            total = total + factor
-        return total
+            images[_INDEX[name]] = lifted
+        powers = [
+            _powers(images[i] if i in images else ParamPoly.var(SYMBOLS[i]), top)
+            for i, top in enumerate(map(max, zip(*self.terms)))
+        ]
+        one = ParamPoly.one()
+        monomials = [prod((pw[e] for pw, e in zip(powers, key) if e), start=one) for key in self.terms]
+        return _combine(self.terms.values(), monomials)
 
     # -- printing ----------------------------------------------------------
 
@@ -287,17 +267,33 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
+def _poly(terms: dict) -> ParamPoly:
+    """The ParamPoly with these terms, zero coefficients dropped and the
+    rest brought into the ring: the one place a term dict is wrapped."""
+    out = ParamPoly.__new__(ParamPoly)
+    out.terms = {key: _ring(c) for key, c in terms.items() if c}
+    return out
+
+
 def _combine(scalars, polys) -> ParamPoly:
     """sum_i scalars[i] * polys[i] for exact scalars and ParamPolys, in
     one pass over their terms and with no product of ParamPolys."""
     terms: dict = {}
-    get = terms.get
     for s, poly in zip(scalars, polys):
-        if s:
+        if s and terms:
+            get = terms.get
             for key, c in poly.terms.items():
                 terms[key] = get(key, 0) + s * c
-    out = ParamPoly.__new__(ParamPoly)
-    out.terms = _tidy(terms)
+        elif s:  # the first term in one comprehension, all a scalar multiple takes
+            terms = {key: s * c for key, c in poly.terms.items()}
+    return _poly(terms)
+
+
+def _powers(x, n: int) -> list:
+    """[x^0, x, ..., x^n], one product per power past the first."""
+    out = [x**0, x]
+    while len(out) <= n:
+        out.append(out[-1] * x)
     return out
 
 

@@ -27,6 +27,9 @@ _UNITS = ("hz", "rad")
 #: Half-width, in degrees, of fit_report's constant-phase band around its target.
 PHASE_TOL_DEG = 5.0
 
+#: Most points log_grid builds, and most points per decade it takes.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -64,7 +67,9 @@ class FrequencyGrid:
 
 
 def log_grid(fmin, fmax, points_per_decade: int = 50, unit: str = "hz") -> FrequencyGrid:
-    """Logarithmic grid over [fmin, fmax] at the given density."""
+    """Logarithmic grid over [fmin, fmax] at the given density. More than
+    MAX_GRID_POINTS (10^6) points, or points per decade, raise
+    ValidationError before a float product or an allocation."""
     import numpy as np
 
     fmin = float(fmin)
@@ -73,11 +78,15 @@ def log_grid(fmin, fmax, points_per_decade: int = 50, unit: str = "hz") -> Frequ
         raise ValidationError("need 0 < fmin < fmax < inf")
     if points_per_decade < 1:
         raise ValidationError("points_per_decade must be at least 1")
+    if points_per_decade > MAX_GRID_POINTS:
+        raise ValidationError(f"points_per_decade must be at most {MAX_GRID_POINTS}")
     ratio = fmax / fmin
     if ratio == math.inf:
         raise ValidationError("band too wide: fmax/fmin overflows")
     decades = math.log10(ratio)
     count = max(2, int(round(decades * points_per_decade)) + 1)
+    if count > MAX_GRID_POINTS:
+        raise ValidationError(f"a grid of {count} points is past the bound of {MAX_GRID_POINTS}")
     values = np.logspace(math.log10(fmin), math.log10(fmax), count)
     values[0] = fmin
     values[-1] = fmax

@@ -12,6 +12,7 @@ import pytest
 
 import fracrat
 from fracrat import (
+    FOPID,
     BaselineConfig,
     Differintegrator,
     GainTag,
@@ -26,6 +27,7 @@ from fracrat import (
     modified_oustaloup,
     oustaloup,
     realize_differintegrator,
+    realize_fopid,
     tf_equal,
 )
 from fracrat.cli import (
@@ -182,12 +184,16 @@ def test_symbolic_document_partial_symbols(tmp_path):
     [
         (("--controller", "fopid", "--order", "5"), 142),
         (("--controller", "fopd", "--order", "6"), 53),
+        (("--controller", "diffint", "--order", "6", "--range", "high"), 5),
+        (("--controller", "fopid", "--order", "5", "--range", "high"), 142),
     ],
 )
 def test_symbolic_commands_count_few_parampoly_products(argv, bound, tmp_path, monkeypatch):
     """A count, not a time: the kernel lifted once from ints in the
     exponent keeps these commands at `bound` ParamPoly products, where one
-    ParamPoly times a Fraction per kernel coefficient took 194 and 156."""
+    ParamPoly times a Fraction per kernel coefficient took 194 and 156,
+    and the high band, taken at T = 1 without a change of variable, makes
+    none of the 12 and 20 products by 1 that homogenizing by T = 1 did."""
     calls = []
     original = ParamPoly.__mul__
 
@@ -207,6 +213,16 @@ def test_symbolic_rejects_tf_document_emitter():
         emit_tf_document(sym)
     # but the symbolic document takes it
     assert json.loads(emit_symbolic_document(sym))["num"] == ["lam"]
+
+
+def test_zero_tf_from_substitution_is_rational():
+    # every gain zero leaves no symbol: the tf-document and bode take it
+    sym = realize_fopid(FOPID(None, None, None, None, None), "low", 2)
+    zero = sym.substitute({"Kp": 0, "Ki": 0, "Kd": 0})
+    assert (zero.num, zero.den, zero.ring) == ((0,), (1,), "rational")
+    assert make_tf((), (ParamPoly.var("lam"),)).ring == "rational"
+    assert json.loads(emit_tf_document(zero))["num"] == ["0"]
+    assert bode(zero, log_grid(1, 10, 1)).mag_db == (-math.inf, -math.inf)
 
 
 def test_ladder_document_and_netlist(tmp_path):
@@ -449,6 +465,24 @@ def test_sweeps_reject_a_grid_without_points(tmp_path, capsys):
     ):
         assert run(*argv) == 2, argv
         assert capsys.readouterr().err == "error: points_per_decade must be at least 1\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("density", ["100000000", "1" + "0" * 400], ids=["1e8", "1e400"])
+def test_sweeps_refuse_a_density_past_the_grid_bound(tmp_path, capsys, density):
+    # 6e8 points would take 4.5 GiB, and a 401-digit density overflows a
+    # float; both are refused before any grid is built
+    tf_file = tmp_path / "halfint.json"
+    assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "2",
+               "-o", str(tf_file)) == 0
+    out = tmp_path / "sweep.csv"
+    band = ("--fmin", "1e-3", "--fmax", "1e3", "--points-per-decade", density, "-o", str(out))
+    for argv in (
+        ("bode", "--tf", str(tf_file)) + band,
+        ("compare", "--lambda", "1/2", "--order", "2", "--methods", "cfe-low") + band,
+    ):
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err == "error: points_per_decade must be at most 1000000\n"
         assert not out.exists()
 
 

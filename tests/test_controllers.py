@@ -443,6 +443,42 @@ def test_symbolic_high_band_keeps_its_time_constant(sign):
                 assert tf_equal(sym.substitute({"lam": lam}), numeric), (T, n, lam)
 
 
+_POINT = {
+    "lam": Fraction(37, 100), "mu": Fraction(7, 10), "alpha": Fraction(2, 7), "x": Fraction(1, 20),
+    "Kp": Fraction(3, 2), "Ki": Fraction(2), "Kd": Fraction(1, 3), "Kc": Fraction(5, 4),
+}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_symbolic_case_set_specializes_to_numeric(n):
+    # every family with all of its parameters symbolic, at the north-star
+    # orders 3-8 and both bands where a family has them, substituted at one
+    # point where no exponent is an integer
+    p = _POINT
+    cases = []
+    for band in ("low", "high"):
+        for sign in ("integrator", "differentiator"):
+            cases.append((
+                realize_differintegrator,
+                Differintegrator(None, sign, band),
+                Differintegrator(p["lam"], sign, band),
+            ))
+        cases.append((
+            lambda spec, order, band=band: realize_fopid(spec, band, order),
+            FOPID(None, None, None, None, None),
+            FOPID(p["Kp"], p["Ki"], p["Kd"], p["lam"], p["mu"]),
+        ))
+    cases += [
+        (realize_fopd_bracket, FOPDBracket(None, None, None), FOPDBracket(p["Kp"], p["Kd"], p["mu"])),
+        (realize_leadlag, LeadLag(None, None, None, None), LeadLag(p["Kc"], p["lam"], p["x"], p["alpha"])),
+    ]
+    for realize, symbolic, numeric in cases:
+        sym, num = realize(symbolic, n), realize(numeric, n)
+        got = sym.substitute(p)
+        assert sym.ring == "symbolic" and got.ring == "rational"
+        assert tf_equal(got, num) and got.gain == num.gain, (symbolic, n)
+
+
 def _degenerate_substitutions(n: int):
     """(symbolic tf, substitution, numeric tf) at integer exponents, where
     the symbolic form specializes to a ratio with a common factor in s."""

@@ -24,6 +24,8 @@ from fracrat import (
 from fracrat.errors import InconsistentSystemError
 from fracrat.exact import SYMBOLS, solve_fraction_free, solve_particular
 
+_ZERO = (0,) * len(SYMBOLS)
+
 
 def _random_poly(rng: random.Random, symbols=("lam", "mu"), terms=4) -> ParamPoly:
     total = ParamPoly.zero()
@@ -31,7 +33,7 @@ def _random_poly(rng: random.Random, symbols=("lam", "mu"), terms=4) -> ParamPol
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         term = ParamPoly.constant(coeff)
         for sym in symbols:
-            term = term * ParamPoly.var(sym, rng.randint(0, 3))
+            term = term * ParamPoly.var(sym) ** rng.randint(0, 3)
         total = total + term
     return total
 
@@ -184,21 +186,42 @@ def _assert_ring(got, ref):
     assert got == raw
 
 
-def test_coefficient_ring_matches_the_fraction_reference():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def _ref_substitute(a, images):
+    """a with each symbol whose index `images` maps replaced by its image,
+    the others kept."""
+    out = {}
+    for key, c in a.items():
+        term = {_ZERO: c}
+        for i, e in enumerate(key):
+            var = {tuple(int(j == i) for j in range(len(SYMBOLS))): Fraction(1)}
+            term = _ref_mul(term, _ref_pow(images.get(i, var), e))
+        out = _ref_add(out, term)
+    return out
+
+
+def _strategies(st):
+    """(scalars, term dicts) over lam, mu and alpha, exponents up to 2."""
     scalars = st.one_of(
         st.integers(min_value=-40, max_value=40),
         st.fractions(min_value=-40, max_value=40, max_denominator=12),
     )
     keys = st.tuples(*(st.integers(0, 2),) * 3).map(lambda k: k + (0,) * (len(SYMBOLS) - 3))
-    polys_ = st.dictionaries(keys, scalars, max_size=5)
+    return scalars, st.dictionaries(keys, scalars, max_size=5)
+
+
+def _ref(terms):
+    return {k: Fraction(v) for k, v in terms.items() if v}
+
+
+def test_coefficient_ring_matches_the_fraction_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars, polys_ = _strategies(st)
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(polys_, polys_, scalars, st.integers(0, 3))
     def check(ta, tb, c, e):
-        ra = {k: Fraction(v) for k, v in ta.items() if v}
-        rb = {k: Fraction(v) for k, v in tb.items() if v}
+        ra, rb = _ref(ta), _ref(tb)
         a, b = ParamPoly(ta), ParamPoly(tb)
         _assert_ring(a, ra)
         _assert_ring(a + b, _ref_add(ra, rb))
@@ -220,6 +243,37 @@ def test_coefficient_ring_matches_the_fraction_reference():
              for k, v in ra.items()),
             Fraction(0),
         )
+
+    check()
+
+
+def test_substitution_composes_like_the_fraction_reference():
+    # images that leave symbols free, then a point, give what the composed
+    # point gives at once, and both match the reference
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars, polys_ = _strategies(st)
+    names = SYMBOLS[:3]
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        polys_, st.dictionaries(st.sampled_from(names), polys_, max_size=2), st.tuples(*(scalars,) * 3)
+    )
+    def check(ta, timages, values):
+        a = ParamPoly(ta)
+        images = {name: ParamPoly(t) for name, t in timages.items()}
+        point = dict(zip(names, values))
+        partial = a.substitute(images)
+        ref_images = {SYMBOLS.index(name): _ref(t) for name, t in timages.items()}
+        _assert_ring(partial, _ref_substitute(_ref(ta), ref_images))
+        composed = {
+            name: images[name].substitute(point).constant_value() if name in images else value
+            for name, value in point.items()
+        }
+        ref_point = {SYMBOLS.index(name): _ref({_ZERO: v}) for name, v in composed.items()}
+        want = _ref_substitute(_ref(ta), ref_point)
+        _assert_ring(partial.substitute(point), want)
+        _assert_ring(a.substitute(composed), want)
 
     check()
 

@@ -28,7 +28,7 @@ from fracrat import (
     make_tf,
     realize_differintegrator,
 )
-from fracrat.freqresp import _unwrap_deg
+from fracrat.freqresp import MAX_GRID_POINTS, _unwrap_deg
 
 
 def test_grid_validation():
@@ -75,6 +75,19 @@ def test_log_grid_pins_endpoints_and_density():
             log_grid(fmin, fmax)
     with pytest.raises(ValidationError):
         log_grid(1, 10, 0)
+
+
+def test_log_grid_refuses_a_grid_past_its_bound():
+    assert MAX_GRID_POINTS == 10**6
+    # the density bound holds on its own, whatever the band
+    with pytest.raises(ValidationError, match="at most 1000000"):
+        log_grid(1, 1.000001, MAX_GRID_POINTS + 1)
+    assert len(log_grid(1, 1.000001, MAX_GRID_POINTS)) == 2
+    # 6 decades at 166667 points each, plus the start: 3 points too many
+    with pytest.raises(ValidationError, match="1000003 points is past the bound"):
+        log_grid(1e-3, 1e3, 166667)
+    with pytest.raises(ValidationError, match="past the bound"):
+        log_grid(1e-150, 1e150, 4000)
 
 
 def test_bode_first_order_lowpass():
