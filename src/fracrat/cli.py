@@ -14,17 +14,22 @@ symbolic command emits a separate symbolic-tf document whose coefficients
 are polynomial strings in the tuning parameters; that format is for
 reading, not for feeding back in.
 
-Exit codes: 0 success, 2 validation error, 3 degenerate mathematics.
+Exit codes: 0 success, 2 validation error (a stdout that cannot be written
+included), 3 degenerate mathematics.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
+import os
+import shutil
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 
 from . import polys
@@ -211,9 +216,35 @@ def _read_text(path: str) -> str:
         raise ValidationError(f"cannot read {path} as UTF-8") from None
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it, so that a failure raises here.
+
+    Unbuffered (`python -u`), stdout's text layer sits on the raw file and
+    drops what one raw write leaves unwritten, as when a pipe's reader
+    leaves mid-write; the rest is written here, so that failure raises too.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[raw.write(data) :]
+    else:
+        out.write(text)
+    out.flush()
+
+
 def _write_text(path: str | None, text: str):
     if path is None:
-        sys.stdout.write(text)
+        try:
+            _write_stdout(text)
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit; with fd 1 on the
+            # null device that flush cannot fail a second time
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ValidationError(f"cannot write to stdout: {exc}") from None
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -429,7 +460,17 @@ def _run_compare(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse error channel routed through the package's validation
-    error so bad flags exit 2 like every other precondition failure."""
+    error so bad flags exit 2 like every other precondition failure.
+
+    argparse builds a help formatter for every flag it adds, and each one
+    would read the terminal width; the parser reads it once and hands every
+    formatter argparse's own default, the width less 2, so the wrapping is
+    the same.
+    """
+
+    def __init__(self, **kwargs):
+        width = shutil.get_terminal_size().columns - 2
+        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=width), **kwargs)
 
     def error(self, message):
         raise ValidationError(message)
@@ -535,19 +576,26 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """A new parser holding every subcommand, or only the named one.
+    """A new parser: with no command, the full tree that reads the command
+    name first; with one, a flat parser of that command's flags alone.
 
-    argparse builds a help formatter for every flag it adds, so a parser
-    that holds one subcommand costs a fraction of the full one; both parse
-    that subcommand's argv to the same namespace.
+    The flat parser is the full tree's subparser for the command on its
+    own: named `fracrat <command>`, it parses the flags after the command
+    name to the same namespace (`command` and `run` are its defaults), help
+    text and errors, and builds no top-level parser or subparsers action.
     """
+    if command is not None:
+        _, add_flags, run = _COMMANDS[command]
+        parser = _Parser(prog=f"fracrat {command}")
+        parser.set_defaults(run=run, command=command)
+        add_flags(parser)
+        return parser
     parser = _Parser(
         prog="fracrat",
         description="Rational approximations of fractional-order operators and controllers.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in _COMMANDS if command is None else (command,):
-        text, add_flags, run = _COMMANDS[name]
+    for name, (text, add_flags, run) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.set_defaults(run=run)
         add_flags(p)
@@ -558,14 +606,17 @@ def main(argv=None) -> int:
     """Run one fracrat command and return its exit code: 2 for a
     ValidationError, 3 for any other FracratError.
 
-    argv defaults to sys.argv[1:]. Each call parses through a new parser
-    that holds only the subcommand named by the first argument; when that
-    argument names none, the parser holds every subcommand, so the
-    top-level help and the missing- and unknown-command errors list all
-    of them.
+    argv defaults to sys.argv[1:]. Each call parses through a new parser.
+    When the first argument names a command, the flat parser of that
+    command parses the rest; otherwise the full tree parses all of argv,
+    so the top-level help and the missing- and unknown-command errors list
+    every command.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    if argv and argv[0] in _COMMANDS:
+        parser, argv = build_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.run(args)

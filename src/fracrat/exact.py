@@ -107,7 +107,7 @@ class ParamPoly:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {_ZERO_KEY}
+        return not self.terms or (len(self.terms) == 1 and _ZERO_KEY in self.terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, as a BigRat."""

@@ -1,5 +1,6 @@
 """Command-line interface: document formats, determinism, and exit codes."""
 
+import errno
 import json
 import math
 import os
@@ -666,8 +667,8 @@ _PARSER_STOPS = [
 @pytest.mark.parametrize("argv", _PARSER_STOPS, ids=lambda argv: " ".join(argv) or "no-args")
 def test_main_stops_where_the_full_parser_stops(argv, capsys, monkeypatch):
     # main prints, on the same stream and with the same exit code, what the
-    # parser holding every subcommand prints for the same argv
-    monkeypatch.setenv("COLUMNS", "80")
+    # parser holding every subcommand prints for the same argv, at terminal
+    # widths that wrap the help texts differently
 
     def outcome(call):
         try:
@@ -685,14 +686,17 @@ def test_main_stops_where_the_full_parser_stops(argv, capsys, monkeypatch):
             return 2
         raise AssertionError(f"{argv} parsed without stopping")
 
-    expected = outcome(full_parser)
-    assert expected[0] in (0, 2)
-    assert outcome(lambda: main(list(argv))) == expected
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = outcome(full_parser)
+        assert expected[0] in (0, 2)
+        assert outcome(lambda: main(list(argv))) == expected
 
 
 def test_one_subcommand_parser_gives_the_full_namespace():
-    # every flag, default and the runner come through a parser that holds
-    # the named subcommand only, and no flag has left either parser
+    # a command's flat parser reads the flags after the command name to the
+    # namespace the full tree gives for the whole argv: every flag, default,
+    # the runner and the command name, and no flag has left either parser
     controller = {"controller", "order", "lam", "mu", "alpha", "x", "kp", "ki", "kd", "kc",
                   "T", "range", "sign"}
     output = {"command", "run", "output", "no_meta"}
@@ -714,12 +718,57 @@ def test_one_subcommand_parser_gives_the_full_namespace():
     }
     assert tuple(valid) == _COMMAND_NAMES
     for name, flags in valid.items():
-        argv = [name, *flags]
-        namespace = vars(build_parser(name).parse_args(argv))
-        assert namespace == vars(build_parser().parse_args(argv))
+        namespace = vars(build_parser(name).parse_args(list(flags)))
+        assert namespace == vars(build_parser().parse_args([name, *flags]))
         assert set(namespace) == dests[name]
-    with pytest.raises(ValidationError, match=r"invalid choice: 'realize' \(choose from 'ladder'\)"):
-        build_parser("ladder").parse_args(["realize", *valid["realize"]])
+        assert namespace["command"] == name
+        # the flat parser takes no command name, so a second one is an
+        # extra argument to it as to the full tree's subparser
+        for parser, argv in ((build_parser(name), [*flags, name]),
+                             (build_parser(), [name, *flags, name])):
+            with pytest.raises(ValidationError, match=rf"^unrecognized arguments: {name}$"):
+                parser.parse_args(argv)
+
+
+_FAILING_STDOUT = {
+    "dev-full": (
+        ("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "3"),
+        errno.ENOSPC,
+    ),
+    "closed-pipe": (
+        ("bode", "--tf", str(PERFBENCH / "inputs" / "fopid-n3.json"), "--fmin", "1e-4",
+         "--fmax", "1e4", "--points-per-decade", "10000"),
+        errno.EPIPE,
+    ),
+}
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", sorted(_FAILING_STDOUT))
+def test_a_failing_stdout_exits_2_without_a_traceback(sink, unbuffered):
+    # a full device, or a pipe whose reader leaves after one byte: the
+    # command exits 2 with one error line, and the interpreter's own flush
+    # at exit adds nothing
+    if sink == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    argv, code = _FAILING_STDOUT[sink]
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+    command = [sys.executable, "-m", "fracrat.cli", *argv]
+    if sink == "dev-full":
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=120)
+        returncode, stderr = proc.returncode, proc.stderr
+    else:
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env=env)
+        assert proc.stdout.read(1) == "#"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        returncode = proc.wait(timeout=120)
+    assert returncode == 2, stderr
+    assert stderr == f"error: cannot write to stdout: [Errno {code}] {os.strerror(code)}\n"
 
 
 def test_parse_tf_document_rejects_malformed_input():
