@@ -1,5 +1,6 @@
 """Command-line interface: document formats, determinism, and exit codes."""
 
+import argparse
 import errno
 import json
 import math
@@ -31,6 +32,7 @@ from fracrat import (
     realize_fopid,
     tf_equal,
 )
+from fracrat import cli
 from fracrat.cli import (
     build_parser,
     emit_symbolic_document,
@@ -667,8 +669,9 @@ _PARSER_STOPS = [
 @pytest.mark.parametrize("argv", _PARSER_STOPS, ids=lambda argv: " ".join(argv) or "no-args")
 def test_main_stops_where_the_full_parser_stops(argv, capsys, monkeypatch):
     # main prints, on the same stream and with the same exit code, what the
-    # parser holding every subcommand prints for the same argv, at terminal
-    # widths that wrap the help texts differently
+    # parser holding every subcommand, with argparse's own help formatter,
+    # prints for the same argv, at terminal widths that wrap the help texts
+    # differently
 
     def outcome(call):
         try:
@@ -679,8 +682,11 @@ def test_main_stops_where_the_full_parser_stops(argv, capsys, monkeypatch):
         return code, captured.out, captured.err
 
     def full_parser():
+        with monkeypatch.context() as patch:
+            patch.setattr(cli._Parser, "__init__", argparse.ArgumentParser.__init__)
+            parser = build_parser()
         try:
-            build_parser().parse_args(list(argv))
+            parser.parse_args(list(argv))
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -721,7 +727,6 @@ def test_one_subcommand_parser_gives_the_full_namespace():
         namespace = vars(build_parser(name).parse_args(list(flags)))
         assert namespace == vars(build_parser().parse_args([name, *flags]))
         assert set(namespace) == dests[name]
-        assert namespace["command"] == name
         # the flat parser takes no command name, so a second one is an
         # extra argument to it as to the full tree's subparser
         for parser, argv in ((build_parser(name), [*flags, name]),
@@ -761,12 +766,12 @@ def test_a_failing_stdout_exits_2_without_a_traceback(sink, unbuffered):
                                   env=env, timeout=120)
         returncode, stderr = proc.returncode, proc.stderr
     else:
-        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                text=True, env=env)
-        assert proc.stdout.read(1) == "#"
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        returncode = proc.wait(timeout=120)
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=env) as proc:
+            assert proc.stdout.read(1) == "#"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            returncode = proc.wait(timeout=120)
     assert returncode == 2, stderr
     assert stderr == f"error: cannot write to stdout: [Errno {code}] {os.strerror(code)}\n"
 
