@@ -21,6 +21,7 @@ included), 3 degenerate mathematics.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
@@ -222,13 +223,18 @@ def _write_stdout(text: str) -> None:
     Unbuffered (`python -u`), stdout's text layer sits on the raw file and
     drops what one raw write leaves unwritten, as when a pipe's reader
     leaves mid-write; the rest is written here, so that failure raises too.
+    A non-blocking stdout that would block raises BlockingIOError rather
+    than being retried until a reader drains it.
     """
     out = sys.stdout
     raw = getattr(out, "buffer", None)
     if isinstance(raw, io.RawIOBase):
         data = memoryview(text.encode(out.encoding, out.errors))
         while data:
-            data = data[raw.write(data) :]
+            written = raw.write(data)
+            if written is None:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            data = data[written:]
     else:
         out.write(text)
     out.flush()
@@ -465,12 +471,19 @@ class _Parser(argparse.ArgumentParser):
     argparse builds a help formatter for every flag it adds, and each one
     would read the terminal width; the parser reads it once and hands every
     formatter argparse's own default, the width less 2, so the wrapping is
-    the same.
+    the same. Help printed to stdout goes through the command's own stdout
+    write, so a stdout that cannot take it exits 2 like a document would.
     """
 
     def __init__(self, **kwargs):
         width = shutil.get_terminal_size().columns - 2
         super().__init__(formatter_class=partial(argparse.HelpFormatter, width=width), **kwargs)
+
+    def print_help(self, file=None):
+        if file is None:
+            _write_text(None, self.format_help())
+        else:
+            super().print_help(file)
 
     def error(self, message):
         raise ValidationError(message)

@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import io
 import json
 import math
 import os
@@ -740,6 +741,7 @@ _FAILING_STDOUT = {
         ("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "3"),
         errno.ENOSPC,
     ),
+    "dev-full-help": (("realize", "--help"), errno.ENOSPC),
     "closed-pipe": (
         ("bode", "--tf", str(PERFBENCH / "inputs" / "fopid-n3.json"), "--fmin", "1e-4",
          "--fmax", "1e4", "--points-per-decade", "10000"),
@@ -751,16 +753,17 @@ _FAILING_STDOUT = {
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("sink", sorted(_FAILING_STDOUT))
 def test_a_failing_stdout_exits_2_without_a_traceback(sink, unbuffered):
-    # a full device, or a pipe whose reader leaves after one byte: the
-    # command exits 2 with one error line, and the interpreter's own flush
-    # at exit adds nothing
-    if sink == "dev-full" and not os.path.exists("/dev/full"):
+    # a full device, for a document or for help, or a pipe whose reader
+    # leaves after one byte: the command exits 2 with one error line, and
+    # the interpreter's own flush at exit adds nothing
+    full = sink.startswith("dev-full")
+    if full and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full here")
     argv, code = _FAILING_STDOUT[sink]
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
     command = [sys.executable, "-m", "fracrat.cli", *argv]
-    if sink == "dev-full":
+    if full:
         with open("/dev/full", "w") as full:
             proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True,
                                   env=env, timeout=120)
@@ -774,6 +777,38 @@ def test_a_failing_stdout_exits_2_without_a_traceback(sink, unbuffered):
             returncode = proc.wait(timeout=120)
     assert returncode == 2, stderr
     assert stderr == f"error: cannot write to stdout: [Errno {code}] {os.strerror(code)}\n"
+
+
+class _WouldBlock(io.RawIOBase):
+    """A raw stdout on a non-blocking file that would block on every write."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.writes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes += 1
+        assert self.writes == 1, "a write that would block was retried"
+        return None
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_stdout_that_would_block_exits_2(tmp_path, monkeypatch, capsys):
+    # the raw write returns None; it is an error, not a write of nothing to retry
+    with open(tmp_path / "fd", "w") as handle:
+        raw = _WouldBlock(handle.fileno())
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        code = main(["realize", "--controller", "diffint", "--lambda", "1/2", "--order", "3"])
+    assert code == 2
+    code = errno.EAGAIN
+    assert capsys.readouterr().err == (
+        f"error: cannot write to stdout: [Errno {code}] {os.strerror(code)}\n"
+    )
 
 
 def test_parse_tf_document_rejects_malformed_input():
