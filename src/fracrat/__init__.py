@@ -11,7 +11,6 @@ exposes all of it.
 """
 
 from .approx import (
-    ContinuedFraction,
     GainTag,
     TransferFunction,
     cfe_to_tf,
@@ -64,7 +63,6 @@ __all__ = [
     "BaselineConfig",
     "BodeSweep",
     "CircuitElement",
-    "ContinuedFraction",
     "DegenerateMathError",
     "Differintegrator",
     "FOPDBracket",

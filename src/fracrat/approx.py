@@ -78,7 +78,7 @@ class TransferFunction:
     is read off the coefficients by make_tf and recorded for readers of the
     TF: "float" if any coefficient is a float (baselines only), else
     "symbolic" if any is a ParamPoly in the tuning parameters, else
-    "rational" (BigRat). An optional GainTag carries an irrational scalar
+    "rational" (Fraction). An optional GainTag carries an irrational scalar
     prefactor. Notes record construction caveats (Pade defects and the
     like) and do not take part in equality.
     """
@@ -166,7 +166,7 @@ class TransferFunction:
 
 def _coerce_exact(c):
     """A TF coefficient: floats and non-constant ParamPolys as given, a
-    constant ParamPoly as its BigRat value, any other exact scalar through
+    constant ParamPoly as its Fraction value, any other exact scalar through
     _coerce_rat."""
     if isinstance(c, float):
         return c
@@ -282,16 +282,13 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
         except InconsistentSystemError:
             raise DegenerateMathError("denominator vanishes at the expansion point") from None
         q += sol
-    num = [
-        sum((q[j] * c[i - j] for j in range(min(i, k) + 1)), Fraction(0))
-        for i in range(m + 1)
-    ]
+    num = polys.mul(q, c)[: m + 1]
     notes = (f"pade-defect={defect}",) if defect else ()
     return make_tf(num, q, notes=notes)
 
 
 def _cancel_common_factor(num, den):
-    """Divide out the field GCD of two BigRat coefficient lists."""
+    """Divide out the field GCD of two Fraction coefficient lists."""
     if polys.degree(num) < 1 or polys.degree(den) < 1:
         return num, den
     g = polys.gcd_field(num, den)
@@ -300,27 +297,15 @@ def _cancel_common_factor(num, den):
     return polys.divmod_field(num, g)[0], polys.divmod_field(den, g)[0]
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Simple continued fraction q0 + 1/(q1 + 1/(q2 + ...)).
-
-    Quotients are ascending-power coefficient tuples; all partial
-    numerators are 1 (the only shape produced here).
-    """
-
-    quotients: tuple
-
-    def __len__(self):
-        return len(self.quotients)
-
-
-def rational_to_cfe(tf: TransferFunction) -> ContinuedFraction:
-    """Expand a numeric TF into Euclidean quotients.
+def rational_to_cfe(tf: TransferFunction) -> tuple:
+    """Expand a numeric TF into the quotients of q0 + 1/(q1 + 1/(q2 + ...)):
+    a tuple of ascending-power Fraction tuples, none of them empty (a zero
+    quotient is (Fraction(0),)).
 
     Runs the primitive remainder sequence over int (polys.prs_step, whose
     multiplier is L, the lcm of each quotient's denominators, not a power
     of the leading coefficient; Collins 1967). Every remainder is a
-    primitive int sequence times one BigRat content, and each quotient is
+    primitive int sequence times one Fraction content, and each quotient is
     the step's quotient times the ratio of the two contents, so the
     quotients are exactly those of Euclid over the rationals. Terminates
     when the remainder vanishes; cfe_to_tf on the result reproduces the
@@ -343,28 +328,29 @@ def rational_to_cfe(tf: TransferFunction) -> ContinuedFraction:
         if not r:
             break
         a, b, sa, sb = b, r, sb, sa * k
-    return ContinuedFraction(tuple(quotients))
+    return tuple(quotients)
 
 
-def cfe_to_tf(cf: ContinuedFraction) -> TransferFunction:
-    """Fold the nested fraction back into a single rational function.
+def cfe_to_tf(quotients) -> TransferFunction:
+    """Fold the quotients q0, q1, ... of q0 + 1/(q1 + 1/(q2 + ...)) back
+    into a single rational function.
 
-    The quotients must be exact numbers, as rational_to_cfe and ladder
-    rungs give; a symbolic or float quotient raises ValidationError. The
-    fold runs over int: with q = Q/d_q, d_q the lcm of q's denominators,
+    The quotients must be ascending-power sequences of exact numbers, as
+    rational_to_cfe and ladder rungs give; a symbolic or float quotient
+    raises ValidationError. The fold runs over int: with q = Q/d_q, d_q the lcm of q's denominators,
     each step maps num/den to (Q*num + d_q*den)/(d_q*num) and divides the
     pair by its integer content; without that division the coefficients
     grow and the fold runs several times slower.
     """
-    if not cf.quotients:
+    if not quotients:
         raise DegenerateMathError("empty continued fraction")
-    if not all(isinstance(c, (int, Fraction)) for q in cf.quotients for c in q):
+    if not all(isinstance(c, (int, Fraction)) for q in quotients for c in q):
         raise ValidationError("folding a continued fraction needs exact numeric quotients")
-    d, num = clear_denominators(polys.trim(cf.quotients[-1]))
+    d, num = clear_denominators(polys.trim(quotients[-1]))
     den: tuple = (d,)
     if not num:
         raise DegenerateMathError("zero trailing quotient")
-    for q in reversed(cf.quotients[:-1]):
+    for q in reversed(quotients[:-1]):
         d, q = clear_denominators(polys.trim(q))
         num, den = polys.add(polys.mul(q, num), polys.scale(den, d)), polys.scale(num, d)
         g = gcd(*num, *den)

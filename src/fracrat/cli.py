@@ -41,6 +41,7 @@ from .controllers import (
     Differintegrator,
     FOPDBracket,
     LeadLag,
+    _parse_rat,
     _rat,
     realize_differintegrator,
     realize_fopd_bracket,
@@ -91,17 +92,25 @@ def _coeff_str(c) -> str:
     return str(c)
 
 
-def _gain_dict(gain: GainTag | None):
-    if gain is None:
-        return None
-    return {"label": gain.label, "value": gain.value}
-
-
 def _json_document(doc: dict, meta: dict | None) -> str:
     """The one ending of every JSON document: meta last, unless omitted."""
     if meta is not None:
         doc["meta"] = meta
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _tf_json(head: dict, tf: TransferFunction, num, den, meta: dict | None) -> str:
+    """Both TF documents: the head's keys, num and den in descending powers
+    of s, the gain and the notes, then meta."""
+    gain = tf.gain
+    doc = {
+        **head,
+        "num": [_coeff_str(c) for c in reversed(num)],
+        "den": [_coeff_str(c) for c in reversed(den)],
+        "gain": None if gain is None else {"label": gain.label, "value": gain.value},
+        "notes": list(tf.notes),
+    }
+    return _json_document(doc, meta)
 
 
 def emit_tf_document(
@@ -121,16 +130,7 @@ def emit_tf_document(
         num = tuple(float(c) for c in num)
         den = tuple(float(c) for c in den)
         ring = "float"
-    doc = {
-        "format": "tf-document",
-        "variable": "s",
-        "ring": ring,
-        "num": [_coeff_str(c) for c in reversed(num)],
-        "den": [_coeff_str(c) for c in reversed(den)],
-        "gain": _gain_dict(tf.gain),
-        "notes": list(tf.notes),
-    }
-    return _json_document(doc, meta)
+    return _tf_json({"format": "tf-document", "variable": "s", "ring": ring}, tf, num, den, meta)
 
 
 def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
@@ -169,7 +169,7 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
         if ring == "float":
             return finite(text_value, "coefficient")
         try:
-            return Fraction(str(text_value))
+            return _parse_rat(str(text_value), "coefficient")
         except (ValueError, ZeroDivisionError, TypeError):
             raise ValidationError(f"bad coefficient {text_value!r}") from None
 
@@ -196,15 +196,7 @@ def emit_symbolic_document(tf: TransferFunction, meta: dict | None = None) -> st
 
     Coefficients are polynomial strings in descending powers of s.
     """
-    doc = {
-        "format": "symbolic-tf",
-        "variable": "s",
-        "num": [str(c) for c in reversed(tf.num)],
-        "den": [str(c) for c in reversed(tf.den)],
-        "gain": _gain_dict(tf.gain),
-        "notes": list(tf.notes),
-    }
-    return _json_document(doc, meta)
+    return _tf_json({"format": "symbolic-tf", "variable": "s"}, tf, tf.num, tf.den, meta)
 
 
 def _read_text(path: str) -> str:

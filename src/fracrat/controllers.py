@@ -17,6 +17,8 @@ int polynomials in the exponent and substitutes the symbol once.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -30,19 +32,35 @@ _SIGNS = ("integrator", "differentiator")
 _RANGES = ("low", "high")
 
 
+# the exponent of decimal text such as "1e-5" or "2.5E+1_0"
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
+def _parse_rat(text: str, name: str) -> Fraction:
+    """Fraction(text), refusing first (ValidationError naming `name`) an
+    exponent larger in magnitude than the int-to-str digit cap, which int()
+    holds the digits to: Fraction builds 10**|exponent| before any range
+    check. A cap of 0 sets no bound."""
+    exponent = _EXPONENT.search(text)
+    cap = getattr(sys, "get_int_max_str_digits", int)()  # no cap before CPython 3.10.7
+    if exponent and cap and abs(int(exponent[1])) > cap:
+        raise ValidationError(f"{name} {text!r} has an exponent past {cap} in magnitude")
+    return Fraction(text)
+
+
 def _rat(value, name: str) -> Fraction:
     """Exact scalar from user input, the one door for spec fields, the
     Carlson exponent and CLI flags.
 
-    Takes an int, a BigRat, a float (read as printed: 0.1 is 1/10) or a
-    string such as "1/2" or "0.5". Anything else, a malformed string, a
-    zero denominator or a non-finite float raises ValidationError naming
-    `name`.
+    Takes an int, a Fraction, a float (read as printed: 0.1 is 1/10) or a
+    string such as "1/2" or "0.5" (read by _parse_rat). Anything else, a
+    malformed string, a zero denominator or a non-finite float raises
+    ValidationError naming `name`.
     """
     source = str(value) if isinstance(value, float) else value
     if isinstance(source, (int, Fraction, str)):
         try:
-            return Fraction(source)
+            return _parse_rat(source, name) if isinstance(source, str) else Fraction(source)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError(f"{name} expects a rational number, got {value!r}")

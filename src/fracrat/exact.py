@@ -1,13 +1,12 @@
-"""Exact arithmetic substrate.
+"""Exact arithmetic substrate on `fractions.Fraction`.
 
-Arbitrary-precision rationals (`BigRat`, backed by `fractions.Fraction`);
-sparse multivariate polynomials over the controller-parameter symbols
-(`ParamPoly`, whose coefficients are int where integral and BigRat
+Sparse multivariate polynomials over the controller-parameter symbols
+(`ParamPoly`, whose coefficients are int where integral and Fraction
 otherwise, so symbolic products of integer polynomials never touch
 `Fraction`), each built by `_poly`, combined linearly by `_combine` and
 raised by `_powers`, which the symbolic Pade kernel shares; the one
 coercion every exact scalar of a numeric TF passes through (`_coerce_rat`,
-always to a BigRat); and the exact linear solver behind the generic Pade
+always to a Fraction); and the exact linear solver behind the generic Pade
 construction: fraction-free (Bareiss) elimination on exact scalars, with
 each row cleared to integers first, so every step is an exact integer
 division and the solution is formed by one division at the end.
@@ -24,9 +23,6 @@ from operator import add
 
 from .errors import InconsistentSystemError, ValidationError
 
-#: Exact rational scalar type used for every coefficient in the package.
-BigRat = Fraction
-
 #: Recognized symbols: the controller tuning parameters. The Laplace
 #: variable s is not among them; it is the index of a coefficient tuple.
 SYMBOLS = ("lam", "mu", "alpha", "x", "Kp", "Ki", "Kd", "Kc", "T")
@@ -37,7 +33,7 @@ _ZERO_KEY = (0,) * _NVARS
 
 
 def _coerce_rat(value) -> Fraction:
-    """An int or BigRat as a BigRat; anything else raises TypeError."""
+    """An int or Fraction as a Fraction; anything else raises TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -46,8 +42,8 @@ def _coerce_rat(value) -> Fraction:
 
 
 def _ring(c):
-    """An int or BigRat coefficient in ParamPoly's coefficient ring: an
-    integral BigRat becomes its int."""
+    """An int or Fraction coefficient in ParamPoly's coefficient ring: an
+    integral Fraction becomes its int."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
@@ -60,8 +56,8 @@ class ParamPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Terms map exponent tuples (one slot per entry of SYMBOLS) to nonzero
-    coefficients: int where integral, BigRat otherwise, so no coefficient
-    is a BigRat with denominator 1. Products and sums of integer
+    coefficients: int where integral, Fraction otherwise, so no coefficient
+    is a Fraction with denominator 1. Products and sums of integer
     polynomials then run on machine ints without a gcd per operation. The
     zero polynomial has no terms, and `_poly` builds every one.
     """
@@ -110,7 +106,7 @@ class ParamPoly:
         return not self.terms or (len(self.terms) == 1 and _ZERO_KEY in self.terms)
 
     def constant_value(self) -> Fraction:
-        """The value of a constant polynomial, as a BigRat."""
+        """The value of a constant polynomial, as a Fraction."""
         if not self.is_constant():
             raise ValidationError("polynomial is not constant")
         return Fraction(self.terms.get(_ZERO_KEY, 0))
@@ -121,7 +117,7 @@ class ParamPoly:
         return max(self.terms, key=_grlex_key)
 
     def leading_coeff(self):
-        """Coefficient of the grlex-leading term: an int or a BigRat."""
+        """Coefficient of the grlex-leading term: an int or a Fraction."""
         return self.terms[self.leading_key()]
 
     # -- arithmetic --------------------------------------------------------
@@ -301,7 +297,7 @@ def _powers(x, n: int) -> list:
 
 
 def clear_denominators(coeffs) -> tuple[int, tuple]:
-    """(L, L*coeffs) for exact scalars (int or BigRat), with L the lcm of
+    """(L, L*coeffs) for exact scalars (int or Fraction), with L the lcm of
     their reduced denominators, so every entry is an int."""
     den = lcm(*(c.denominator for c in coeffs))
     return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
@@ -310,7 +306,7 @@ def clear_denominators(coeffs) -> tuple[int, tuple]:
 def solve_fraction_free(matrix, rhs):
     """Solve A y = b exactly by fraction-free (Bareiss) elimination.
 
-    A is square with exact scalar (int or BigRat) entries; anything else
+    A is square with exact scalar (int or Fraction) entries; anything else
     raises TypeError. Each row of [A | b] is first scaled to integers, which
     leaves the solution and the pivot choice unchanged. A column with no
     pivot is skipped and its unknown, a free variable, is set to zero.
@@ -361,7 +357,7 @@ def solve_fraction_free(matrix, rhs):
 
 
 def solve_particular(matrix, rhs):
-    """Particular solution of a possibly singular square BigRat system.
+    """Particular solution of a possibly singular square Fraction system.
 
     Free variables are set to zero. Returns (solution, defect); raises
     InconsistentSystemError when unsolvable. This is solve_fraction_free

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from . import polys
-from .approx import ContinuedFraction, TransferFunction, cfe_to_tf, rational_to_cfe
+from .approx import TransferFunction, cfe_to_tf, rational_to_cfe
 from .errors import DegenerateMathError, ValidationError
 
 _NIC_OPAMP_GAIN = "1e6"
@@ -71,14 +71,13 @@ def synthesize_ladder(tf: TransferFunction) -> LadderNetwork:
     alternating series impedances and shunt admittances; every quotient
     must come out affine in s for the network to be realizable this way.
     """
-    cf = rational_to_cfe(tf)
     elements = []
-    for i, q in enumerate(cf.quotients):
+    for i, q in enumerate(rational_to_cfe(tf)):
         if len(q) > 2:
             raise DegenerateMathError(
                 f"quotient {i + 1} has degree {len(q) - 1}; the ladder needs affine elements"
             )
-        g = q[0] if len(q) > 0 else Fraction(0)
+        g = q[0]
         h = q[1] if len(q) > 1 else Fraction(0)
         elements.append(
             LadderElement("Z" if i % 2 == 0 else "Y", g, h, i + 1)
@@ -90,8 +89,7 @@ def ladder_to_tf(net: LadderNetwork) -> TransferFunction:
     """Fold the nested ladder fraction back into one rational function."""
     if not net.elements:
         raise ValidationError("empty ladder")
-    cf = ContinuedFraction(tuple(el.coeffs() or (Fraction(0),) for el in net.elements))
-    return cfe_to_tf(cf)
+    return cfe_to_tf(tuple(el.coeffs() or (Fraction(0),) for el in net.elements))
 
 
 @dataclass(frozen=True)

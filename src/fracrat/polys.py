@@ -1,6 +1,6 @@
 """Univariate polynomial helpers on ascending coefficient sequences.
 
-Coefficients are exact scalars (int, BigRat) or ParamPoly values, and the
+Coefficients are exact scalars (int, Fraction) or ParamPoly values, and the
 ring operations return the ring of their inputs. The zero polynomial is the
 empty tuple. Used by the Pade construction, the continued-fraction
 expansion, the ladder synthesis and the Carlson iteration.
@@ -8,7 +8,7 @@ expansion, the ladder synthesis and the Carlson iteration.
 Division takes exact scalars only and has one implementation, prs_step: a
 step of the primitive polynomial remainder sequence (Collins, J. ACM 1967;
 von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6) on int
-sequences. A rational polynomial is carried as its content (one BigRat)
+sequences. A rational polynomial is carried as its content (one Fraction)
 times a primitive int sequence. The step multiplies the dividend by L, the
 lcm of the quotient's denominators, instead of pseudo-dividing by
 lc(b)^(d+1). L divides that power and is usually far smaller, which keeps
@@ -72,7 +72,7 @@ def reverse(coeffs) -> tuple:
 
 def primitive(coeffs) -> tuple[Fraction, tuple]:
     """(content, primitive part) of a nonzero exact scalar sequence: a
-    positive BigRat c and ints with gcd 1 whose product with c is the
+    positive Fraction c and ints with gcd 1 whose product with c is the
     input."""
     den, ints = clear_denominators(coeffs)
     g = gcd(*ints)
@@ -84,7 +84,7 @@ def prs_step(a, b) -> tuple[tuple, Fraction, tuple]:
     a = q*b + k*r over the rationals.
 
     a and b are trimmed primitive int sequences, b nonzero. q, the
-    quotient over Q, has BigRat coefficients, read off the top d+1
+    quotient over Q, has Fraction coefficients, read off the top d+1
     coefficients of a and b (d = deg a - deg b). With L the lcm of their
     denominators, L*a - (L*q)*b is an int sequence; r is it divided by its
     content g (empty when it vanishes) and k = g/L. When deg a < deg b,
@@ -116,11 +116,11 @@ def prs_step(a, b) -> tuple[tuple, Fraction, tuple]:
 
 
 def divmod_field(a, b) -> tuple[tuple, tuple]:
-    """Quotient and remainder of exact scalar (int or BigRat) coefficient
+    """Quotient and remainder of exact scalar (int or Fraction) coefficient
     sequences over the rationals. One primitive remainder step (prs_step,
     multiplier L) on the primitive parts, with the quotient scaled by the
     ratio of the two contents and the remainder by the dividend's content.
-    Every output coefficient is a BigRat."""
+    Every output coefficient is a Fraction."""
     a = trim(a)
     b = trim(b)
     if not b:
@@ -136,7 +136,7 @@ def divmod_field(a, b) -> tuple[tuple, tuple]:
 
 
 def gcd_field(a, b) -> tuple:
-    """Monic GCD of exact scalar coefficient sequences, with BigRat
+    """Monic GCD of exact scalar coefficient sequences, with Fraction
     coefficients; (0, 0) is undefined. Runs the primitive remainder
     sequence (prs_step, multiplier L) on the primitive parts: the contents
     do not matter to a monic GCD, so only the int remainders are kept."""
@@ -154,9 +154,9 @@ def gcd_field(a, b) -> tuple:
 def sequence_content(coeff_sequences) -> Fraction:
     """Positive rational content shared by several coefficient sequences.
 
-    Accepts an iterable of sequences whose entries are BigRat or ParamPoly.
+    Accepts an iterable of sequences whose entries are Fraction or ParamPoly.
     The content is gcd(numerators)/lcm(denominators) read off the rational
-    scalars: each BigRat entry, and every term coefficient of each ParamPoly
+    scalars: each Fraction entry, and every term coefficient of each ParamPoly
     entry. All-zero input yields 0.
     """
     num_gcd = 0

@@ -5,7 +5,7 @@ generalized binomial power (1 + t)^a and the lead-lag kernel
 ((1 + w)/(1 + x w))^a = (1 + w)^a (1 + x w)^(-a), a product of two of them.
 The controller realizations read their approximants off closed forms
 instead; these series are the reference those closed forms are checked
-against. Parameters and coefficients are exact scalars (BigRat); a
+against. Parameters and coefficients are exact scalars (Fraction); a
 parameter enters through exact._coerce_rat, so a float, a symbol name or
 a ParamPoly raises TypeError.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import polys
 from .errors import ValidationError
 from .exact import _coerce_rat
 
@@ -71,6 +72,5 @@ def leadlag_kernel_series(alpha, x, n: int) -> PowerSeries:
     lead = binomial_series(alpha, n).coeffs
     xv = _coerce_rat(x)
     lag = [c * xv**k for k, c in enumerate(binomial_series(-_coerce_rat(alpha), n).coeffs)]
-    return PowerSeries(
-        tuple(sum((lead[i] * lag[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n + 1))
-    )
+    product = polys.mul(lead, lag)[: n + 1]
+    return PowerSeries(product + (Fraction(0),) * (n + 1 - len(product)))

@@ -159,7 +159,21 @@ _ERRORS = (
     "bode --tf r001.json --fmin 1e-3 --fmax 1e3 --points-per-decade 100000000",
     "compare --lambda 1/2 --order 3 --methods cfe-low --fmin 1e-3 --fmax 1e3 --points-per-decade 1"
     + "0" * 400,
+    "realize --controller diffint --lambda 1e9999999 --order 3",
+    "ladder --tf exponent.json",
+    "bode --tf exponent.json --fmin 1 --fmax 10",
 )
+
+# documents that no command line writes, put in the working directory
+# before the first command line runs
+INPUTS = {
+    "exponent.json": json.dumps({"format": "tf-document", "num": ["1e-9999999"], "den": ["1", "1"]}),
+}
+
+
+def write_inputs() -> None:
+    for name, text in INPUTS.items():
+        Path(name).write_text(text, encoding="utf-8")
 
 
 def commands() -> list:
@@ -227,6 +241,7 @@ def build() -> dict:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
+            write_inputs()
             for step in commands():
                 for line in step:
                     if line in manifest:

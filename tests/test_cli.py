@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -377,6 +378,28 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
                "--alpha", "1/2", "--order", "2", "--sign", "integrator") == 2
     # missing input file
     assert run("ladder", "--tf", str(tmp_path / "missing.json")) == 2
+
+
+def test_an_exponent_past_the_digit_cap_exits_2_at_once(tmp_path, capsys):
+    # a flag and a tf-document coefficient: Fraction would build the power of
+    # ten first, which takes seconds before the range check or the digit cap
+    cap = sys.get_int_max_str_digits()
+    tf_file = tmp_path / "tf.json"
+    doc = {"format": "tf-document", "num": ["1e-9999999"], "den": ["1", "1"]}
+    tf_file.write_text(json.dumps(doc))
+    cases = (
+        (("realize", "--controller", "diffint", "--lambda", "1e9999999", "--order", "3"),
+         f"error: --lambda '1e9999999' has an exponent past {cap} in magnitude\n"),
+        (("ladder", "--tf", str(tf_file)),
+         f"error: coefficient '1e-9999999' has an exponent past {cap} in magnitude\n"),
+        (("bode", "--tf", str(tf_file), "--fmin", "1", "--fmax", "10"),
+         f"error: coefficient '1e-9999999' has an exponent past {cap} in magnitude\n"),
+    )
+    for argv, err in cases:
+        start = time.perf_counter()
+        assert run(*argv) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", err)
 
 
 def test_documents_that_are_not_utf8_exit_2(tmp_path, capsys):

@@ -2,6 +2,8 @@
 bracketed FO[PD] structure, and the lead-lag compensator."""
 
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,29 @@ def test_spec_intake_rejects_non_rational_input():
     assert Differintegrator(0.5).lam == HALF
     assert LeadLag(1, "1/2", 0.1, "0.5").x == Fraction(1, 10)
     assert carlson("1/2", 1) == carlson(HALF, 1)
+
+
+def test_spec_intake_refuses_an_exponent_past_the_digit_cap():
+    # Fraction would build 10**|exponent| before the range check runs, which
+    # takes seconds at 1e9999999; the refusal comes first
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        for text in ("1e9999999", "1E-9_999_999", " 5e+4301 "):
+            with pytest.raises(ValidationError, match=r"^lam .* has an exponent past 4300"):
+                Differintegrator(text)
+        with pytest.raises(ValidationError, match=r"^T '1e-4301' has an exponent past 4300"):
+            Differintegrator(HALF, "integrator", "high", "1e-4301")
+        with pytest.raises(ValidationError, match=r"^lam .* has an exponent past 4300"):
+            carlson("1e9999999", 2)
+        assert time.perf_counter() - start < 1
+        # the cap itself is allowed, and a cap of 0 sets no bound
+        assert Differintegrator("1e-4300").lam == Fraction(1, 10**4300)
+        sys.set_int_max_str_digits(0)
+        assert Differintegrator("1e-4301").lam == Fraction(1, 10**4301)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def test_symbolic_low_integrator_specializes_to_numeric():

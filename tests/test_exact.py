@@ -142,7 +142,7 @@ def test_str_rendering_is_stable():
     assert str(ParamPoly.zero()) == "0"
 
 
-# -- the coefficient ring: int where integral, BigRat otherwise ----------------
+# -- the coefficient ring: int where integral, Fraction otherwise --------------
 #
 # The reference below does the same arithmetic with every coefficient a
 # Fraction: terms are dicts from exponent tuples to nonzero Fractions.
@@ -279,7 +279,7 @@ def test_substitution_composes_like_the_fraction_reference():
 
 
 def test_numeric_transfer_functions_keep_bigrat_tuples():
-    # ParamPoly keeps ints; the normalized tuples of a numeric TF stay BigRat,
+    # ParamPoly keeps ints; the normalized tuples of a numeric TF stay Fraction,
     # whether realized directly or substituted from the symbolic form
     half, tenth, twentieth = Fraction(1, 2), Fraction(1, 10), Fraction(1, 20)
     tfs = [

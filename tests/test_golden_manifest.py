@@ -23,6 +23,7 @@ def test_every_command_reproduces_its_manifest_entry(tmp_path, monkeypatch):
     assert {line.split()[0] for line in manifest} == {"realize", "symbolic", "ladder", "bode", "compare"}
     assert {entry["exit"] for entry in manifest.values()} == {0, 2}
     monkeypatch.chdir(tmp_path)
+    generator.write_inputs()
     changed = []
     for line, want in manifest.items():
         try:

@@ -100,10 +100,12 @@ def test_gcd_field_matches_fraction_euclid_with_a_planted_factor(a, b, g):
 @example(num=(1, 1), den=(2, 1), g=(5, -1))
 def test_rational_to_cfe_matches_fraction_euclid(num, den, g):
     tf = make_tf(polys.mul(num, g), polys.mul(den, g))
-    cf = rational_to_cfe(tf)
-    assert cf.quotients == _euclid_cfe(tf.num, tf.den)
-    assert _all_fractions(*cf.quotients)
-    back = cfe_to_tf(cf)
+    quotients = rational_to_cfe(tf)
+    assert quotients == _euclid_cfe(tf.num, tf.den)
+    assert _all_fractions(*quotients)
+    # a zero quotient is (Fraction(0),), never (): the ladder reads q[0]
+    assert all(quotients)
+    back = cfe_to_tf(quotients)
     # the expansion cannot carry a shared factor, so only a coprime TF
     # comes back identical
     assert tf_equal(back, tf)
