@@ -18,7 +18,9 @@ from math import gcd, isfinite
 
 from . import polys
 from .errors import DegenerateMathError, InconsistentSystemError, ValidationError
-from .exact import ParamPoly, _coerce_rat, clear_denominators, solve_particular
+from .exact import (
+    ParamPoly, _coerce_rat, _monomial, _product, _signed_sum, clear_denominators, solve_particular
+)
 from .series import PowerSeries
 
 
@@ -140,28 +142,24 @@ class TransferFunction:
         negative is subtracted, a symbolic one is parenthesized, and a unit
         coefficient of a power of s is left out."""
 
+        def term(c, p):
+            negative = _negative(c)
+            c = -c if negative else c
+            text = f"({c})" if isinstance(c, ParamPoly) else str(c)
+            return negative, _product(text, _monomial(("s",), (p,)), c == 1)
+
         def side(coeffs):
-            text = ""
-            for p in range(len(coeffs) - 1, -1, -1):
-                c = coeffs[p]
-                if not c:
-                    continue
-                negative = (c.leading_coeff() if isinstance(c, ParamPoly) else c) < 0
-                if negative:
-                    c = -c
-                if text:
-                    text += " - " if negative else " + "
-                elif negative:
-                    text = "-"
-                power = "" if p == 0 else "s" if p == 1 else f"s^{p}"
-                body = f"({c})" if isinstance(c, ParamPoly) else str(c)
-                text += body if not power else power if c == 1 else f"{body}*{power}"
-            return text or "0"
+            return _signed_sum(term(c, p) for p, c in reversed(tuple(enumerate(coeffs))) if c)
 
         text = f"({side(self.num)}) / ({side(self.den)})"
         if self.gain is not None:
             text = f"{self.gain.label} * {text}"
         return text
+
+
+def _negative(c) -> bool:
+    """A TF coefficient's sign: a scalar's own, a ParamPoly's grlex-leading coefficient's."""
+    return (c.leading_coeff() if isinstance(c, ParamPoly) else c) < 0
 
 
 def _coerce_exact(c):
@@ -214,8 +212,7 @@ def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
     if inv != 1:
         num = [c * inv for c in num]
         den = [c * inv for c in den]
-    lead = den[-1]
-    if (lead.leading_coeff() if isinstance(lead, ParamPoly) else lead) < 0:
+    if _negative(den[-1]):
         num = [-c for c in num]
         den = [-c for c in den]
     return TransferFunction(tuple(num), tuple(den), ring, gain, tuple(notes))
@@ -282,7 +279,7 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
         except InconsistentSystemError:
             raise DegenerateMathError("denominator vanishes at the expansion point") from None
         q += sol
-    num = polys.mul(q, c)[: m + 1]
+    num = polys.mul(q, c[: m + 1])[: m + 1]
     notes = (f"pade-defect={defect}",) if defect else ()
     return make_tf(num, q, notes=notes)
 

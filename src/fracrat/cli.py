@@ -89,7 +89,13 @@ _METHOD_FLAGS = {
 def _coeff_str(c) -> str:
     if isinstance(c, float):
         return f"{c:.15g}"
-    return str(c)
+    try:
+        return str(c)
+    except ValueError:  # an int past the digit cap, which parse_tf_document refuses too
+        raise ValidationError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits, the"
+            " int-to-str cap; PYTHONINTMAXSTRDIGITS=0 lifts it"
+        ) from None
 
 
 def _json_document(doc: dict, meta: dict | None) -> str:
@@ -127,8 +133,13 @@ def emit_tf_document(
         raise ValidationError("symbolic coefficients do not fit a tf-document")
     num, den, ring = tf.num, tf.den, tf.ring
     if as_float and ring == "rational":
-        num = tuple(float(c) for c in num)
-        den = tuple(float(c) for c in den)
+        try:
+            num = tuple(float(c) for c in num)
+            den = tuple(float(c) for c in den)
+        except OverflowError:
+            raise ValidationError(
+                "a coefficient is past float range; leave out --float for the exact document"
+            ) from None
         ring = "float"
     return _tf_json({"format": "tf-document", "variable": "s", "ring": ring}, tf, num, den, meta)
 

@@ -4,7 +4,9 @@ Sparse multivariate polynomials over the controller-parameter symbols
 (`ParamPoly`, whose coefficients are int where integral and Fraction
 otherwise, so symbolic products of integer polynomials never touch
 `Fraction`), each built by `_poly`, combined linearly by `_combine` and
-raised by `_powers`, which the symbolic Pade kernel shares; the one
+raised by `_powers`, which the symbolic Pade kernel shares; one grammar
+of printed expressions (`_signed_sum`, `_product`, `_monomial`) for ParamPoly,
+TransferFunction and ladder rungs alike; the one
 coercion every exact scalar of a numeric TF passes through (`_coerce_rat`,
 always to a Fraction); and the exact linear solver behind the generic Pade
 construction: fraction-free (Bareiss) elimination on exact scalars, with
@@ -45,11 +47,6 @@ def _ring(c):
     """An int or Fraction coefficient in ParamPoly's coefficient ring: an
     integral Fraction becomes its int."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
-def _grlex_key(exponents):
-    # graded lexicographic: total degree first, then the exponent tuple
-    return (sum(exponents), exponents)
 
 
 class ParamPoly:
@@ -114,7 +111,8 @@ class ParamPoly:
     def leading_key(self) -> tuple:
         if not self.terms:
             raise ValidationError("zero polynomial has no leading term")
-        return max(self.terms, key=_grlex_key)
+        # graded lexicographic: total degree first, then the exponent tuple
+        return max(self.terms, key=lambda key: (sum(key), key))
 
     def leading_coeff(self):
         """Coefficient of the grlex-leading term: an int or a Fraction."""
@@ -234,33 +232,40 @@ class ParamPoly:
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
+        terms = self.terms
         parts = []
-        for key in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[key]
-            factors = []
-            for i, e in enumerate(key):
-                if e == 1:
-                    factors.append(SYMBOLS[i])
-                elif e > 1:
-                    factors.append(f"{SYMBOLS[i]}^{e}")
+        # descending grlex as two stable sorts: by the tuple, then by total degree
+        for key in sorted(sorted(terms, reverse=True), key=sum, reverse=True):
+            c = terms[key]
             mag = abs(c)
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([str(mag)] + factors)
-            else:
-                body = str(mag)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            parts.append((c < 0, _product(str(mag), _monomial(SYMBOLS, key), mag == 1)))
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"ParamPoly({self})"
+
+
+def _signed_sum(terms) -> str:
+    """`a - b + c` from (negative, body) pairs with unsigned bodies: a
+    negative first term takes a leading '-', and no terms print as '0'."""
+    text = "".join([f" - {body}" if negative else f" + {body}" for negative, body in terms])
+    if not text:
+        return "0"
+    return "-" + text[3:] if text[1] == "-" else text[3:]
+
+
+def _product(coeff: str, monomial: str, unit: bool) -> str:
+    """coeff*monomial, leaving out a unit coefficient or an empty monomial."""
+    return coeff if not monomial else monomial if unit else f"{coeff}*{monomial}"
+
+
+def _monomial(bases, exponents) -> str:
+    """base^e for each pair, joined by '*': the bare base at e = 1, nothing at e = 0."""
+    factors = []  # a loop: before CPython 3.12 a comprehension is one more call per term
+    for b, e in zip(bases, exponents):
+        if e:
+            factors.append(b if e == 1 else f"{b}^{e}")
+    return "*".join(factors)
 
 
 def _poly(terms: dict) -> ParamPoly:

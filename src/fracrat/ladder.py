@@ -15,6 +15,7 @@ from itertools import groupby
 from . import polys
 from .approx import TransferFunction, cfe_to_tf, rational_to_cfe
 from .errors import DegenerateMathError, ValidationError
+from .exact import _monomial, _product, _signed_sum
 
 _NIC_OPAMP_GAIN = "1e6"
 _NIC_RESISTOR = "1000"
@@ -34,13 +35,9 @@ class LadderElement:
 
     def __str__(self):
         kind = "Z" if self.role == "Z" else "Y"
-        if not self.h:
-            body = str(self.g)
-        elif not self.g:
-            body = f"{self.h}*s"
-        else:
-            sign = "+" if self.g > 0 else "-"
-            body = f"{self.h}*s {sign} {abs(self.g)}"
+        terms = [(v, _monomial(("s",), (p,))) for p, v in ((1, self.h), (0, self.g)) if v]
+        # a rung prints its unit slope too: `1*s`
+        body = _signed_sum((v < 0, _product(str(abs(v)), monomial, False)) for v, monomial in terms)
         return f"{kind}{self.position}(s) = {body}"
 
 

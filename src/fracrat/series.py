@@ -2,7 +2,7 @@
 
 Generates the series that the generic Pade construction consumes: the
 generalized binomial power (1 + t)^a and the lead-lag kernel
-((1 + w)/(1 + x w))^a = (1 + w)^a (1 + x w)^(-a), a product of two of them.
+((1 + w)/(1 + x w))^a, each coefficient from the ones before it.
 The controller realizations read their approximants off closed forms
 instead; these series are the reference those closed forms are checked
 against. Parameters and coefficients are exact scalars (Fraction); a
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import polys
 from .errors import ValidationError
 from .exact import _coerce_rat
 
@@ -64,13 +63,21 @@ def binomial_series(exponent, n: int) -> PowerSeries:
 
 
 def leadlag_kernel_series(alpha, x, n: int) -> PowerSeries:
-    """Series of ((1 + w)/(1 + x*w))^alpha in w through order n.
+    """Series of f(w) = ((1 + w)/(1 + x*w))^alpha in w through order n.
 
-    Built as the truncated product of (1 + w)^alpha and (1 + x*w)^(-alpha),
-    the binomial series of -alpha with coefficient k scaled by x^k.
+    f'/f = alpha*(1 - x)/((1 + w)(1 + x*w)), so (1 + (1 + x)w + x*w^2) f' =
+    alpha*(1 - x) f, whose coefficient of w^k gives the recurrence
+    c_(k+1) = ((alpha*(1 - x) - (1 + x)*k)*c_k - x*(k - 1)*c_(k-1)) / (k + 1)
+    from c_0 = 1: O(n) operations, where the truncated product of the two
+    binomial series takes O(n^2).
     """
-    lead = binomial_series(alpha, n).coeffs
+    if n < 0:
+        raise ValidationError("series order must be non-negative")
+    a = _coerce_rat(alpha)
     xv = _coerce_rat(x)
-    lag = [c * xv**k for k, c in enumerate(binomial_series(-_coerce_rat(alpha), n).coeffs)]
-    product = polys.mul(lead, lag)[: n + 1]
-    return PowerSeries(product + (Fraction(0),) * (n + 1 - len(product)))
+    rate = a * (1 - xv)
+    coeffs = [Fraction(1)]
+    for k in range(n):
+        before = coeffs[k - 1] if k else 0
+        coeffs.append(((rate - (1 + xv) * k) * coeffs[k] - xv * (k - 1) * before) / (k + 1))
+    return PowerSeries(tuple(coeffs))

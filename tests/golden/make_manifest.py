@@ -162,6 +162,10 @@ _ERRORS = (
     "realize --controller diffint --lambda 1e9999999 --order 3",
     "ladder --tf exponent.json",
     "bode --tf exponent.json --fmin 1 --fmax 10",
+    "realize --controller diffint --lambda 1e-40 --order 8 --float",
+    "realize --controller diffint --lambda 1e-300 --order 2 --float",
+    "realize --controller diffint --lambda 1e-4000 --order 2",
+    "symbolic --controller diffint --range high --T 1e-4000 --order 2",
 )
 
 # documents that no command line writes, put in the working directory

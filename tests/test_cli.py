@@ -402,6 +402,40 @@ def test_an_exponent_past_the_digit_cap_exits_2_at_once(tmp_path, capsys):
         assert capsys.readouterr() == ("", err)
 
 
+def test_a_document_past_float_range_or_the_digit_cap_exits_2_at_emit(tmp_path, capsys):
+    # the parameters are in range, but the coefficients they give are not:
+    # past float range for --float, or past the int-to-str digit cap
+    cap = sys.get_int_max_str_digits()
+    floats = "error: a coefficient is past float range; leave out --float for the exact document\n"
+    digits = (
+        f"error: a coefficient has more than {cap} digits, the int-to-str cap;"
+        " PYTHONINTMAXSTRDIGITS=0 lifts it\n"
+    )
+    cases = (
+        ("realize --controller diffint --lambda 1e-40 --order 8 --float", floats),
+        ("realize --controller diffint --lambda 1e-300 --order 2 --float", floats),
+        ("realize --controller diffint --lambda 1e-4000 --order 2", digits),
+        ("symbolic --controller diffint --range high --T 1e-4000 --order 2", digits),
+    )
+    for line, err in cases:
+        start = time.perf_counter()
+        assert run(*line.split()) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", err)
+    # with the cap lifted, emit and parse agree on the long coefficients
+    out = tmp_path / "long.json"
+    sys.set_int_max_str_digits(0)
+    try:
+        assert run(*cases[2][0].split(), "-o", str(out)) == 0
+        text = out.read_text()
+        tf, meta = parse_tf_document(text)
+        assert emit_tf_document(tf, meta=meta) == text
+    finally:
+        sys.set_int_max_str_digits(cap)
+    with pytest.raises(ValidationError, match="bad coefficient"):
+        parse_tf_document(text)
+
+
 def test_documents_that_are_not_utf8_exit_2(tmp_path, capsys):
     tf_file = tmp_path / "latin1.json"
     tf_file.write_bytes(b"\xff\xfe")

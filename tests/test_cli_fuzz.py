@@ -121,6 +121,8 @@ def _sweep_argv(draw):
 
 @BUDGET
 @given(st.sampled_from(("realize", "symbolic")), _controller_argv(), st.booleans())
+# a --float document whose coefficients pass float range
+@example("realize", ["--controller", "diffint", "--order", "8", "--lambda", "1e-40"], True)
 def test_construction_commands_keep_the_exit_contract(command, argv, as_float):
     if command == "realize" and as_float:
         argv = argv + ["--float"]

@@ -140,6 +140,9 @@ def test_str_rendering_is_stable():
     assert str(840 * lam + 3360) == "840*lam + 3360"
     assert str(lam**2 - 1) == "lam^2 - 1"
     assert str(ParamPoly.zero()) == "0"
+    # a negative first term with a unit coefficient keeps only its sign
+    mu = ParamPoly.var("mu")
+    assert str(3 * lam - lam**2 * mu - 1) == "-lam^2*mu + 3*lam - 1"
 
 
 # -- the coefficient ring: int where integral, Fraction otherwise --------------

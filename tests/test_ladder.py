@@ -101,6 +101,11 @@ def test_element_rendering():
     assert str(LadderElement("Y", Fraction(1, 2), Fraction(2), 2)) == "Y2(s) = 2*s + 1/2"
     assert str(LadderElement("Z", Fraction(-4), Fraction(-8), 3)) == "Z3(s) = -8*s - 4"
     assert str(LadderElement("Z", Fraction(1), Fraction(0), 1)) == "Z1(s) = 1"
+    # a rung prints a unit slope, and a vanished g leaves the slope alone
+    assert str(LadderElement("Z", Fraction(2), Fraction(-1), 1)) == "Z1(s) = -1*s + 2"
+    assert str(LadderElement("Y", Fraction(-3), Fraction(1), 2)) == "Y2(s) = 1*s - 3"
+    assert str(LadderElement("Z", Fraction(0), Fraction(-5, 2), 3)) == "Z3(s) = -5/2*s"
+    assert str(LadderElement("Y", Fraction(0), Fraction(1), 4)) == "Y4(s) = 1*s"
 
 
 def test_map_elements_on_mixed_network():
