@@ -4,9 +4,8 @@ Sparse multivariate polynomials over the controller-parameter symbols
 (`ParamPoly`, whose coefficients are int where integral and Fraction
 otherwise, so symbolic products of integer polynomials never touch
 `Fraction`), each built by `_poly`, combined linearly by `_combine` and
-raised by `_powers`, which the symbolic Pade kernel shares; one grammar
-of printed expressions (`_signed_sum`, `_product`, `_monomial`) for ParamPoly,
-TransferFunction and ladder rungs alike; the one
+raised by `_powers`, which the symbolic Pade kernel shares; the grammar of
+a printed expression (`_signed_sum`, `_product`, `_monomial`); the one
 coercion every exact scalar of a numeric TF passes through (`_coerce_rat`,
 always to a Fraction); and the exact linear solver behind the generic Pade
 construction: fraction-free (Bareiss) elimination on exact scalars, with
@@ -47,6 +46,11 @@ def _ring(c):
     """An int or Fraction coefficient in ParamPoly's coefficient ring: an
     integral Fraction becomes its int."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _grlex_key(exponents):
+    # graded lexicographic: total degree first, then the exponent tuple
+    return (sum(exponents), exponents)
 
 
 class ParamPoly:
@@ -111,8 +115,7 @@ class ParamPoly:
     def leading_key(self) -> tuple:
         if not self.terms:
             raise ValidationError("zero polynomial has no leading term")
-        # graded lexicographic: total degree first, then the exponent tuple
-        return max(self.terms, key=lambda key: (sum(key), key))
+        return max(self.terms, key=_grlex_key)
 
     def leading_coeff(self):
         """Coefficient of the grlex-leading term: an int or a Fraction."""
@@ -232,11 +235,10 @@ class ParamPoly:
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        terms = self.terms
         parts = []
-        # descending grlex as two stable sorts: by the tuple, then by total degree
-        for key in sorted(sorted(terms, reverse=True), key=sum, reverse=True):
-            c = terms[key]
+        # descending _grlex_key order by two stable sorts: C-computed keys are faster
+        for key in sorted(sorted(self.terms, reverse=True), key=sum, reverse=True):
+            c = self.terms[key]
             mag = abs(c)
             parts.append((c < 0, _product(str(mag), _monomial(SYMBOLS, key), mag == 1)))
         return _signed_sum(parts)

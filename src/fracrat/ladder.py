@@ -15,7 +15,7 @@ from itertools import groupby
 from . import polys
 from .approx import TransferFunction, cfe_to_tf, rational_to_cfe
 from .errors import DegenerateMathError, ValidationError
-from .exact import _monomial, _product, _signed_sum
+from .exact import _signed_sum
 
 _NIC_OPAMP_GAIN = "1e6"
 _NIC_RESISTOR = "1000"
@@ -35,9 +35,8 @@ class LadderElement:
 
     def __str__(self):
         kind = "Z" if self.role == "Z" else "Y"
-        terms = [(v, _monomial(("s",), (p,))) for p, v in ((1, self.h), (0, self.g)) if v]
-        # a rung prints its unit slope too: `1*s`
-        body = _signed_sum((v < 0, _product(str(abs(v)), monomial, False)) for v, monomial in terms)
+        slope = [(self.h < 0, f"{abs(self.h)}*s")] if self.h else []
+        body = _signed_sum(slope + ([(self.g < 0, str(abs(self.g)))] if self.g else []))
         return f"{kind}{self.position}(s) = {body}"
 
 

@@ -133,6 +133,10 @@ def test_grlex_ordering_picks_total_degree_first():
     assert p.leading_coeff() == 1
     (lead,) = (lam * mu**2).terms
     assert p.leading_key() == lead
+    # str prints the terms in the same order, descending
+    assert str(p) == "lam*mu^2 + lam^2"
+    x = ParamPoly.var("x")
+    assert str(mu**2 + lam * mu + lam**2 + x * mu * lam + 1) == "lam*mu*x + lam^2 + lam*mu + mu^2 + 1"
 
 
 def test_str_rendering_is_stable():
