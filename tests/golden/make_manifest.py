@@ -43,6 +43,9 @@ MANIFEST = Path(__file__).resolve().parent / "manifest.json"
 
 NUMERIC_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 20, 40, 60, 120)
 SMALL_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8)
+# every family symbolic in all its parameters at two-digit exponents; the
+# order-20 FOPID document is 2 MB
+LARGE_SYMBOLIC_ORDERS = (12, 20)
 _SIGNS = ("integrator", "differentiator")
 _BANDS = ("low", "high")
 
@@ -204,6 +207,9 @@ def commands() -> list:
     for flags in _symbolic():
         for order in SMALL_ORDERS:
             steps.append((shlex.join(("symbolic", *flags, "--order", str(order))),))
+    for controller in ("diffint", "fopd", "fopid", "leadlag"):
+        for order in LARGE_SYMBOLIC_ORDERS:
+            steps.append((f"symbolic --controller {controller} --order {order}",))
     steps.append((
         "symbolic --controller fopid --order 2 --no-meta -o s001.json",
         "ladder --tf s001.json",
