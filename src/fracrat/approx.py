@@ -19,7 +19,8 @@ from math import gcd, isfinite
 from . import polys
 from .errors import DegenerateMathError, InconsistentSystemError, ValidationError
 from .exact import (
-    ParamPoly, _coerce_rat, _monomial, _product, _signed_sum, clear_denominators, solve_particular
+    ParamPoly, _coerce_rat, _monomial, _product, _signed_sum, _substitute, clear_denominators,
+    solve_particular,
 )
 from .series import PowerSeries
 
@@ -107,9 +108,10 @@ class TransferFunction:
     def substitute(self, mapping: dict) -> "TransferFunction":
         """Substitute symbols in every coefficient and renormalize.
 
-        When every coefficient comes out rational, a common factor in s
-        (left by a degenerate value such as an integer exponent) is
-        cancelled, as the numeric path does. A gain tag from a realization
+        Each symbol's powers are built once for the whole TF. When every
+        coefficient comes out rational, a common factor in s (left by a
+        degenerate value such as an integer exponent) is cancelled, as the
+        numeric path does. A gain tag from a realization
         gets its value once the mapping and the parameters fixed at
         realization give every parameter of its label a number, from the
         formula the realizations use; a mapping that gives a fixed
@@ -118,12 +120,12 @@ class TransferFunction:
         if self.ring == "float":
             raise ValidationError("float coefficients have no symbols")
 
-        def sub(c):
-            return _coerce_exact(c.substitute(mapping)) if isinstance(c, ParamPoly) else c
-
-        num = [sub(c) for c in self.num]
-        den = [sub(c) for c in self.den]
-        if not any(isinstance(c, ParamPoly) for c in num + den):
+        coeffs = self.num + self.den
+        symbolic = [c for c in coeffs if isinstance(c, ParamPoly)]
+        images = iter(_substitute(symbolic, mapping) if symbolic else ())
+        coeffs = [_coerce_exact(next(images)) if isinstance(c, ParamPoly) else c for c in coeffs]
+        num, den = coeffs[: len(self.num)], coeffs[len(self.num):]
+        if not any(isinstance(c, ParamPoly) for c in coeffs):
             num, den = _cancel_common_factor(num, den)
         gain = self.gain
         if gain is not None and gain.fixed is not None and gain.label in _GAIN_FORMULAS:

@@ -41,6 +41,7 @@ from .controllers import (
     Differintegrator,
     FOPDBracket,
     LeadLag,
+    _echo,
     _parse_rat,
     _rat,
     realize_differintegrator,
@@ -49,6 +50,7 @@ from .controllers import (
     realize_leadlag,
 )
 from .errors import FracratError, ValidationError
+from .exact import ParamPoly, _poly_str
 from .freqresp import PHASE_TOL_DEG, bode, fit_report, ideal_response, log_grid
 from .ladder import export_netlist, map_elements, synthesize_ladder
 
@@ -86,11 +88,13 @@ _METHOD_FLAGS = {
 }
 
 
-def _coeff_str(c) -> str:
+def _coeff_str(c, monomials: dict) -> str:
+    """A document coefficient as text; a ParamPoly's monomials come from
+    the document's one table (exact._poly_str)."""
     if isinstance(c, float):
         return f"{c:.15g}"
     try:
-        return str(c)
+        return _poly_str(c, monomials) if isinstance(c, ParamPoly) else str(c)
     except ValueError:  # an int past the digit cap, which parse_tf_document refuses too
         raise ValidationError(
             f"a coefficient has more than {sys.get_int_max_str_digits()} digits, the"
@@ -109,10 +113,11 @@ def _tf_json(head: dict, tf: TransferFunction, num, den, meta: dict | None) -> s
     """Both TF documents: the head's keys, num and den in descending powers
     of s, the gain and the notes, then meta."""
     gain = tf.gain
+    text = partial(_coeff_str, monomials={})  # one monomial table for the whole document
     doc = {
         **head,
-        "num": [_coeff_str(c) for c in reversed(num)],
-        "den": [_coeff_str(c) for c in reversed(den)],
+        "num": [text(c) for c in reversed(num)],
+        "den": [text(c) for c in reversed(den)],
         "gain": None if gain is None else {"label": gain.label, "value": gain.value},
         "notes": list(tf.notes),
     }
@@ -171,9 +176,9 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
         try:
             value = float(text_value)
         except (ValueError, TypeError, OverflowError):
-            raise ValidationError(f"bad {what} {text_value!r}") from None
+            raise ValidationError(f"bad {what} {_echo(text_value)}") from None
         if not math.isfinite(value):
-            raise ValidationError(f"non-finite {what} {text_value!r}")
+            raise ValidationError(f"non-finite {what} {_echo(text_value)}")
         return value
 
     def coeff(text_value):
@@ -182,7 +187,7 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
         try:
             return _parse_rat(str(text_value), "coefficient")
         except (ValueError, ZeroDivisionError, TypeError):
-            raise ValidationError(f"bad coefficient {text_value!r}") from None
+            raise ValidationError(f"bad coefficient {_echo(text_value)}") from None
 
     for side in ("num", "den"):
         if side not in doc or not isinstance(doc[side], list) or not doc[side]:

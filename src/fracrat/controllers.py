@@ -35,6 +35,18 @@ _RANGES = ("low", "high")
 # the exponent of decimal text such as "1e-5" or "2.5E+1_0"
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
 
+# an error message echoes at most this many characters of a refused input
+_ECHO_CHARS = 40
+
+
+def _echo(value) -> str:
+    """A refused input as an error message quotes it: its repr, or, past
+    _ECHO_CHARS characters, the repr of its start and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return repr(value)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
 
 def _parse_rat(text: str, name: str) -> Fraction:
     """Fraction(text), refusing first (ValidationError naming `name`) an
@@ -44,7 +56,7 @@ def _parse_rat(text: str, name: str) -> Fraction:
     exponent = _EXPONENT.search(text)
     cap = getattr(sys, "get_int_max_str_digits", int)()  # no cap before CPython 3.10.7
     if exponent and cap and abs(int(exponent[1])) > cap:
-        raise ValidationError(f"{name} {text!r} has an exponent past {cap} in magnitude")
+        raise ValidationError(f"{name} {_echo(text)} has an exponent past {cap} in magnitude")
     return Fraction(text)
 
 
@@ -63,7 +75,7 @@ def _rat(value, name: str) -> Fraction:
             return _parse_rat(source, name) if isinstance(source, str) else Fraction(source)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValidationError(f"{name} expects a rational number, got {value!r}")
+    raise ValidationError(f"{name} expects a rational number, got {_echo(value)}")
 
 
 def _rat_or_none(value, name: str) -> Fraction | None:

@@ -1,11 +1,14 @@
 """Exact arithmetic substrate on `fractions.Fraction`.
 
 Sparse multivariate polynomials over the controller-parameter symbols
-(`ParamPoly`, whose coefficients are int where integral and Fraction
-otherwise, so symbolic products of integer polynomials never touch
-`Fraction`), each built by `_poly`, combined linearly by `_combine` and
-raised by `_powers`, which the symbolic Pade kernel shares; the grammar of
-a printed expression (`_signed_sum`, `_product`, `_monomial`); the one
+(`ParamPoly`, whose terms are keyed by packed monomials and whose
+coefficients are int where integral and Fraction otherwise, so symbolic
+products of integer polynomials never touch `Fraction`), each built by
+`_poly`, combined linearly by `_combine`, raised by `_powers`, which the
+symbolic Pade kernel shares, and specialized by `_substitute`, which a
+transfer function shares among its coefficients; the grammar of a printed
+expression (`_signed_sum`, `_product`, `_monomial`, and `_poly_str`, whose
+monomial table a document shares among its coefficients); the one
 coercion every exact scalar of a numeric TF passes through (`_coerce_rat`,
 always to a Fraction); and the exact linear solver behind the generic Pade
 construction: fraction-free (Bareiss) elimination on exact scalars, with
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import add
 
 from .errors import InconsistentSystemError, ValidationError
 
@@ -30,7 +32,20 @@ SYMBOLS = ("lam", "mu", "alpha", "x", "Kp", "Ki", "Kd", "Kc", "T")
 
 _INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 _NVARS = len(SYMBOLS)
-_ZERO_KEY = (0,) * _NVARS
+
+#: Bits per field of a packed monomial key: every exponent and every total
+#: degree stays below 2**_FIELD_BITS.
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+# the field of SYMBOLS[i] starts at bit _SHIFTS[i], the first symbol highest;
+# the total degree sits above them all, and every key is below _KEY_LIMIT
+_SHIFTS = tuple(_FIELD_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
+_DEGREE_UNIT = 1 << (_FIELD_BITS * _NVARS)
+_KEY_LIMIT = _DEGREE_UNIT << _FIELD_BITS
+# the key of each symbol to the first power: a monomial's key is the sum of
+# these, each times its exponent, so a product of monomials adds keys
+_UNITS = tuple(_DEGREE_UNIT + (1 << shift) for shift in _SHIFTS)
+_ZERO_KEY = 0
 
 
 def _coerce_rat(value) -> Fraction:
@@ -48,39 +63,63 @@ def _ring(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
-def _grlex_key(exponents):
-    # graded lexicographic: total degree first, then the exponent tuple
-    return (sum(exponents), exponents)
+def _pack(exponents) -> int:
+    """The packed key of an exponent tuple (see ParamPoly). A wrong length
+    raises ValueError; an exponent that is not a non-negative int, or a
+    total degree of 2**_FIELD_BITS or more, ValidationError."""
+    exponents = tuple(exponents)
+    if len(exponents) != _NVARS:
+        raise ValueError("exponent tuple has wrong length")
+    if not all(isinstance(e, int) and e >= 0 for e in exponents):
+        raise ValidationError(f"exponents must be non-negative ints, got {exponents}")
+    if sum(exponents) > _FIELD_MASK:
+        raise ValidationError(f"a total degree must stay below 2^{_FIELD_BITS}, got {sum(exponents)}")
+    return sum(e * unit for e, unit in zip(exponents, _UNITS))
+
+
+def _unpack(key: int) -> tuple:
+    """The exponent tuple of a packed key."""
+    return tuple([(key >> shift) & _FIELD_MASK for shift in _SHIFTS])
 
 
 class ParamPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Terms map exponent tuples (one slot per entry of SYMBOLS) to nonzero
-    coefficients: int where integral, Fraction otherwise, so no coefficient
-    is a Fraction with denominator 1. Products and sums of integer
-    polynomials then run on machine ints without a gcd per operation. The
-    zero polynomial has no terms, and `_poly` builds every one.
+    `ParamPoly(terms)` takes a dict from exponent tuples (one non-negative
+    int per entry of SYMBOLS) to exact scalars, and `items()` gives the
+    terms back in that form. `terms` itself maps packed keys to nonzero
+    coefficients. A packed key is one int of 16-bit fields (B = 16): the
+    total degree in the top field, then one field per entry of SYMBOLS, in
+    order. Integer order on keys is then graded lexicographic order on
+    monomials (total degree first, then the exponent tuple), and the key of
+    a product of monomials is the sum of their keys. Every total degree
+    stays below 2^B = 65536: the constructor refuses a term that reaches it
+    and a product refuses to form one, with ValidationError. A symbolic
+    realization of order n reaches a total degree of 2n + 1, and 3n for
+    the lead-lag.
+
+    Coefficients are int where integral, Fraction otherwise, so no
+    coefficient is a Fraction with denominator 1. Products and sums of
+    integer polynomials then run on machine ints without a gcd per
+    operation. The zero polynomial has no terms, and `_poly` builds every
+    one.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         cleaned: dict = {}
-        for key, coeff in (terms or {}).items():
+        for exponents, coeff in (terms or {}).items():
             if not isinstance(coeff, (int, Fraction)):
                 raise TypeError(f"expected an exact scalar, got {type(coeff).__name__}")
-            key = tuple(key)
-            if len(key) != _NVARS:
-                raise ValueError("exponent tuple has wrong length")
-            cleaned[key] = coeff
+            cleaned[_pack(exponents)] = coeff
         self.terms = _poly(cleaned).terms
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def constant(cls, value) -> "ParamPoly":
-        return cls({_ZERO_KEY: value})
+        return cls({(0,) * _NVARS: value})
 
     @classmethod
     def var(cls, name: str) -> "ParamPoly":
@@ -112,10 +151,15 @@ class ParamPoly:
             raise ValidationError("polynomial is not constant")
         return Fraction(self.terms.get(_ZERO_KEY, 0))
 
-    def leading_key(self) -> tuple:
+    def items(self):
+        """The terms as (exponent tuple, coefficient) pairs, in the order of `terms`."""
+        return ((_unpack(key), c) for key, c in self.terms.items())
+
+    def leading_key(self) -> int:
+        """The packed key of the grlex-leading term."""
         if not self.terms:
             raise ValidationError("zero polynomial has no leading term")
-        return max(self.terms, key=_grlex_key)
+        return max(self.terms)
 
     def leading_coeff(self):
         """Coefficient of the grlex-leading term: an int or a Fraction."""
@@ -132,6 +176,8 @@ class ParamPoly:
         return None
 
     def __add__(self, other):
+        if type(other) is int and not other:  # the 0 that starts a sum, as in polys.mul
+            return self
         other = self._lift(other)
         if other is None:
             return NotImplemented
@@ -163,11 +209,15 @@ class ParamPoly:
             return _combine((_ring(other),), (self,))
         if not isinstance(other, ParamPoly):
             return NotImplemented
+        left, right = self.terms, other.terms
+        # the leading keys hold the largest total degrees, and no field carries below it
+        if left and right and max(left) + max(right) >= _KEY_LIMIT:
+            raise ValidationError(f"a product's total degree must stay below 2^{_FIELD_BITS}")
         terms: dict = {}
         get = terms.get
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(map(add, k1, k2))
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
+                key = k1 + k2
                 terms[key] = get(key, 0) + c1 * c2
         return _poly(terms)
 
@@ -182,8 +232,9 @@ class ParamPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no square past the last bit: it could pass the degree bound for nothing
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -211,40 +262,79 @@ class ParamPoly:
     def substitute(self, mapping: dict) -> "ParamPoly":
         """Substitute symbols by exact scalars or polynomials.
 
-        Unmentioned symbols stay symbolic. The result is one `_combine` of
-        the coefficients with the monomials, each a product of powers built
-        once per symbol. An unknown symbol raises ValidationError; a value
-        that is neither an exact scalar nor a ParamPoly, TypeError.
+        Unmentioned symbols stay symbolic. Each term's scalar images
+        multiply its coefficient, and only a polynomial image takes a
+        product of ParamPolys. An unknown symbol raises ValidationError; a
+        value that is neither an exact scalar nor a ParamPoly, TypeError.
         """
-        images = {}
-        for name, val in mapping.items():
-            if name not in _INDEX:
-                raise ValidationError(f"unknown symbol {name!r}")
-            lifted = self._lift(val)
-            if lifted is None:
-                raise TypeError(f"cannot substitute {type(val).__name__}")
-            images[_INDEX[name]] = lifted
-        powers = [
-            _powers(images[i] if i in images else ParamPoly.var(SYMBOLS[i]), top)
-            for i, top in enumerate(map(max, zip(*self.terms)))
-        ]
-        one = ParamPoly.one()
-        monomials = [prod((pw[e] for pw, e in zip(powers, key) if e), start=one) for key in self.terms]
-        return _combine(self.terms.values(), monomials)
+        return _substitute((self,), mapping)[0]
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        parts = []
-        # descending _grlex_key order by two stable sorts: C-computed keys are faster
-        for key in sorted(sorted(self.terms, reverse=True), key=sum, reverse=True):
-            c = self.terms[key]
-            mag = abs(c)
-            parts.append((c < 0, _product(str(mag), _monomial(SYMBOLS, key), mag == 1)))
-        return _signed_sum(parts)
+        return _poly_str(self, {})
 
     def __repr__(self):
         return f"ParamPoly({self})"
+
+
+def _substitute(polys, mapping: dict) -> list:
+    """[p.substitute(mapping) for p in polys], with each symbol's list of
+    powers built once for all of them."""
+    images = {}
+    for name, val in mapping.items():
+        if name not in _INDEX:
+            raise ValidationError(f"unknown symbol {name!r}")
+        if isinstance(val, ParamPoly) and val.is_constant():
+            val = val.constant_value()
+        elif not isinstance(val, (int, Fraction, ParamPoly)):
+            raise TypeError(f"cannot substitute {type(val).__name__}")
+        images[_INDEX[name]] = _ring(val)
+    keys = [key for poly in polys for key in poly.terms]
+    fields = []  # (shift, unit, powers, symbolic) of each symbol to replace
+    for i, image in images.items():
+        shift = _SHIFTS[i]
+        top = max([(key >> shift) & _FIELD_MASK for key in keys], default=0)
+        if top:
+            fields.append((shift, _UNITS[i], _powers(image, top), isinstance(image, ParamPoly)))
+    out = []
+    for poly in polys:
+        terms: dict = {}
+        get = terms.get
+        for key, c in poly.terms.items():
+            factors = []
+            for shift, unit, powers, symbolic in fields:
+                e = (key >> shift) & _FIELD_MASK
+                if e:
+                    key -= e * unit
+                    if symbolic:
+                        factors.append(powers[e])
+                    else:
+                        c *= powers[e]
+            if factors:
+                for k, v in prod(factors, start=_poly({key: c})).terms.items():
+                    terms[k] = get(k, 0) + v
+            else:
+                terms[key] = get(key, 0) + c
+        out.append(_poly(terms))
+    return out
+
+
+def _poly_str(poly: ParamPoly, monomials: dict) -> str:
+    """str(poly): terms in descending grlex order, which is descending key
+    order. Each monomial's text is read from `monomials`, keyed by packed
+    key, or written there, so that one table serves every coefficient of a
+    document."""
+    terms = poly.terms
+    parts = []
+    for key in sorted(terms, reverse=True):
+        text = monomials.get(key)
+        if text is None:
+            text = monomials[key] = _monomial(SYMBOLS, _unpack(key))
+        c = terms[key]
+        mag = abs(c)
+        parts.append((c < 0, _product(str(mag), text, mag == 1)))
+    return _signed_sum(parts)
 
 
 def _signed_sum(terms) -> str:
@@ -274,7 +364,12 @@ def _poly(terms: dict) -> ParamPoly:
     """The ParamPoly with these terms, zero coefficients dropped and the
     rest brought into the ring: the one place a term dict is wrapped."""
     out = ParamPoly.__new__(ParamPoly)
-    out.terms = {key: _ring(c) for key, c in terms.items() if c}
+    # _ring inlined: a call per coefficient would cost more than the test
+    out.terms = {
+        key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for key, c in terms.items()
+        if c
+    }
     return out
 
 

@@ -469,6 +469,23 @@ def test_bode_rejects_non_finite_documents(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_a_long_refused_coefficient_is_echoed_in_part(tmp_path, capsys):
+    # 5000 digits: past the int-to-str cap in the rational ring and past
+    # float range in the float ring; the one error line quotes the first
+    # 40 characters and says how long the coefficient is
+    digits = "1" * 5000
+    cases = (
+        ("rational", f"error: bad coefficient {digits[:40]!r}... (5000 characters)\n"),
+        ("float", f"error: non-finite coefficient {digits[:40]!r}... (5000 characters)\n"),
+    )
+    for ring, err in cases:
+        tf_file = tmp_path / f"{ring}.json"
+        tf_file.write_text(json.dumps({"format": "tf-document", "ring": ring, "num": [digits], "den": ["1", "1"]}))
+        for argv in (("bode", "--tf", str(tf_file), "--fmin", "1", "--fmax", "10"), ("ladder", "--tf", str(tf_file))):
+            assert run(*argv) == 2
+            assert capsys.readouterr() == ("", err)
+
+
 def test_sweeps_reject_a_non_finite_band(tmp_path, capsys):
     tf_file = tmp_path / "halfint.json"
     assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "2",

@@ -600,7 +600,7 @@ def test_integer_exponents_match_the_generic_pade(n):
 def _max_degree(tf, symbol: str) -> int:
     i = SYMBOLS.index(symbol)
     return max(
-        max(key[i] for key in c.terms) if isinstance(c, ParamPoly) and c else 0
+        max(exponents[i] for exponents, _ in c.items()) if isinstance(c, ParamPoly) and c else 0
         for c in tf.num + tf.den
     )
 

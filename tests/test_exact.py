@@ -139,6 +139,42 @@ def test_grlex_ordering_picks_total_degree_first():
     assert str(mu**2 + lam * mu + lam**2 + x * mu * lam + 1) == "lam*mu*x + lam^2 + lam*mu + mu^2 + 1"
 
 
+def test_exponents_are_non_negative_ints_below_the_field_bound():
+    # each term is one packed key of 16-bit fields, so an exponent must be a
+    # non-negative int and a total degree must stay below 2^16; one-term
+    # polynomials reach the bound without building anything large
+    bound = 2**16
+    for bad in (-1, Fraction(3, 2), 1.5, bound):
+        with pytest.raises(ValidationError):
+            ParamPoly({(bad,) + _ZERO[1:]: 1})
+    with pytest.raises(ValidationError):
+        ParamPoly({(bound // 2, bound // 2) + _ZERO[2:]: 1})  # each field fits, their sum does not
+    with pytest.raises(ValueError):
+        ParamPoly({(1, 2): 1})
+    top = ParamPoly({(bound - 1,) + _ZERO[1:]: 1})
+    assert str(top) == f"lam^{bound - 1}"
+    assert list(top.items()) == [((bound - 1,) + _ZERO[1:], 1)]
+    half = ParamPoly({(0, bound // 2) + _ZERO[2:]: 3})
+    assert half * ParamPoly({(0, bound // 2 - 1) + _ZERO[2:]: 2}) == 6 * ParamPoly.var("mu") ** (bound - 1)
+    for left, right in ((half, half), (top, ParamPoly.var("Kd")), (ParamPoly.var("T") + 1, top + 1)):
+        with pytest.raises(ValidationError):
+            left * right
+    with pytest.raises(ValidationError):
+        ParamPoly.var("x") ** bound
+
+
+def test_items_give_exponent_tuples_back():
+    lam, mu = ParamPoly.var("lam"), ParamPoly.var("mu")
+    p = 3 * lam**12 * mu - Fraction(1, 2) * mu**20 + 7
+    assert dict(p.items()) == {
+        (12, 1) + _ZERO[2:]: 3,
+        (0, 20) + _ZERO[2:]: Fraction(-1, 2),
+        _ZERO: 7,
+    }
+    assert ParamPoly(dict(p.items())) == p
+    assert str(p) == "-1/2*mu^20 + 3*lam^12*mu + 7"
+
+
 def test_str_rendering_is_stable():
     lam = ParamPoly.var("lam")
     assert str(840 * lam + 3360) == "840*lam + 3360"
@@ -182,15 +218,33 @@ def _ref_pow(a, e):
     return out
 
 
+def _ref_str(ref) -> str:
+    """The printed form of a reference: terms in descending graded
+    lexicographic order, each sign written once."""
+    parts = []
+    for key in sorted(ref, key=lambda k: (sum(k), k), reverse=True):
+        c = ref[key]
+        mono = "*".join(s if e == 1 else f"{s}^{e}" for s, e in zip(SYMBOLS, key) if e)
+        mag = str(c.numerator if c.denominator == 1 else abs(c)).lstrip("-")
+        body = mono if mono and abs(c) == 1 else f"{mag}*{mono}" if mono else mag
+        parts.append(("-" if c < 0 else "+", body))
+    text = " ".join(f"{sign} {body}" for sign, body in parts)
+    return "0" if not parts else text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def _assert_ring(got, ref):
-    assert got.terms == ref
-    for c in got.terms.values():
+    items = list(got.items())
+    assert dict(items) == ref
+    assert len(items) == len(ref)
+    for _, c in items:
         assert type(c) in (int, Fraction), c
         assert type(c) is int or c.denominator != 1, c
-    raw = ParamPoly.__new__(ParamPoly)
-    raw.terms = ref
-    assert str(got) == str(raw)
-    assert got == raw
+    assert str(got) == _ref_str(ref)
+    assert got == ParamPoly(ref)
+    if ref:
+        lead = max(ref, key=lambda k: (sum(k), k))
+        assert got.leading_key() == ParamPoly({lead: 1}).leading_key()
+        assert got.leading_coeff() == ref[lead]
 
 
 def _ref_substitute(a, images):
