@@ -285,9 +285,7 @@ def _substitute(polys, mapping: dict) -> list:
     for name, val in mapping.items():
         if name not in _INDEX:
             raise ValidationError(f"unknown symbol {name!r}")
-        if isinstance(val, ParamPoly) and val.is_constant():
-            val = val.constant_value()
-        elif not isinstance(val, (int, Fraction, ParamPoly)):
+        if not isinstance(val, (int, Fraction, ParamPoly)):
             raise TypeError(f"cannot substitute {type(val).__name__}")
         images[_INDEX[name]] = _ring(val)
     keys = [key for poly in polys for key in poly.terms]
