@@ -72,8 +72,9 @@ def _pack(exponents) -> int:
         raise ValueError("exponent tuple has wrong length")
     if not all(isinstance(e, int) and e >= 0 for e in exponents):
         raise ValidationError(f"exponents must be non-negative ints, got {exponents}")
-    if sum(exponents) > _FIELD_MASK:
-        raise ValidationError(f"a total degree must stay below 2^{_FIELD_BITS}, got {sum(exponents)}")
+    total = sum(exponents)
+    if total > _FIELD_MASK:
+        raise ValidationError(f"a total degree must stay below 2^{_FIELD_BITS}, got {total}")
     return sum(e * unit for e, unit in zip(exponents, _UNITS))
 
 

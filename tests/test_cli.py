@@ -480,8 +480,10 @@ def test_a_long_refused_coefficient_is_echoed_in_part(tmp_path, capsys):
     )
     for ring, err in cases:
         tf_file = tmp_path / f"{ring}.json"
-        tf_file.write_text(json.dumps({"format": "tf-document", "ring": ring, "num": [digits], "den": ["1", "1"]}))
-        for argv in (("bode", "--tf", str(tf_file), "--fmin", "1", "--fmax", "10"), ("ladder", "--tf", str(tf_file))):
+        doc = {"format": "tf-document", "ring": ring, "num": [digits], "den": ["1", "1"]}
+        tf_file.write_text(json.dumps(doc))
+        for argv in (("bode", "--tf", str(tf_file), "--fmin", "1", "--fmax", "10"),
+                     ("ladder", "--tf", str(tf_file))):
             assert run(*argv) == 2
             assert capsys.readouterr() == ("", err)
 

@@ -155,8 +155,10 @@ def test_exponents_are_non_negative_ints_below_the_field_bound():
     assert str(top) == f"lam^{bound - 1}"
     assert list(top.items()) == [((bound - 1,) + _ZERO[1:], 1)]
     half = ParamPoly({(0, bound // 2) + _ZERO[2:]: 3})
-    assert half * ParamPoly({(0, bound // 2 - 1) + _ZERO[2:]: 2}) == 6 * ParamPoly.var("mu") ** (bound - 1)
-    for left, right in ((half, half), (top, ParamPoly.var("Kd")), (ParamPoly.var("T") + 1, top + 1)):
+    below = ParamPoly({(0, bound // 2 - 1) + _ZERO[2:]: 2})
+    assert half * below == 6 * ParamPoly.var("mu") ** (bound - 1)
+    t, kd = ParamPoly.var("T"), ParamPoly.var("Kd")
+    for left, right in ((half, half), (top, kd), (t + 1, top + 1)):
         with pytest.raises(ValidationError):
             left * right
     with pytest.raises(ValidationError):
