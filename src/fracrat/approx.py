@@ -108,7 +108,9 @@ class TransferFunction:
     def substitute(self, mapping: dict) -> "TransferFunction":
         """Substitute symbols in every coefficient and renormalize.
 
-        Each symbol's powers are built once for the whole TF. When every
+        Every coefficient, rational ones too, goes through one `_substitute`
+        call, which builds each symbol's powers once for the whole TF and
+        checks the mapping as ParamPoly.substitute does. When every
         coefficient comes out rational, a common factor in s (left by a
         degenerate value such as an integer exponent) is cancelled, as the
         numeric path does. A gain tag from a realization
@@ -120,10 +122,8 @@ class TransferFunction:
         if self.ring == "float":
             raise ValidationError("float coefficients have no symbols")
 
-        coeffs = self.num + self.den
-        symbolic = [c for c in coeffs if isinstance(c, ParamPoly)]
-        images = iter(_substitute(symbolic, mapping) if symbolic else ())
-        coeffs = [_coerce_exact(next(images)) if isinstance(c, ParamPoly) else c for c in coeffs]
+        lifted = [ParamPoly._lift(c) for c in self.num + self.den]
+        coeffs = [_coerce_exact(c) for c in _substitute(lifted, mapping)]
         num, den = coeffs[: len(self.num)], coeffs[len(self.num):]
         if not any(isinstance(c, ParamPoly) for c in coeffs):
             num, den = _cancel_common_factor(num, den)

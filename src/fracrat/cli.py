@@ -387,9 +387,12 @@ def _run_ladder(args) -> int:
     ]
     doc = {"format": "ladder", "variable": "s", "elements": elements}
     meta = None if args.no_meta else {"command": "ladder", "tf": args.tf}
-    _write_text(args.output, _json_document(doc, meta))
-    if args.netlist is not None:
-        _write_text(args.netlist, export_netlist(map_elements(net)))
+    text = _json_document(doc, meta)
+    # a netlist that cannot be printed leaves both outputs unwritten
+    netlist = None if args.netlist is None else export_netlist(map_elements(net))
+    _write_text(args.output, text)
+    if netlist is not None:
+        _write_text(args.netlist, netlist)
     return 0
 
 

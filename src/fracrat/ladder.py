@@ -8,11 +8,11 @@ SPICE-dialect netlist exporter closes the loop to a circuit description.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from . import polys
 from .approx import TransferFunction, cfe_to_tf, rational_to_cfe
 from .errors import DegenerateMathError, ValidationError
 from .exact import _signed_sum
@@ -30,14 +30,10 @@ class LadderElement:
     h: Fraction
     position: int
 
-    def coeffs(self) -> tuple:
-        return polys.trim((self.g, self.h))
-
     def __str__(self):
-        kind = "Z" if self.role == "Z" else "Y"
         slope = [(self.h < 0, f"{abs(self.h)}*s")] if self.h else []
         body = _signed_sum(slope + ([(self.g < 0, str(abs(self.g)))] if self.g else []))
-        return f"{kind}{self.position}(s) = {body}"
+        return f"{self.role}{self.position}(s) = {body}"
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ def ladder_to_tf(net: LadderNetwork) -> TransferFunction:
     """Fold the nested ladder fraction back into one rational function."""
     if not net.elements:
         raise ValidationError("empty ladder")
-    return cfe_to_tf(tuple(el.coeffs() or (Fraction(0),) for el in net.elements))
+    return cfe_to_tf(tuple((el.g, el.h) for el in net.elements))
 
 
 @dataclass(frozen=True)
@@ -140,8 +136,15 @@ def map_elements(net: LadderNetwork) -> list:
     return out
 
 
-def _fmt(value: Fraction) -> str:
-    f = float(value)
+def _fmt(value: Fraction, name: str) -> str:
+    """A component value as the netlist prints it (see export_netlist for
+    the values it refuses)."""
+    try:
+        f = float(value)
+    except OverflowError:
+        f = None
+    if f is None or (value and abs(f) < sys.float_info.min):
+        raise ValidationError(f"{name} has a value that a float cannot hold")
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return f"{f:.12g}"
@@ -156,14 +159,19 @@ def _next(counts: dict, kind: str) -> str:
 def _component_lines(element: CircuitElement, a: str, b: str, counts: dict) -> list:
     """Element body between nodes a and b: R then L in series, or R and C in
     parallel, numbered from the scope counts."""
+
+    def line(kind, a, b, value):
+        ref = _next(counts, kind)
+        return f"{ref} {a} {b} {_fmt(value, f'{ref} of rung {element.role}{element.position}')}"
+
     if element.role == "Y":
         values = (("R", element.resistance), ("C", element.capacitance))
-        return [f"{_next(counts, k)} {a} {b} {_fmt(v)}" for k, v in values if v is not None]
+        return [line(k, a, b, v) for k, v in values if v is not None]
     values = [(k, v) for k, v in (("R", element.resistance), ("L", element.inductance)) if v is not None]
     lines = []
     for i, (kind, value) in enumerate(values):
         end = b if i == len(values) - 1 else _next(counts, "n")
-        lines.append(f"{_next(counts, kind)} {a} {end} {_fmt(value)}")
+        lines.append(line(kind, a, end, value))
         a = end
     return lines
 
@@ -181,6 +189,10 @@ def export_netlist(elements) -> str:
     1e6 with two equal feedback resistors, presents the negated element
     between its ports p and t. Instance XK takes subcircuit ladder_nicK;
     subcircuit nodes and references are numbered locally.
+
+    Each value prints as a float, so one past float range, or nonzero below
+    sys.float_info.min, raises ValidationError; the message names the
+    component and not the value, whose digits can pass the int-to-str cap.
     """
     elements = sorted(elements, key=lambda el: el.position)
     if not elements:

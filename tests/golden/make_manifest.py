@@ -169,12 +169,19 @@ _ERRORS = (
     "realize --controller diffint --lambda 1e-300 --order 2 --float",
     "realize --controller diffint --lambda 1e-4000 --order 2",
     "symbolic --controller diffint --range high --T 1e-4000 --order 2",
+    "ladder --tf float-range.json --no-meta --netlist float-range.cir",
+    "ladder --tf tiny-slope.json --no-meta --netlist tiny-slope.cir",
+    "ladder --tf tiny-shunt.json --no-meta --netlist tiny-shunt.cir",
 )
 
 # documents that no command line writes, put in the working directory
 # before the first command line runs
 INPUTS = {
     "exponent.json": json.dumps({"format": "tf-document", "num": ["1e-9999999"], "den": ["1", "1"]}),
+    # a netlist value past float range, and two that a float rounds to 0
+    "float-range.json": json.dumps({"format": "tf-document", "num": ["1e400"], "den": ["1"]}),
+    "tiny-slope.json": json.dumps({"format": "tf-document", "num": ["1e-400", "1"], "den": ["1"]}),
+    "tiny-shunt.json": json.dumps({"format": "tf-document", "num": ["1"], "den": ["1e-400", "1"]}),
 }
 
 

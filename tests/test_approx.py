@@ -259,6 +259,12 @@ def test_substitute_specializes_symbolic_tf():
     assert s.ring == "rational"
     assert s.num == (1, 2)
     assert s.den == (3,)
+    # a rational TF checks its mapping through the same path
+    for tf in (t, make_tf((1, 2), (3,))):
+        with pytest.raises(ValidationError):
+            tf.substitute({"bogus": 1})
+        with pytest.raises(TypeError):
+            tf.substitute({"lam": 1.5})
     with pytest.raises(ValidationError):
         make_tf((1.0,), (1.0,)).substitute({"lam": 1})
 

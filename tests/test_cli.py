@@ -279,6 +279,24 @@ def test_ladder_non_affine_quotient_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "num, den, part",
+    [
+        (["1e400"], ["1"], "R1 of rung Z1"),  # past float range
+        (["1e-400", "1"], ["1"], "L1 of rung Z1"),  # nonzero, but a float rounds it to 0
+        (["1"], ["1e-400", "1"], "C1 of rung Y2"),
+    ],
+)
+def test_ladder_netlist_refuses_a_value_a_float_cannot_hold(tmp_path, capsys, num, den, part):
+    # the ladder document goes to stdout, and neither output is written
+    tf_file = tmp_path / "tf.json"
+    tf_file.write_text(json.dumps({"format": "tf-document", "num": num, "den": den}))
+    cir = tmp_path / "ladder.cir"
+    assert run("ladder", "--tf", str(tf_file), "--netlist", str(cir)) == 2
+    assert capsys.readouterr() == ("", f"error: {part} has a value that a float cannot hold\n")
+    assert not cir.exists()
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         # order 8 has coefficients past 15 significant digits, so the float

@@ -1,5 +1,6 @@
 """The CLI contract under drawn input: `main` exits 0, 2 or 3 and lets no
-exception escape, for `realize`, `symbolic`, `compare` and `bode`.
+exception escape, for `realize`, `symbolic`, `compare`, `bode` and
+`ladder --netlist`.
 
 Each test drives `cli.main` in-process with a fixed budget. The draws stay
 inside caps that keep clear of defects and open questions recorded in the
@@ -18,7 +19,12 @@ ROADMAP, so a failure here is a new escape:
   at order 6 also exit 1 with OverflowError, and the draws can reach them
   (`test_cli.py` pins lambda = 1/3 at order 6 as a strict xfail until
   item 6 lands);
-- no `ladder`, which still fails past the 4300-digit cap (item 5).
+- `ladder` reads only documents that `realize` writes at order <= 4 with
+  parameters at most 1e+-30 in size, and documents of at most 3 numbers a
+  side with exponents at most 300 in size. A rung past the 4300-digit cap
+  still escapes as ValueError (item 5). Over these strategies, both drawn
+  and at their extremes, the largest rungs found have about 2,700 and
+  3,630 digits; order 4 at 1e+-99, or exponents of 400, pass the cap.
 """
 
 import contextlib
@@ -193,11 +199,6 @@ _DOCUMENT = st.fixed_dictionaries(
 
 
 _UNIT = st.builds(lambda p, q: f"{min(p, q)}/{max(p, q)}", st.integers(1, 99), st.integers(1, 99))
-_POSITIVE = st.one_of(
-    st.builds("{}/{}".format, st.integers(1, 10**6), st.integers(1, 10**6)),
-    st.builds("1e{}".format, st.integers(-99, 99)),
-)
-_GAIN = st.one_of(_POSITIVE, st.just("0"))
 
 
 def _flags(**values):
@@ -206,17 +207,35 @@ def _flags(**values):
     )
 
 
-_REALIZABLE = st.one_of(
-    st.tuples(
-        _flags(controller=st.just("diffint"), **{"lambda": _UNIT}),
-        st.one_of(st.just([]), _flags(range=st.just("high"), T=_POSITIVE)),
-        _optional("--sign", st.sampled_from(("integrator", "differentiator"))).map(list),
-    ).map(lambda parts: sum(parts, [])),
-    _flags(controller=st.just("fopid"), kp=_GAIN, ki=_GAIN, kd=_GAIN, mu=_UNIT, **{"lambda": _UNIT}),
-    _flags(controller=st.just("fopd"), kp=_POSITIVE, kd=_POSITIVE, mu=st.one_of(_UNIT, st.just("3/2"))),
-    _flags(controller=st.just("leadlag"), kc=_POSITIVE, x=_UNIT, alpha=st.one_of(_UNIT, st.just("0")),
-           **{"lambda": _POSITIVE}),
-)
+def _realizable(max_exp):
+    """Flags of a realization that `realize` accepts, with its positive
+    parameters at most 1e+-max_exp in size."""
+    positive = st.one_of(
+        st.builds("{}/{}".format, st.integers(1, 10**6), st.integers(1, 10**6)),
+        st.builds("1e{}".format, st.integers(-max_exp, max_exp)),
+    )
+    gain = st.one_of(positive, st.just("0"))
+    return st.one_of(
+        st.tuples(
+            _flags(controller=st.just("diffint"), **{"lambda": _UNIT}),
+            st.one_of(st.just([]), _flags(range=st.just("high"), T=positive)),
+            _optional("--sign", st.sampled_from(("integrator", "differentiator"))).map(list),
+        ).map(lambda parts: sum(parts, [])),
+        _flags(controller=st.just("fopid"), kp=gain, ki=gain, kd=gain, mu=_UNIT, **{"lambda": _UNIT}),
+        _flags(controller=st.just("fopd"), kp=positive, kd=positive, mu=st.one_of(_UNIT, st.just("3/2"))),
+        _flags(controller=st.just("leadlag"), kc=positive, x=_UNIT, alpha=st.one_of(_UNIT, st.just("0")),
+               **{"lambda": positive}),
+    )
+
+
+def _realized(draw, max_exp, max_order):
+    """The bytes of the tf-document that `realize` writes for drawn flags."""
+    argv = ["realize"] + draw(_realizable(max_exp)) + ["--order", str(draw(st.integers(1, max_order)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tf.json")
+        assert _run(argv + ["-o", path]) == 0, argv
+        with open(path, "rb") as handle:
+            return handle.read()
 
 
 @st.composite
@@ -225,12 +244,7 @@ def _bode_input(draw):
     document, or raw bytes."""
     kind = draw(st.sampled_from(("realized", "drawn", "raw")))
     if kind == "realized":
-        argv = ["realize"] + draw(_REALIZABLE) + ["--order", str(draw(st.integers(1, 8)))]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "tf.json")
-            assert _run(argv + ["-o", path]) == 0, argv
-            with open(path, "rb") as handle:
-                return handle.read()
+        return _realized(draw, 99, 8)
     if kind == "drawn":
         return json.dumps(draw(_DOCUMENT)).encode()
     return draw(
@@ -251,3 +265,31 @@ def test_bode_keeps_the_exit_contract(document, sweep):
         rc = _run(["bode", "--tf", path] + sweep + ["-o", os.path.join(tmp, "bode.csv")])
     # a document with a zero denominator exits 3 before the grid is read
     assert rc in (2, 3) or not _too_dense(sweep), sweep
+
+
+@st.composite
+def _ladder_input(draw):
+    """The bytes of a tf-document: one that `realize` emitted at order <= 4
+    with parameters at most 1e+-30 in size, or one of at most 3 drawn
+    numbers a side with exponents at most 300 in size."""
+    if draw(st.booleans()):
+        return _realized(draw, 30, 4)
+    side = st.lists(_numbers(300), max_size=3)
+    return json.dumps({"format": "tf-document", "num": draw(side), "den": draw(side)}).encode()
+
+
+@BUDGET
+@given(_ladder_input())
+# a rung value past float range, and two that a float rounds to 0
+@example(b'{"format": "tf-document", "num": ["1e400"], "den": ["1"]}')
+@example(b'{"format": "tf-document", "num": ["1e-400", "1"], "den": ["1"]}')
+@example(b'{"format": "tf-document", "num": ["1"], "den": ["1e-400", "1"]}')
+def test_ladder_netlist_keeps_the_exit_contract(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tf.json")
+        with open(path, "wb") as handle:
+            handle.write(document)
+        netlist = os.path.join(tmp, "ladder.cir")
+        rc = _run(["ladder", "--tf", path, "--netlist", netlist, "-o", os.path.join(tmp, "ladder.json")])
+        # a refusal writes nothing
+        assert rc == 0 or not os.path.exists(netlist)

@@ -1,16 +1,19 @@
 """Domino ladder synthesis, component mapping, and netlist export."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from fracrat import (
+    CircuitElement,
     DegenerateMathError,
     Differintegrator,
     LadderElement,
     LadderNetwork,
     ValidationError,
+    cfe_to_tf,
     export_netlist,
     ladder_to_tf,
     make_tf,
@@ -146,11 +149,29 @@ def test_map_elements_splits_mixed_signs_and_skips_zeros():
     assert parts[0].resistance == 1 and parts[0].inductance is None
     assert parts[1].inductance == 2 and parts[1].resistance is None
     assert parts[2].inductance == 3
+    # the zero rung folds like the quotient (0,); a zero last rung cannot fold
+    assert ladder_to_tf(net) == cfe_to_tf(((1, -2), (0,), (0, 3)))
+    with pytest.raises(DegenerateMathError):
+        ladder_to_tf(_ladder((1, -2), (0, 0)))
 
 
 def test_netlist_single_resistor_golden():
     netlist = export_netlist(map_elements(synthesize_ladder(make_tf((1,), (1,)))))
     assert netlist == "R1 n0 0 1\n* port n0 0\n"
+
+
+def test_netlist_refuses_a_value_a_float_cannot_hold():
+    tiny, huge = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+    assert export_netlist([CircuitElement("Z", 1, resistance=huge, inductance=tiny)]) == (
+        "R1 n0 n1 1.79769313486e+308\nL1 n1 0 2.22507385851e-308\n* port n0 0\n"
+    )
+    # past float range, a subnormal, and a nonzero value a float rounds to 0;
+    # the message names the part and not its value
+    for value in (huge * 2, tiny / 2, Fraction(1, 10**400)):
+        element = CircuitElement("Y", 2, resistance=Fraction(1), capacitance=value)
+        with pytest.raises(ValidationError) as info:
+            export_netlist([element])
+        assert str(info.value) == "C1 of rung Y2 has a value that a float cannot hold"
 
 
 def test_netlist_structure_and_determinism():
