@@ -4,8 +4,8 @@ The Pade direction turns a truncated numeric power series into an [m/k]
 rational approximant by solving the Toeplitz coefficient system exactly;
 the inverse direction expands a rational function into a simple continued
 fraction by repeated Euclidean division, which is what ladder synthesis
-consumes. Symbolic approximants come from closed forms instead
-(controllers._binomial_pade). The TransferFunction type both directions
+consumes. The controller approximants come from closed forms instead
+(controllers._kernel_pade). The TransferFunction type both directions
 produce lives here too, with make_tf, which reads its ring off the
 coefficients.
 """
@@ -258,8 +258,9 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     This is the general route for an arbitrary series, and the reference
     the controller realizations are tested against. They do not take it:
     their binomial and lead-lag kernels have closed-form diagonal
-    approximants (controllers._binomial_pade), which also give the
-    symbolic ones.
+    approximants (controllers._kernel_pade): the term ratio of
+    _binomial_pade for a numeric exponent, and for a symbolic one the int
+    polynomials in the exponent of _exponent_pade, lifted at it.
     """
     if m < 0 or k < 0:
         raise ValidationError("Pade degrees must be non-negative")

@@ -154,9 +154,10 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
 
     Accepts only the numeric rings; a symbolic-tf document does not come
     back (one-way by design). Coefficients re-normalize through make_tf,
-    which is the identity on documents this tool emitted. Non-finite
-    float-ring coefficients and gain values are rejected, and notes must be
-    absent or a list of strings.
+    which is the identity on documents this tool emitted. A float-ring
+    coefficient or gain value must be a finite JSON number or a string (not
+    a boolean), the gain label a string, and notes absent or a list of
+    strings.
     """
     try:
         doc = json.loads(text)
@@ -174,6 +175,8 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
 
     def finite(text_value, what: str) -> float:
         try:
+            if type(text_value) not in (str, int, float):
+                raise TypeError  # float() would read a JSON true as 1.0
             value = float(text_value)
         except (ValueError, TypeError, OverflowError):
             raise ValidationError(f"bad {what} {_echo(text_value)}") from None
@@ -197,10 +200,10 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
     gain = doc.get("gain")
     tag = None
     if gain is not None:
-        if not isinstance(gain, dict) or "label" not in gain:
-            raise ValidationError("gain must be null or carry a label")
+        if not isinstance(gain, dict) or not isinstance(gain.get("label"), str):
+            raise ValidationError("gain must be null or carry a string label")
         value = gain.get("value")
-        tag = GainTag(str(gain["label"]), None if value is None else finite(value, "gain value"))
+        tag = GainTag(gain["label"], None if value is None else finite(value, "gain value"))
     notes = doc.get("notes", [])
     if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
         raise ValidationError("notes must be a list of strings")

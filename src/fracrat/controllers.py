@@ -223,6 +223,8 @@ def _kernel_pade(a, n: int) -> tuple:
     approximant as int polynomials in the exponent (_exponent_pade), each
     lifted once at a through the powers a, ..., a^n: n - 1 products of
     ParamPolys for the whole kernel, and none of a ParamPoly by a Fraction.
+    The lift has content 1 when the terms of a share no factor, as for the
+    symbol or negated symbol every family passes; make_tf divides any other.
     """
     if isinstance(a, Fraction) and abs(a) == 1:
         notes = (f"pade-defect={n - 1}",) if n > 1 else ()
@@ -233,12 +235,8 @@ def _kernel_pade(a, n: int) -> tuple:
             [c[0] if len(c) == 1 else _combine(c, powers) for c in side]
             for side in _exponent_pade(n)
         )
-        # content 1 in the exponent stays 1 at a unless the terms of a
-        # share a factor, as in 2*lam or lam/2
-        if polys.sequence_content([p, q]) == 1:
-            return p, q, ()
-    else:
-        p, q = _binomial_pade(a, n)
+        return p, q, ()
+    p, q = _binomial_pade(a, n)
     inv = 1 / polys.sequence_content([p, q])
     return [_ring(c * inv) for c in p], [_ring(c * inv) for c in q], ()
 

@@ -172,6 +172,12 @@ _ERRORS = (
     "ladder --tf float-range.json --no-meta --netlist float-range.cir",
     "ladder --tf tiny-slope.json --no-meta --netlist tiny-slope.cir",
     "ladder --tf tiny-shunt.json --no-meta --netlist tiny-shunt.cir",
+    "bode --tf bool-coeff.json --fmin 1 --fmax 10",
+    "ladder --tf bool-coeff.json",
+    "bode --tf bool-gain.json --fmin 1 --fmax 10",
+    "ladder --tf bool-gain.json",
+    "bode --tf list-label.json --fmin 1 --fmax 10",
+    "ladder --tf list-label.json",
 )
 
 # documents that no command line writes, put in the working directory
@@ -182,6 +188,14 @@ INPUTS = {
     "float-range.json": json.dumps({"format": "tf-document", "num": ["1e400"], "den": ["1"]}),
     "tiny-slope.json": json.dumps({"format": "tf-document", "num": ["1e-400", "1"], "den": ["1"]}),
     "tiny-shunt.json": json.dumps({"format": "tf-document", "num": ["1"], "den": ["1e-400", "1"]}),
+    # a JSON boolean where a number goes, and a gain label that is no string
+    "bool-coeff.json": json.dumps({"format": "tf-document", "ring": "float", "num": [True], "den": ["1"]}),
+    "bool-gain.json": json.dumps(
+        {"format": "tf-document", "num": ["1"], "den": ["1", "1"], "gain": {"label": "g", "value": True}}
+    ),
+    "list-label.json": json.dumps(
+        {"format": "tf-document", "num": ["1"], "den": ["1", "1"], "gain": {"label": ["x"], "value": "2"}}
+    ),
 }
 
 

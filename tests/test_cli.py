@@ -928,6 +928,16 @@ def test_parse_tf_document_rejects_malformed_input():
                 {"format": "tf-document", "variable": "z", "num": ["1"], "den": ["1"]}
             )
         )
+    # a JSON boolean is not a number, and a gain label is a string
+    for doc, match in (
+        ({"ring": "float", "num": [True], "den": ["1"]}, "bad coefficient True"),
+        ({"num": [False], "den": ["1"]}, "bad coefficient False"),
+        ({"num": ["1"], "den": ["1", "1"], "gain": {"label": "g", "value": True}}, "bad gain value"),
+        ({"num": ["1"], "den": ["1", "1"], "gain": {"label": ["x"], "value": "2"}}, "string label"),
+        ({"num": ["1"], "den": ["1", "1"], "gain": {"value": "2"}}, "string label"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            parse_tf_document(json.dumps({"format": "tf-document", **doc}))
     # notes are absent or a list of strings; nothing else is coerced
     for notes in (5, "ab", {"a": 1}, [1], ["ok", None], None):
         doc = {"format": "tf-document", "num": ["1"], "den": ["1"], "notes": notes}

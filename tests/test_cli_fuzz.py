@@ -176,6 +176,7 @@ _COEFF = st.one_of(
     st.integers(-10**400, 10**400),
     st.floats(allow_nan=False, allow_infinity=False),
     st.none(),
+    st.booleans(),
     st.lists(st.integers(), max_size=2),
 )
 
