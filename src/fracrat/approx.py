@@ -1,10 +1,11 @@
 """Pade approximants and continued-fraction expansions of rational functions.
 
 The Pade direction turns a truncated numeric power series into an [m/k]
-rational approximant by solving the Toeplitz coefficient system exactly;
-the inverse direction expands a rational function into a simple continued
-fraction by repeated Euclidean division, which is what ladder synthesis
-consumes. The controller approximants come from closed forms instead
+rational approximant by the extended Euclidean algorithm on it and a power
+of z; the inverse direction expands a rational function into a simple
+continued fraction by repeated Euclidean division, which is what ladder
+synthesis consumes. Both loop over the one division step of polys
+(prs_step). The controller approximants come from closed forms instead
 (controllers._kernel_pade). The TransferFunction type both directions
 produce lives here too, with make_tf, which reads its ring off the
 coefficients.
@@ -17,10 +18,9 @@ from fractions import Fraction
 from math import gcd, isfinite
 
 from . import polys
-from .errors import DegenerateMathError, InconsistentSystemError, ValidationError
+from .errors import DegenerateMathError, ValidationError
 from .exact import (
     ParamPoly, _coerce_rat, _monomial, _product, _signed_sum, _substitute, clear_denominators,
-    solve_particular,
 )
 from .series import PowerSeries
 
@@ -235,25 +235,17 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     """[m/k] Pade approximant of a truncated series with exact numeric
     coefficients.
 
-    Solves the Toeplitz system for the denominator with q0 = 1, then reads
-    the numerator off the series product. A singular system yields the
-    particular solution with free variables zeroed, and the notes report
-    its defect. That solution's numerator P and denominator Q are coprime,
-    so nothing is left to cancel. Suppose g = gcd(P, Q) had degree >= 1,
-    scaled to g(0) = 1 (g divides Q, whose constant term is q0 = 1). The
-    reduced pair P' = P/g, Q' = Q/g still matches the series c through
-    order m + k, since g*(Q'c - P') = 0 mod s^(m+k+1) and g is a unit of
-    the power series ring; so Q' solves the system too, and Q - Q' =
-    (g - 1)*Q' is a null vector of it whose highest nonzero entry is
-    q_deg(Q). The solver takes pivot columns left to right, and a column
-    that ends a null vector lies in the span of the columns before it, so
-    q_deg(Q) is a free variable, set to zero: a contradiction.
-
-    An inconsistent system raises DegenerateMathError: a denominator
-    (q0, q') with q0 != 0 would give the solution q'/q0, so every
-    denominator left vanishes at the expansion point and no [m/k]
-    approximant exists (the block structure of the Pade table). A symbolic
-    coefficient raises ValidationError.
+    The extended Euclidean algorithm on z^(m+k+1) and the series truncated
+    there (Brent, Gustavson & Yun, J. Algorithms 1, 1980), on
+    polys.divmod_field, keeps cofactors t with r = t*series mod z^(m+k+1)
+    and stops at the first remainder r of degree <= m, where deg t <= k.
+    If t(0) = 0, every denominator matching the series through order
+    m + k vanishes at the expansion point, so no [m/k] approximant exists
+    and DegenerateMathError is raised. Otherwise r/t is the approximant,
+    already coprime: a common factor divides z^(m+k+1), and t(0) != 0. Its
+    defect, min(m - deg r, k - deg t), or k - deg t when r = 0, goes in
+    the notes. A symbolic coefficient raises ValidationError, a float one
+    TypeError.
 
     This is the general route for an arbitrary series, and the reference
     the controller realizations are tested against. They do not take it:
@@ -271,20 +263,20 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     c = [_coerce_exact(v) for v in series.coeffs]
     if any(isinstance(v, ParamPoly) for v in c):
         raise ValidationError("pade needs numeric coefficients; substitute the symbols first")
-    z = [Fraction(0)] * k + c  # z[k + i] = c_i, and 0 for i < 0; the check keeps i <= m + k
-    defect = 0
-    q = [Fraction(1)]
-    if k:
-        rows = [[z[k + m + r - j] for j in range(k)] for r in range(k)]
-        rhs = [-c[m + 1 + r] for r in range(k)]
-        try:
-            sol, defect = solve_particular(rows, rhs)
-        except InconsistentSystemError:
-            raise DegenerateMathError("denominator vanishes at the expansion point") from None
-        q += sol
-    num = polys.mul(q, c[: m + 1])[: m + 1]
+    c = [_coerce_rat(v) for v in c]
+    r0, r = (0,) * (m + k + 1) + (1,), polys.trim(c[: m + k + 1])
+    t0, t = (), (1,)
+    while len(r) > m + 1:
+        q, rem = polys.divmod_field(r0, r)
+        r0, r = r, rem
+        t0, t = t, polys.add(t0, polys.scale(polys.mul(q, t), -1))
+    if not t[0]:
+        raise DegenerateMathError("denominator vanishes at the expansion point")
+    defect = k - polys.degree(t)
+    if r:
+        defect = min(defect, m - polys.degree(r))
     notes = (f"pade-defect={defect}",) if defect else ()
-    return make_tf(num, q, notes=notes)
+    return make_tf(r, t, notes=notes)
 
 
 def _cancel_common_factor(num, den):

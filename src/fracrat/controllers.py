@@ -26,7 +26,7 @@ from math import factorial
 from . import polys
 from .approx import TransferFunction, _gain_tag, make_tf
 from .errors import ValidationError
-from .exact import ParamPoly, _combine, _powers, _ring
+from .exact import ParamPoly, _combine, _powers
 
 _SIGNS = ("integrator", "differentiator")
 _RANGES = ("low", "high")
@@ -215,9 +215,9 @@ def _kernel_pade(a, n: int) -> tuple:
     """(p, q, notes) of the [n/n] Pade approximant of (1 + z)^a on the
     integers (ints, or ParamPolys with int coefficients), p and q of equal
     length. At a = +1 or -1 the kernel is its own approximant, of length 2,
-    and its n - 1 unused degrees, the defect the generic Pade solve
-    reports, go in the notes. An exact scalar a takes _binomial_pade
-    divided by the common rational content of p and q: on Fractions, since
+    and its n - 1 unused degrees, the defect approx.pade reports, go in
+    the notes. An exact scalar a takes _binomial_pade divided by the common
+    rational content of p and q (polys.primitive): on Fractions, since
     scaling by (2n)! to stay on ints made the numeric differintegrator at
     n = 300 take 81 ms where it takes 34. A ParamPoly a takes the same
     approximant as int polynomials in the exponent (_exponent_pade), each
@@ -237,8 +237,8 @@ def _kernel_pade(a, n: int) -> tuple:
         )
         return p, q, ()
     p, q = _binomial_pade(a, n)
-    inv = 1 / polys.sequence_content([p, q])
-    return [_ring(c * inv) for c in p], [_ring(c * inv) for c in q], ()
+    ints = polys.primitive(p + q)[1]
+    return ints[: n + 1], ints[n + 1:], ()
 
 
 def _exponent_pade(n: int) -> tuple[list, list]:

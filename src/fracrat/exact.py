@@ -10,10 +10,12 @@ transfer function shares among its coefficients; the grammar of a printed
 expression (`_signed_sum`, `_product`, `_monomial`, and `_poly_str`, whose
 monomial table a document shares among its coefficients); the one
 coercion every exact scalar of a numeric TF passes through (`_coerce_rat`,
-always to a Fraction); and the exact linear solver behind the generic Pade
-construction: fraction-free (Bareiss) elimination on exact scalars, with
-each row cleared to integers first, so every step is an exact integer
-division and the solution is formed by one division at the end.
+always to a Fraction); and an exact linear solver: fraction-free (Bareiss)
+elimination on exact scalars, with each row cleared to integers first, so
+every step is an exact integer division and the solution is formed by one
+division at the end. No library route calls it: it is the Toeplitz
+reference the tests check approx.pade against, and perfbench/tracing.py
+wraps it by name.
 
 Everything here is immutable after construction and safe to share between
 threads; all operations return new objects.

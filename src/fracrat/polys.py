@@ -15,7 +15,7 @@ lc(b)^(d+1). L divides that power and is usually far smaller, which keeps
 the integers short: for the order-300 low-band differintegrator at
 lam = 37/100, the power made the continued-fraction expansion take 3.9 s
 against 0.14 s (CPython 3.11, one core). divmod_field is one step;
-gcd_field and approx.rational_to_cfe loop over it.
+gcd_field, approx.rational_to_cfe and approx.pade loop over it.
 """
 
 from __future__ import annotations

@@ -20,6 +20,8 @@ from fracrat import (
     rational_to_cfe,
     tf_equal,
 )
+from fracrat.errors import InconsistentSystemError
+from fracrat.exact import solve_particular
 from fracrat.series import binomial_series
 
 
@@ -122,6 +124,75 @@ def test_pade_rejects_symbolic_series():
     for coeffs, m, k in (((1, 0, lam), 1, 1), ((1, lam), 1, 0), ((lam, 1, 1), 0, 2)):
         with pytest.raises(ValidationError, match="numeric coefficients"):
             pade(PowerSeries(coeffs), m, k)
+
+
+def test_pade_refuses_a_float_series_at_every_degree():
+    # the message binomial_series(0.5, n) gives, whether or not the
+    # approximant needs a division
+    for coeffs, m, k in (((0.5, 1.0), 1, 0), ((1.0, 0.5, 0.25), 1, 1), ((1.0, 0.5, 0.25), 0, 2)):
+        with pytest.raises(TypeError, match="^expected an exact scalar, got float$"):
+            pade(PowerSeries(coeffs), m, k)
+
+
+def _toeplitz_pade(c, m: int, k: int):
+    """The [m/k] approximant from its definition Q*c - P = O(z^(m+k+1)):
+    the k x k Toeplitz system for q_1..q_k with q_0 = 1, solved with free
+    variables zeroed, and the numerator read off the product. None when
+    the system is inconsistent (every solution has q_0 = 0)."""
+    z = [Fraction(0)] * k + list(c)  # z[k + i] = c_i, and 0 for i < 0
+    q, defect = [Fraction(1)], 0
+    if k:
+        rows = [[z[k + m + r - j] for j in range(k)] for r in range(k)]
+        try:
+            sol, defect = solve_particular(rows, [-c[m + 1 + r] for r in range(k)])
+        except InconsistentSystemError:
+            return None
+        q += sol
+    num = polys.mul(q, c[: m + 1])[: m + 1]
+    return make_tf(num, q, notes=(f"pade-defect={defect}",) if defect else ())
+
+
+def _pade_draws(rng: random.Random):
+    """(coefficients through order m + k, m, k) with m, k <= 5: a dense
+    series, a sparse one, or the expansion of a rational function of
+    degrees <= 3, which makes defects and vanishing denominators common."""
+    m, k = rng.randint(0, 5), rng.randint(0, 5)
+    order = m + k
+    kind = rng.randrange(3)
+    if kind == 0:
+        c = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(order + 1)]
+    elif kind == 1:
+        c = [
+            Fraction(rng.randint(-3, 3)) if rng.random() < 0.3 else Fraction(0)
+            for _ in range(order + 1)
+        ]
+    else:
+        p = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(0, 3) + 1)]
+        q = [Fraction(rng.choice((1, -1, 2, 3)))]
+        q += [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(0, 3))]
+        c = []
+        for i in range(order + 1):
+            acc = p[i] if i < len(p) else 0
+            acc -= sum(q[j] * c[i - j] for j in range(1, min(i, len(q) - 1) + 1))
+            c.append(acc / q[0])
+    return c, m, k
+
+
+def test_pade_matches_the_toeplitz_definition():
+    rng = random.Random(26)
+    defects = degenerate = 0
+    for _ in range(5000):
+        c, m, k = _pade_draws(rng)
+        want = _toeplitz_pade(c, m, k)
+        if want is None:
+            degenerate += 1
+            with pytest.raises(DegenerateMathError, match="^denominator vanishes"):
+                pade(PowerSeries(tuple(c)), m, k)
+            continue
+        got = pade(PowerSeries(tuple(c)), m, k)
+        defects += bool(want.notes)
+        assert (got.num, got.den, got.notes) == (want.num, want.den, want.notes), (c, m, k)
+    assert defects >= 500 and degenerate >= 300
 
 
 def test_pade_preconditions():

@@ -1,5 +1,5 @@
 """The closed-form hypergeometric Pade construction, checked against the
-generic numeric Toeplitz solve and against mpmath's Pade at 50 digits."""
+generic numeric Pade (approx.pade) and against mpmath's Pade at 50 digits."""
 
 from fractions import Fraction
 
