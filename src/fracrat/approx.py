@@ -3,12 +3,12 @@
 The Pade direction turns a truncated numeric power series into an [m/k]
 rational approximant by the extended Euclidean algorithm on it and a power
 of z; the inverse direction expands a rational function into a simple
-continued fraction by repeated Euclidean division, which is what ladder
-synthesis consumes. Both loop over the one division step of polys
-(prs_step). The controller approximants come from closed forms instead
-(controllers._kernel_pade). The TransferFunction type both directions
-produce lives here too, with make_tf, which reads its ring off the
-coefficients.
+continued fraction, the quotients of Euclid on its numerator and
+denominator, which is what ladder synthesis consumes. Both consume the one
+remainder sequence of polys (euclid). The controller approximants come
+from closed forms instead (controllers._kernel_pade). The TransferFunction
+type both directions produce lives here too, with make_tf, which reads its
+ring off the coefficients.
 """
 
 from __future__ import annotations
@@ -236,9 +236,10 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     coefficients.
 
     The extended Euclidean algorithm on z^(m+k+1) and the series truncated
-    there (Brent, Gustavson & Yun, J. Algorithms 1, 1980), on
-    polys.divmod_field, keeps cofactors t with r = t*series mod z^(m+k+1)
-    and stops at the first remainder r of degree <= m, where deg t <= k.
+    there (Brent, Gustavson & Yun, J. Algorithms 1, 1980) consumes
+    polys.euclid, keeps cofactors t with r = t*series mod z^(m+k+1) and
+    stops at the first remainder r of degree <= m, where deg t <= k; the
+    remainder's content is multiplied in there, once.
     If t(0) = 0, every denominator matching the series through order
     m + k vanishes at the expansion point, so no [m/k] approximant exists
     and DegenerateMathError is raised. Otherwise r/t is the approximant,
@@ -264,12 +265,13 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     if any(isinstance(v, ParamPoly) for v in c):
         raise ValidationError("pade needs numeric coefficients; substitute the symbols first")
     c = [_coerce_rat(v) for v in c]
-    r0, r = (0,) * (m + k + 1) + (1,), polys.trim(c[: m + k + 1])
-    t0, t = (), (1,)
+    r = polys.trim(c[: m + k + 1])
+    steps = polys.euclid((0,) * (m + k + 1) + (1,), r)
+    content, t0, t = 1, (), (1,)
     while len(r) > m + 1:
-        q, rem = polys.divmod_field(r0, r)
-        r0, r = r, rem
+        q, content, r = next(steps)
         t0, t = t, polys.add(t0, polys.scale(polys.mul(q, t), -1))
+    r = polys.scale(r, content)
     if not t[0]:
         raise DegenerateMathError("denominator vanishes at the expansion point")
     defect = k - polys.degree(t)
@@ -294,33 +296,17 @@ def rational_to_cfe(tf: TransferFunction) -> tuple:
     a tuple of ascending-power Fraction tuples, none of them empty (a zero
     quotient is (Fraction(0),)).
 
-    Runs the primitive remainder sequence over int (polys.prs_step, whose
-    multiplier is L, the lcm of each quotient's denominators, not a power
-    of the leading coefficient; Collins 1967). Every remainder is a
-    primitive int sequence times one Fraction content, and each quotient is
-    the step's quotient times the ratio of the two contents, so the
-    quotients are exactly those of Euclid over the rationals. Terminates
-    when the remainder vanishes; cfe_to_tf on the result reproduces the
-    input.
+    The quotients are those of polys.euclid on the numerator and the
+    denominator, so the expansion ends when the remainder vanishes;
+    cfe_to_tf on the result reproduces the input.
     """
     if tf.ring != "rational":
         raise ValidationError("continued-fraction expansion needs exact numeric coefficients")
     if tf.gain is not None:
         raise ValidationError("fold the gain into the numerator before expanding")
-    a = polys.trim(tf.num)
-    b = polys.trim(tf.den)
-    if not a or not b:
+    if not polys.trim(tf.num) or not polys.trim(tf.den):
         raise DegenerateMathError("degenerate expansion")
-    (sa, a), (sb, b) = polys.primitive(a), polys.primitive(b)
-    quotients = []
-    while True:
-        q, k, r = polys.prs_step(a, b)
-        ratio = sa / sb
-        quotients.append(tuple(ratio * c for c in q) or (Fraction(0),))
-        if not r:
-            break
-        a, b, sa, sb = b, r, sb, sa * k
-    return tuple(quotients)
+    return tuple(q or (Fraction(0),) for q, _, _ in polys.euclid(tf.num, tf.den))
 
 
 def cfe_to_tf(quotients) -> TransferFunction:

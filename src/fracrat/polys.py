@@ -5,17 +5,18 @@ ring operations return the ring of their inputs. The zero polynomial is the
 empty tuple. Used by the Pade construction, the continued-fraction
 expansion, the ladder synthesis and the Carlson iteration.
 
-Division takes exact scalars only and has one implementation, prs_step: a
-step of the primitive polynomial remainder sequence (Collins, J. ACM 1967;
-von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6) on int
-sequences. A rational polynomial is carried as its content (one Fraction)
-times a primitive int sequence. The step multiplies the dividend by L, the
-lcm of the quotient's denominators, instead of pseudo-dividing by
-lc(b)^(d+1). L divides that power and is usually far smaller, which keeps
-the integers short: for the order-300 low-band differintegrator at
-lam = 37/100, the power made the continued-fraction expansion take 3.9 s
-against 0.14 s (CPython 3.11, one core). divmod_field is one step;
-gcd_field, approx.rational_to_cfe and approx.pade loop over it.
+Division takes exact scalars only and has one implementation, euclid: the
+remainder sequence, lazily, as the primitive polynomial remainder sequence
+(Collins, J. ACM 1967; von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 6) on int sequences, each rational remainder carried as its content
+(one Fraction) times a primitive int sequence. Its step, prs_step,
+multiplies the dividend by L, the lcm of the quotient's denominators,
+instead of pseudo-dividing by lc(b)^(d+1). L divides that power and is
+usually far smaller, which keeps the integers short: for the order-300
+low-band differintegrator at lam = 37/100, the power made the
+continued-fraction expansion take 3.9 s against 0.14 s (CPython 3.11, one
+core). divmod_field is its first step and gcd_field its last nonzero
+remainder; approx.rational_to_cfe and approx.pade consume it.
 """
 
 from __future__ import annotations
@@ -115,40 +116,51 @@ def prs_step(a, b) -> tuple[tuple, Fraction, tuple]:
     return tuple(q), Fraction(g, big_l), tuple(c // g for c in r)
 
 
-def divmod_field(a, b) -> tuple[tuple, tuple]:
-    """Quotient and remainder of exact scalar (int or Fraction) coefficient
-    sequences over the rationals. One primitive remainder step (prs_step,
-    multiplier L) on the primitive parts, with the quotient scaled by the
-    ratio of the two contents and the remainder by the dividend's content.
-    Every output coefficient is a Fraction."""
+def euclid(a, b):
+    """The Euclidean remainder sequence of exact scalar (int or Fraction)
+    sequences a and b over the rationals, lazily: one (q, c, r) per
+    division, q the quotient (Fractions) and c*r the remainder, c a
+    positive Fraction and r a primitive int tuple, or c = 0 and r = () at
+    the last step. A zero a gives ((), 0, ()); a zero b raises
+    DegenerateMathError at the first step. The steps are prs_step on the
+    primitive parts, with the contents carried alongside."""
     a = trim(a)
     b = trim(b)
     if not b:
         raise DegenerateMathError("polynomial division by zero")
     if not a:
-        return (), ()
-    sa, a = primitive(a)
-    sb, b = primitive(b)
-    q, k, r = prs_step(a, b)
-    ratio = sa / sb
-    scale_r = sa * k
-    return tuple(ratio * c for c in q), tuple(scale_r * c for c in r)
+        yield (), Fraction(0), ()
+        return
+    (sa, a), (sb, b) = primitive(a), primitive(b)
+    while True:
+        q, k, r = prs_step(a, b)
+        ratio, c = sa / sb, sa * k
+        yield tuple(ratio * x for x in q), c, r
+        if not r:
+            return
+        a, b, sa, sb = b, r, sb, c
+
+
+def divmod_field(a, b) -> tuple[tuple, tuple]:
+    """Quotient and remainder of exact scalar (int or Fraction) coefficient
+    sequences over the rationals: the first step of euclid. Every output
+    coefficient is a Fraction."""
+    q, c, r = next(euclid(a, b))
+    return q, tuple(c * x for x in r)
 
 
 def gcd_field(a, b) -> tuple:
     """Monic GCD of exact scalar coefficient sequences, with Fraction
-    coefficients; (0, 0) is undefined. Runs the primitive remainder
-    sequence (prs_step, multiplier L) on the primitive parts: the contents
-    do not matter to a monic GCD, so only the int remainders are kept."""
+    coefficients: the last nonzero remainder of euclid, or the other
+    argument when one is zero; (0, 0) is undefined."""
     a = trim(a)
     b = trim(b)
     if not a and not b:
         raise DegenerateMathError("gcd undefined for two zero polynomials")
-    a = primitive(a)[1] if a else ()
-    b = primitive(b)[1] if b else ()
-    while b:
-        a, b = b, prs_step(a, b)[2]
-    return tuple(Fraction(c, a[-1]) for c in a)
+    g = b or a
+    for _, _, r in euclid(a, b) if b else ():
+        g = r or g
+    return tuple(Fraction(c, g[-1]) for c in g)
 
 
 def sequence_content(coeff_sequences) -> Fraction:

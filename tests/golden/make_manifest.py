@@ -225,6 +225,12 @@ def commands() -> list:
         for order in (1, 3, 8):
             realized(flags, order, ("--float",))
     realized(("--controller", "diffint", "--lambda", "1/2"), 3, ("--no-meta",))
+    # the FOPID with Ki = Kd and lambda = mu: the low band has no affine
+    # ladder (exit 3), the high band has one
+    for band in _BANDS:
+        flags = ("--controller", "fopid", "--kp", "1", "--ki", "1", "--kd", "1", "--lambda", "1/2", "--mu", "1/2")
+        for order in SMALL_ORDERS:
+            realized(flags + ("--range", band), order)
     for flags in _symbolic():
         for order in SMALL_ORDERS:
             steps.append((shlex.join(("symbolic", *flags, "--order", str(order))),))

@@ -107,6 +107,8 @@ def test_poly_gcd_is_monic_and_catches_common_factor():
     assert polys.gcd_field((6,), (4,)) == (1,)
     # one zero argument: gcd is the monic form of the other
     assert polys.gcd_field((), (2, 2)) == g
+    assert polys.gcd_field((2, 2), ()) == g
+    assert polys.gcd_field((3, Fraction(3, 2)), (0, 0)) == (2, 1)
 
 
 def test_field_division_of_int_sequences_stays_exact():
@@ -115,6 +117,18 @@ def test_field_division_of_int_sequences_stays_exact():
     q, r = polys.divmod_field((1, 0, 3), (2, 7))
     assert polys.add(polys.mul(q, (2, 7)), r) == (1, 0, 3)
     assert q == (Fraction(-6, 49), Fraction(3, 7)) and r == (Fraction(61, 49),)
+    # the whole sequence: quotient, content c and primitive int r of each
+    # remainder c*r, ending at c = 0, r = ()
+    assert list(polys.euclid((1, 0, 3), (2, 7))) == [
+        ((Fraction(-6, 49), Fraction(3, 7)), Fraction(61, 49), (1,)),
+        ((Fraction(98, 61), Fraction(343, 61)), 0, ()),
+    ]
+    assert list(polys.euclid((0, 0), (2, 7))) == [((), 0, ())]
+    assert polys.divmod_field((), (2, 7)) == ((), ())
+    with pytest.raises(DegenerateMathError, match="division by zero"):
+        next(polys.euclid((1, 2), (0,)))
+    with pytest.raises(DegenerateMathError, match="division by zero"):
+        polys.divmod_field((1, 2), ())
     for out in (q, r, polys.gcd_field((2, 1), (3, 1)), polys.gcd_field((6, 12), (4, 8))):
         assert all(isinstance(c, (int, Fraction)) for c in out), out
     assert polys.gcd_field((2, 1), (3, 1)) == (Fraction(1),)

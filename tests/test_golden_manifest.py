@@ -22,9 +22,10 @@ def test_every_command_reproduces_its_manifest_entry():
     generator = _load_generator()
     committed = generator.MANIFEST.read_text(encoding="utf-8")
     manifest = json.loads(committed)
-    # the manifest covers every subcommand and both outcomes it pins
+    # the manifest covers every subcommand and the three outcomes it pins:
+    # success, a refusal and a degenerate computation
     assert {line.split()[0] for line in manifest} == {"realize", "symbolic", "ladder", "bode", "compare"}
-    assert {entry["exit"] for entry in manifest.values()} == {0, 2}
+    assert {entry["exit"] for entry in manifest.values()} == {0, 2, 3}
     built = generator.build()
     report = [f"added: {line}" for line in built if line not in manifest]
     report += [f"dropped: {line}" for line in manifest if line not in built]

@@ -1,7 +1,9 @@
-"""The integer remainder step behind divmod_field, gcd_field and the
-continued-fraction expansion, checked against Euclid over Fraction."""
+"""The remainder sequence (polys.euclid) behind divmod_field, gcd_field
+and the continued-fraction expansion, checked against Euclid over
+Fraction."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -52,14 +54,15 @@ def _euclid_gcd(a, b):
     return tuple(c / a[-1] for c in a)
 
 
-def _euclid_cfe(num, den):
-    quotients = []
+def _euclid_steps(num, den):
+    """(quotient, remainder) of every division of Euclid over Fraction."""
+    steps = []
     a, b = num, den
     while True:
         q, r = _euclid_divmod(a, b)
-        quotients.append(q or (Fraction(0),))
+        steps.append((q, r))
         if not r:
-            return tuple(quotients)
+            return steps
         a, b = b, r
 
 
@@ -100,8 +103,9 @@ def test_gcd_field_matches_fraction_euclid_with_a_planted_factor(a, b, g):
 @example(num=(1, 1), den=(2, 1), g=(5, -1))
 def test_rational_to_cfe_matches_fraction_euclid(num, den, g):
     tf = make_tf(polys.mul(num, g), polys.mul(den, g))
+    reference = _euclid_steps(tf.num, tf.den)
     quotients = rational_to_cfe(tf)
-    assert quotients == _euclid_cfe(tf.num, tf.den)
+    assert quotients == tuple(q or (Fraction(0),) for q, _ in reference)
     assert _all_fractions(*quotients)
     # a zero quotient is (Fraction(0),), never (): the ladder reads q[0]
     assert all(quotients)
@@ -111,3 +115,12 @@ def test_rational_to_cfe_matches_fraction_euclid(num, den, g):
     assert tf_equal(back, tf)
     if len(polys.gcd_field(tf.num, tf.den)) == 1:
         assert back == tf
+    # the sequence itself: c*r is Euclid's remainder at every step, with c
+    # positive and r a primitive int tuple until r ends empty, after at
+    # most deg(den) + 1 steps
+    steps = list(polys.euclid(tf.num, tf.den))
+    assert [(q, tuple(c * x for x in r)) for q, c, r in steps] == reference
+    assert all((c > 0) == bool(r) for _, c, r in steps)
+    assert all(type(x) is int for _, _, r in steps for x in r)
+    assert all(gcd(*r) == 1 for _, _, r in steps if r)
+    assert not steps[-1][2] and len(steps) <= len(tf.den)
