@@ -16,6 +16,10 @@ reading, not for feeding back in.
 
 Exit codes: 0 success, 2 validation error (a stdout that cannot be written
 included), 3 degenerate mathematics.
+
+Each command's options are one entry of the _COMMANDS table, as the
+arguments of their add_argument calls, and both the command's own parser
+and the full tree add them through one helper.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .controllers import (
 )
 from .errors import FracratError, ValidationError
 from .exact import ParamPoly, _poly_str
-from .freqresp import PHASE_TOL_DEG, bode, fit_report, ideal_response, log_grid
+from .freqresp import PHASE_TOL_DEG, _tf_gain_value, bode, fit_report, ideal_response, log_grid
 from .ladder import export_netlist, map_elements, synthesize_ladder
 
 # (dest, flag, help) of the controllers' rational parameters: the parser
@@ -305,9 +309,7 @@ def _exact_tf(tf: TransferFunction) -> TransferFunction:
         num = tuple(Fraction(c) for c in num)
         den = tuple(Fraction(c) for c in den)
     if tf.gain is not None:
-        if tf.gain.value is None:
-            raise ValidationError("gain tag has no numeric value")
-        num = polys.scale(num, Fraction(tf.gain.value))
+        num = polys.scale(num, Fraction(_tf_gain_value(tf)))
     return make_tf(num, den)
 
 
@@ -348,8 +350,8 @@ def _build_controller(args, numeric: bool) -> TransferFunction:
     return realize_leadlag(LeadLag(values["kc"], values["lam"], values["x"], values["alpha"]), order)
 
 
-def _controller_meta(command: str, args) -> dict:
-    meta: dict = {"command": command, "controller": args.controller, "order": args.order}
+def _controller_meta(args) -> dict:
+    meta: dict = {"command": args.command, "controller": args.controller, "order": args.order}
     for name, flag, _ in _RAT_FLAGS:
         raw = getattr(args, name)
         if raw is not None:
@@ -361,17 +363,17 @@ def _controller_meta(command: str, args) -> dict:
     return meta
 
 
-def _run_realize(args) -> int:
-    tf = _build_controller(args, numeric=True)
-    meta = None if args.no_meta else _controller_meta("realize", args)
-    _write_text(args.output, emit_tf_document(tf, meta=meta, as_float=args.as_float))
-    return 0
-
-
-def _run_symbolic(args) -> int:
-    tf = _build_controller(args, numeric=False)
-    meta = None if args.no_meta else _controller_meta("symbolic", args)
-    _write_text(args.output, emit_symbolic_document(tf, meta=meta))
+def _run_realization(args) -> int:
+    """realize writes the controller's numeric TF as a tf-document;
+    symbolic keeps the omitted parameters symbolic in a symbolic-tf one."""
+    numeric = args.command == "realize"
+    tf = _build_controller(args, numeric)
+    meta = None if args.no_meta else _controller_meta(args)
+    if numeric:
+        text = emit_tf_document(tf, meta=meta, as_float=args.as_float)
+    else:
+        text = emit_symbolic_document(tf, meta=meta)
+    _write_text(args.output, text)
     return 0
 
 
@@ -503,103 +505,95 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_controller_flags(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--controller", required=True, choices=sorted(_CONTROLLER_PARAMS), help="controller family"
-    )
-    p.add_argument("--order", required=True, type=int, help="order n of the [n/n] approximant")
-    for name, flag, text in _RAT_FLAGS:
-        p.add_argument(flag, dest=name, metavar="RAT", help=text)
-    p.add_argument("--range", choices=("low", "high"), help="expansion band (default low)")
-    p.add_argument(
-        "--sign",
-        choices=("integrator", "differentiator"),
-        help="s^-lambda or s^+lambda (default integrator)",
-    )
+def _option(*flags, **keywords) -> tuple:
+    """One command-line option: the arguments of its add_argument call."""
+    return flags, keywords
 
 
-def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
-    p.add_argument("--no-meta", dest="no_meta", action="store_true", help="omit run metadata")
+_CONTROLLER_OPTIONS = (
+    _option("--controller", required=True, choices=sorted(_CONTROLLER_PARAMS), help="controller family"),
+    _option("--order", required=True, type=int, help="order n of the [n/n] approximant"),
+    *(_option(flag, dest=name, metavar="RAT", help=text) for name, flag, text in _RAT_FLAGS),
+    _option("--range", choices=("low", "high"), help="expansion band (default low)"),
+    _option("--sign", choices=("integrator", "differentiator"),
+            help="s^-lambda or s^+lambda (default integrator)"),
+)
+_OUTPUT_OPTIONS = (
+    _option("-o", "--output", metavar="FILE", help="write here instead of stdout"),
+    _option("--no-meta", dest="no_meta", action="store_true", help="omit run metadata"),
+)
+_SWEEP_OPTIONS = (
+    _option("--fmin", required=True, type=float, help="sweep start frequency"),
+    _option("--fmax", required=True, type=float, help="sweep end frequency"),
+    _option("--points-per-decade", type=int, default=50, metavar="N"),
+    _option("--unit", choices=("hz", "rad"), default="hz", help="frequency unit"),
+)
 
-
-def _add_sweep_flags(p: argparse.ArgumentParser):
-    p.add_argument("--fmin", required=True, type=float, help="sweep start frequency")
-    p.add_argument("--fmax", required=True, type=float, help="sweep end frequency")
-    p.add_argument("--points-per-decade", type=int, default=50, metavar="N")
-    p.add_argument("--unit", choices=("hz", "rad"), default="hz", help="frequency unit")
-
-
-def _add_realize_flags(p: argparse.ArgumentParser):
-    _add_controller_flags(p)
-    p.add_argument(
-        "--float",
-        dest="as_float",
-        action="store_true",
-        help="display coefficients as 15-significant-digit decimals",
-    )
-    _add_output_flags(p)
-
-
-def _add_symbolic_flags(p: argparse.ArgumentParser):
-    _add_controller_flags(p)
-    _add_output_flags(p)
-
-
-def _add_ladder_flags(p: argparse.ArgumentParser):
-    p.add_argument("--tf", required=True, metavar="FILE", help="tf-document to expand")
-    p.add_argument("--netlist", metavar="FILE", help="also write a SPICE-dialect netlist here")
-    _add_output_flags(p)
-
-
-def _add_bode_flags(p: argparse.ArgumentParser):
-    p.add_argument("--tf", required=True, metavar="FILE", help="tf-document to sweep")
-    _add_sweep_flags(p)
-    _add_output_flags(p)
-
-
-def _add_compare_flags(p: argparse.ArgumentParser):
-    p.add_argument("--lambda", dest="lam", required=True, metavar="RAT", help="fractional order")
-    p.add_argument(
-        "--order",
-        required=True,
-        type=int,
-        help="[n/n] order; recursion depth N for the recursive baselines; iterations for carlson",
-    )
-    p.add_argument(
-        "--methods",
-        required=True,
-        help="comma-separated subset of " + ",".join(_METHODS),
-    )
-    _add_sweep_flags(p)
-    p.add_argument("--T", metavar="RAT", help="time constant for cfe-high (default 1)")
-    p.add_argument(
-        "--omega-b", type=float, metavar="W", help="baseline fit-band low edge, rad/s (default: sweep start)"
-    )
-    p.add_argument(
-        "--omega-h", type=float, metavar="W", help="baseline fit-band high edge, rad/s (default: sweep end)"
-    )
-    p.add_argument("--report", metavar="FILE", help="write a fit-report JSON here")
-    _add_output_flags(p)
-
-
-# name -> (help, flag-adding function, runner) of every subcommand, in the
-# order the top-level help lists them
+# name -> (help, options, runner) of every subcommand, in the order the
+# top-level help lists them; the options are added in the order listed
 _COMMANDS = {
-    "realize": ("numeric rational realization of one controller", _add_realize_flags, _run_realize),
+    "realize": (
+        "numeric rational realization of one controller",
+        (
+            *_CONTROLLER_OPTIONS,
+            _option("--float", dest="as_float", action="store_true",
+                    help="display coefficients as 15-significant-digit decimals"),
+            *_OUTPUT_OPTIONS,
+        ),
+        _run_realization,
+    ),
     "symbolic": (
         "realization with omitted parameters kept symbolic",
-        _add_symbolic_flags,
-        _run_symbolic,
+        _CONTROLLER_OPTIONS + _OUTPUT_OPTIONS,
+        _run_realization,
     ),
-    "ladder": ("domino-ladder synthesis of a tf-document", _add_ladder_flags, _run_ladder),
-    "bode": ("frequency sweep of a tf-document as CSV", _add_bode_flags, _run_bode),
+    "ladder": (
+        "domino-ladder synthesis of a tf-document",
+        (
+            _option("--tf", required=True, metavar="FILE", help="tf-document to expand"),
+            _option("--netlist", metavar="FILE", help="also write a SPICE-dialect netlist here"),
+            *_OUTPUT_OPTIONS,
+        ),
+        _run_ladder,
+    ),
+    "bode": (
+        "frequency sweep of a tf-document as CSV",
+        (
+            _option("--tf", required=True, metavar="FILE", help="tf-document to sweep"),
+            *_SWEEP_OPTIONS,
+            *_OUTPUT_OPTIONS,
+        ),
+        _run_bode,
+    ),
     "compare": (
         "sweep several integrator approximations side by side",
-        _add_compare_flags,
+        (
+            _option("--lambda", dest="lam", required=True, metavar="RAT", help="fractional order"),
+            _option("--order", required=True, type=int,
+                    help="[n/n] order; recursion depth N for the recursive baselines; iterations for carlson"),
+            _option("--methods", required=True, help="comma-separated subset of " + ",".join(_METHODS)),
+            *_SWEEP_OPTIONS,
+            _option("--T", metavar="RAT", help="time constant for cfe-high (default 1)"),
+            _option("--omega-b", type=float, metavar="W",
+                    help="baseline fit-band low edge, rad/s (default: sweep start)"),
+            _option("--omega-h", type=float, metavar="W",
+                    help="baseline fit-band high edge, rad/s (default: sweep end)"),
+            _option("--report", metavar="FILE", help="write a fit-report JSON here"),
+            *_OUTPUT_OPTIONS,
+        ),
         _run_compare,
     ),
 }
+
+
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """parser, given the command's options and its defaults: the command
+    name and its runner."""
+    _, options, run = _COMMANDS[command]
+    parser.set_defaults(run=run, command=command)
+    for flags, keywords in options:
+        parser.add_argument(*flags, **keywords)
+    return parser
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -612,20 +606,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     text and errors, and builds no top-level parser or subparsers action.
     """
     if command is not None:
-        _, add_flags, run = _COMMANDS[command]
-        parser = _Parser(prog=f"fracrat {command}")
-        parser.set_defaults(run=run, command=command)
-        add_flags(parser)
-        return parser
+        return _command_parser(_Parser(prog=f"fracrat {command}"), command)
     parser = _Parser(
         prog="fracrat",
         description="Rational approximations of fractional-order operators and controllers.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (text, add_flags, run) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(run=run)
-        add_flags(p)
+    for name, (text, _, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=text), name)
     return parser
 
 

@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
 from .approx import TransferFunction
-from .controllers import FOPID, Differintegrator, FOPDBracket, LeadLag
+from .controllers import FOPID, Differintegrator, FOPDBracket, LeadLag, _echo
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -111,10 +111,12 @@ class BodeSweep:
 
 
 def _tf_gain_value(tf: TransferFunction) -> float:
+    """The value of tf's gain tag, 1.0 without one. A tag without a value
+    (symbolic, or past float range) is a ValidationError naming its label."""
     if tf.gain is None:
         return 1.0
     if tf.gain.value is None:
-        raise ValidationError("symbolic gain has no numeric value")
+        raise ValidationError(f"gain tag {_echo(tf.gain.label)} has no numeric value")
     return tf.gain.value
 
 
@@ -151,6 +153,7 @@ def bode(tf: TransferFunction, grid: FrequencyGrid) -> BodeSweep:
 
     if tf.ring == "symbolic":
         raise ValidationError("substitute symbols before evaluating")
+    gain = _tf_gain_value(tf)
     w = grid.omega()
     s = 1j * w
     # overflow and 0/0 leave inf or nan points, which the sweep returns as
@@ -158,7 +161,6 @@ def bode(tf: TransferFunction, grid: FrequencyGrid) -> BodeSweep:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         num = np.polyval([float(c) for c in reversed(tf.num)], s)
         den = np.polyval([float(c) for c in reversed(tf.den)], s)
-        gain = _tf_gain_value(tf)
         h = gain * num / den
         mag = 20.0 * np.log10(np.abs(h))
     pole = den == 0

@@ -120,7 +120,8 @@ def _symbolic():
     yield ("--controller", "leadlag", "--kc", "2", "--x", "1/20", "--alpha", "1/2")
 
 
-# refusals by fracrat itself (exit 2), each one command line
+# refusals by fracrat itself (exit 2, and 3 for the zero TF's ladder), each
+# one command line
 _ERRORS = (
     "realize --controller diffint --lambda 3/2 --order 3",
     "realize --controller diffint --lambda 0 --order 3",
@@ -178,6 +179,10 @@ _ERRORS = (
     "ladder --tf bool-gain.json",
     "bode --tf list-label.json --fmin 1 --fmax 10",
     "ladder --tf list-label.json",
+    "ladder --tf zero.json",
+    "realize --controller diffint --lambda 1/2 --order 3 -o missing/x.json",
+    "ladder --tf null-gain.json",
+    "bode --tf null-gain.json --fmin 1 --fmax 10",
 )
 
 # documents that no command line writes, put in the working directory
@@ -195,6 +200,11 @@ INPUTS = {
     ),
     "list-label.json": json.dumps(
         {"format": "tf-document", "num": ["1"], "den": ["1", "1"], "gain": {"label": ["x"], "value": "2"}}
+    ),
+    # the zero TF, which has no continued fraction, and a gain tag without a value
+    "zero.json": json.dumps({"format": "tf-document", "num": ["0"], "den": ["1"]}),
+    "null-gain.json": json.dumps(
+        {"format": "tf-document", "num": ["1"], "den": ["1", "1"], "gain": {"label": "g", "value": None}}
     ),
 }
 

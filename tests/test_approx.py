@@ -384,6 +384,8 @@ def test_cfe_preconditions():
     tagged = make_tf((1,), (1, 1), gain=GainTag("Kc*x^alpha", 1.0))
     with pytest.raises(ValidationError):
         rational_to_cfe(tagged)
+    with pytest.raises(DegenerateMathError, match="^degenerate expansion$"):
+        rational_to_cfe(make_tf((0,), (1,)))
     with pytest.raises(DegenerateMathError):
         cfe_to_tf(())
 

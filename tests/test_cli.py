@@ -264,18 +264,27 @@ def test_ladder_folds_numeric_gain(tmp_path):
     ]
 
 
-def test_ladder_rejects_symbolic_gain(tmp_path):
+def test_ladder_rejects_symbolic_gain(tmp_path, capsys):
+    # ladder and bode refuse a gain tag without a value with one message
     tf_file = tmp_path / "tf.json"
     tf_file.write_text(
         emit_tf_document(make_tf((1,), (1,), gain=GainTag("Kp^mu", None)))
     )
     assert run("ladder", "--tf", str(tf_file)) == 2
+    assert capsys.readouterr().err == "error: gain tag 'Kp^mu' has no numeric value\n"
+    assert run("bode", "--tf", str(tf_file), "--fmin", "1", "--fmax", "10") == 2
+    assert capsys.readouterr().err == "error: gain tag 'Kp^mu' has no numeric value\n"
 
 
-def test_ladder_non_affine_quotient_exits_3(tmp_path):
+def test_ladder_non_affine_quotient_exits_3(tmp_path, capsys):
     tf_file = tmp_path / "tf.json"
     tf_file.write_text(emit_tf_document(make_tf((1, 0, 1), (1,))))
     assert run("ladder", "--tf", str(tf_file)) == 3
+    # the zero TF has no expansion at all
+    tf_file.write_text(json.dumps({"format": "tf-document", "num": ["0"], "den": ["1"]}))
+    capsys.readouterr()
+    assert run("ladder", "--tf", str(tf_file)) == 3
+    assert capsys.readouterr().err == "error: degenerate expansion\n"
 
 
 @pytest.mark.parametrize(
@@ -394,8 +403,14 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
                "--order", "2", "--range", "low") == 2
     assert run("realize", "--controller", "leadlag", "--kc", "1", "--lambda", "1", "--x", "1/2",
                "--alpha", "1/2", "--order", "2", "--sign", "integrator") == 2
-    # missing input file
+    # missing input file, and an output in a missing directory
     assert run("ladder", "--tf", str(tmp_path / "missing.json")) == 2
+    out = tmp_path / "missing" / "x.json"
+    capsys.readouterr()
+    assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "3",
+               "-o", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()
 
 
 def test_an_exponent_past_the_digit_cap_exits_2_at_once(tmp_path, capsys):
@@ -758,6 +773,9 @@ _PARSER_STOPS = [
     ("realize", "--controller", "pid", "--order", "3"),
     ("bode", "--tf", "tf.json", "--fmin", "1", "--fmax", "10", "--unit", "deg"),
     ("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "2", "extra"),
+    # an option of another command that shares option groups with this one
+    ("symbolic", "--controller", "fopid", "--order", "2", "--float"),
+    ("ladder", "--tf", "t.json", "--unit", "hz"),
 ]
 
 

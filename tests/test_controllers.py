@@ -220,6 +220,8 @@ def test_fopid_assembles_three_branches():
     )
     den = polys.mul(integ.den, diff.den)
     assert tf_equal(got, make_tf(num, den))
+    with pytest.raises(ValidationError, match="^freq_range must be one of"):
+        realize_fopid(spec, "mid", 2)
 
 
 def test_fopid_zero_gains_drop_branches():
@@ -399,6 +401,8 @@ def test_substitution_fills_in_the_gain_tag():
     # a negative base under a fractional exponent has no real value
     assert bracket.substitute({"Kp": -2, "Kd": 3, "mu": HALF}).gain.value is None
     assert sym.substitute({"Kc": 2, "x": -values["x"], "alpha": HALF}).gain.value is None
+    # nor has a parameter past float range
+    assert realize_fopd_bracket(FOPDBracket(10**400, 1, HALF), 2).gain.value is None
 
 
 def test_substitution_keeps_the_parameters_fixed_at_realization():

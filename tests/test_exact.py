@@ -67,6 +67,11 @@ def test_integer_scalars_mix_into_polynomials():
     assert lam - 4 == -(4 - lam)
     assert (lam / 2) * 2 == lam
     assert (lam + 1) ** 3 == lam**3 + 3 * lam**2 + 3 * lam + 1
+    # a float is no exact scalar, and a zero divisor has no quotient
+    with pytest.raises(TypeError, match="^expected an exact scalar, got float$"):
+        ParamPoly({_ZERO: 1.5})
+    with pytest.raises(ZeroDivisionError, match="^division by zero scalar$"):
+        lam / 0
 
 
 def test_constants_hash_like_the_scalars_they_equal():
@@ -78,6 +83,8 @@ def test_constants_hash_like_the_scalars_they_equal():
     p = ParamPoly.var("lam") + 2
     assert hash(p) == hash(2 + ParamPoly.var("lam"))
     assert len({p, 2 + ParamPoly.var("lam"), ParamPoly.var("lam")}) == 2
+    with pytest.raises(ValidationError, match="^polynomial is not constant$"):
+        p.constant_value()
 
 
 def test_evaluate_and_substitute():
@@ -147,6 +154,8 @@ def test_grlex_ordering_picks_total_degree_first():
     assert p.leading_coeff() == 1
     (lead,) = (lam * mu**2).terms
     assert p.leading_key() == lead
+    with pytest.raises(ValidationError, match="^zero polynomial has no leading term$"):
+        ParamPoly.zero().leading_key()
     # str prints the terms in the same order, descending
     assert str(p) == "lam*mu^2 + lam^2"
     x = ParamPoly.var("x")
@@ -177,6 +186,8 @@ def test_exponents_are_non_negative_ints_below_the_field_bound():
             left * right
     with pytest.raises(ValidationError):
         ParamPoly.var("x") ** bound
+    with pytest.raises(ValidationError, match="^polynomial powers must be non-negative integers$"):
+        ParamPoly.var("x") ** -1
 
 
 def test_items_give_exponent_tuples_back():

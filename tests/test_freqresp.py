@@ -347,6 +347,9 @@ def test_fit_report_preconditions():
         fit_report(flat, flat, (0.5, 2.0))
     with pytest.raises(ValidationError):
         fit_report(flat, flat, (2.0, 1.0))
+    # inside the grid, but between two of its points
+    with pytest.raises(ValidationError, match="^band contains no grid points$"):
+        fit_report(flat, flat, (1.25, 1.5))
 
 
 def test_sweep_length_must_match_grid():

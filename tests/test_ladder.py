@@ -158,6 +158,8 @@ def test_map_elements_splits_mixed_signs_and_skips_zeros():
 def test_netlist_single_resistor_golden():
     netlist = export_netlist(map_elements(synthesize_ladder(make_tf((1,), (1,)))))
     assert netlist == "R1 n0 0 1\n* port n0 0\n"
+    with pytest.raises(ValidationError, match="^no elements to export$"):
+        export_netlist([])
 
 
 def test_netlist_refuses_a_value_a_float_cannot_hold():

@@ -23,6 +23,11 @@ def test_series_keeps_trailing_zeros():
     assert s[2] == 0
     with pytest.raises(ValidationError):
         PowerSeries(())
+    # a negative order is refused before any coefficient is built
+    for build in (lambda: binomial_series(Fraction(1, 2), -1),
+                  lambda: leadlag_kernel_series(Fraction(1, 2), Fraction(1, 3), -1)):
+        with pytest.raises(ValidationError, match="^series order must be non-negative$"):
+            build()
 
 
 def test_square_root_series_coefficients():
