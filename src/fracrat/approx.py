@@ -13,11 +13,11 @@ ring off the coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isfinite
 
 from . import polys
+from ._value import Value
 from .errors import DegenerateMathError, ValidationError
 from .exact import (
     ParamPoly, _coerce_rat, _monomial, _product, _signed_sum, _substitute, clear_denominators,
@@ -25,8 +25,7 @@ from .exact import (
 from .series import PowerSeries
 
 
-@dataclass(frozen=True)
-class GainTag:
+class GainTag(Value):
     """Scalar prefactor that is not rational in the tuning parameters.
 
     `label` is the closed form (e.g. "Kp^mu"); `value` its numeric value
@@ -38,9 +37,11 @@ class GainTag:
     as it is.
     """
 
-    label: str
-    value: float | None = None
-    fixed: tuple | None = field(default=None, compare=False)
+    _fields = ("label", "value", "fixed")
+    _compared = ("label", "value")
+
+    def __init__(self, label: str, value: float | None = None, fixed: tuple | None = None):
+        self._set(label, value, fixed)
 
 
 #: label -> (parameter names, float formula): the one place a gain tag's
@@ -72,8 +73,7 @@ def _gain_tag(label: str, values: dict) -> GainTag:
     return GainTag(label, value, fixed)
 
 
-@dataclass(frozen=True)
-class TransferFunction:
+class TransferFunction(Value):
     """Rational function of s with exact or float coefficients.
 
     num and den hold ascending-power coefficient tuples: the entry at index
@@ -86,11 +86,13 @@ class TransferFunction:
     like) and do not take part in equality.
     """
 
-    num: tuple
-    den: tuple
-    ring: str
-    gain: GainTag | None = None
-    notes: tuple = field(default=(), compare=False)
+    _fields = ("num", "den", "ring", "gain", "notes")
+    _compared = ("num", "den", "ring", "gain")
+
+    def __init__(
+        self, num: tuple, den: tuple, ring: str, gain: GainTag | None = None, notes: tuple = ()
+    ):
+        self._set(num, den, ring, gain, notes)
 
     @property
     def num_degree(self) -> int:

@@ -26,9 +26,9 @@ Carlson is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import polys
+from ._value import Value
 from .approx import TransferFunction, make_tf
 from .controllers import _rat
 from .errors import ValidationError
@@ -37,28 +37,22 @@ from .errors import ValidationError
 _MAX_DEGREE = 4096
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
+class BaselineConfig(Value):
     """Band and depth settings shared by the Oustaloup variants."""
 
-    lam: float
-    omega_b: float
-    omega_h: float
-    N: int
+    _fields = ("lam", "omega_b", "omega_h", "N")
 
-    def __post_init__(self):
-        lam = float(self.lam)
+    def __init__(self, lam: float, omega_b: float, omega_h: float, N: int):
+        lam = float(lam)
         if not 0 < lam < 1:
             raise ValidationError("lam must lie in (0, 1)")
-        wb = float(self.omega_b)
-        wh = float(self.omega_h)
+        wb = float(omega_b)
+        wh = float(omega_h)
         if not 0 < wb < wh < math.inf:
             raise ValidationError("need 0 < omega_b < omega_h < inf")
-        if self.N < 1:
+        if N < 1:
             raise ValidationError("N must be at least 1")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "omega_b", wb)
-        object.__setattr__(self, "omega_h", wh)
+        self._set(lam, wb, wh, N)
 
 
 def _poly_from_roots(roots) -> tuple:

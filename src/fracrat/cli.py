@@ -32,7 +32,6 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -227,7 +226,7 @@ def _read_text(path: str) -> str:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ValidationError(f"cannot read {path} as UTF-8") from None
 
@@ -271,7 +270,7 @@ def _write_text(path: str | None, text: str):
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from None
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_csv(path: str | None, meta: dict | None, grid, sweeps) -> None:
@@ -474,7 +473,7 @@ def _run_compare(args) -> int:
             "unit": args.unit,
             "band": list(band),
             "phase_tol_deg": PHASE_TOL_DEG,
-            "methods": {m: asdict(fit_report(sweeps[m], ideal, band)) for m in methods},
+            "methods": {m: vars(fit_report(sweeps[m], ideal, band)) for m in methods},
         }
         _write_text(args.report, _json_document(doc, meta))
     return 0

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from . import polys
+from ._value import Value
 from .approx import TransferFunction, _gain_tag, make_tf
 from .errors import ValidationError
 from .exact import ParamPoly, _combine, _powers
@@ -82,8 +82,7 @@ def _rat_or_none(value, name: str) -> Fraction | None:
     return None if value is None else _rat(value, name)
 
 
-@dataclass(frozen=True)
-class Differintegrator:
+class Differintegrator(Value):
     """s^(-lam) (integrator) or s^(+lam) (differentiator) to approximate.
 
     freq_range picks the generating function: "low" expands (1 + 1/s)^lam
@@ -91,14 +90,16 @@ class Differintegrator:
     band has no time constant, so T must stay 1 there.
     """
 
-    lam: Fraction | None
-    sign: str = "integrator"
-    freq_range: str = "low"
-    T: Fraction = Fraction(1)
+    _fields = ("lam", "sign", "freq_range", "T")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _rat_or_none(self.lam, "lam"))
-        object.__setattr__(self, "T", _rat(self.T, "T"))
+    def __init__(
+        self,
+        lam: Fraction | None,
+        sign: str = "integrator",
+        freq_range: str = "low",
+        T: Fraction = Fraction(1),
+    ):
+        self._set(_rat_or_none(lam, "lam"), sign, freq_range, _rat(T, "T"))
         if self.sign not in _SIGNS:
             raise ValidationError(f"sign must be one of {_SIGNS}")
         if self.freq_range not in _RANGES:
@@ -111,19 +112,20 @@ class Differintegrator:
             raise ValidationError("lam must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class FOPID:
+class FOPID(Value):
     """Kp + Ki/s^lam + Kd*s^mu with fractional integro-differential orders."""
 
-    Kp: Fraction | None
-    Ki: Fraction | None
-    Kd: Fraction | None
-    lam: Fraction | None
-    mu: Fraction | None
+    _fields = ("Kp", "Ki", "Kd", "lam", "mu")
 
-    def __post_init__(self):
-        for name in ("Kp", "Ki", "Kd", "lam", "mu"):
-            object.__setattr__(self, name, _rat_or_none(getattr(self, name), name))
+    def __init__(
+        self,
+        Kp: Fraction | None,
+        Ki: Fraction | None,
+        Kd: Fraction | None,
+        lam: Fraction | None,
+        mu: Fraction | None,
+    ):
+        self._set(*map(_rat_or_none, (Kp, Ki, Kd, lam, mu), self._fields))
         for name in ("Kp", "Ki", "Kd"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -134,17 +136,13 @@ class FOPID:
                 raise ValidationError(f"{name} must lie in (0, 2)")
 
 
-@dataclass(frozen=True)
-class FOPDBracket:
+class FOPDBracket(Value):
     """(Kp + Kd*s)^mu, the bracketed fractional-order PD structure."""
 
-    Kp: Fraction | None
-    Kd: Fraction | None
-    mu: Fraction | None
+    _fields = ("Kp", "Kd", "mu")
 
-    def __post_init__(self):
-        for name in ("Kp", "Kd", "mu"):
-            object.__setattr__(self, name, _rat_or_none(getattr(self, name), name))
+    def __init__(self, Kp: Fraction | None, Kd: Fraction | None, mu: Fraction | None):
+        self._set(*map(_rat_or_none, (Kp, Kd, mu), self._fields))
         if self.Kp is not None and self.Kp == 0:
             raise ValidationError("not expandable about s=0")
         for name in ("Kp", "Kd"):
@@ -155,18 +153,15 @@ class FOPDBracket:
             raise ValidationError("mu must lie in (0, 2)")
 
 
-@dataclass(frozen=True)
-class LeadLag:
+class LeadLag(Value):
     """Kc*x^alpha*((1 + lam*s)/(1 + x*lam*s))^alpha with 0 < x <= 1."""
 
-    Kc: Fraction | None
-    lam: Fraction | None
-    x: Fraction | None
-    alpha: Fraction | None
+    _fields = ("Kc", "lam", "x", "alpha")
 
-    def __post_init__(self):
-        for name in ("Kc", "lam", "x", "alpha"):
-            object.__setattr__(self, name, _rat_or_none(getattr(self, name), name))
+    def __init__(
+        self, Kc: Fraction | None, lam: Fraction | None, x: Fraction | None, alpha: Fraction | None
+    ):
+        self._set(*map(_rat_or_none, (Kc, lam, x, alpha), self._fields))
         if self.Kc is not None and self.Kc <= 0:
             raise ValidationError("Kc must be positive")
         if self.lam is not None and self.lam <= 0:

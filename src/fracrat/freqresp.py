@@ -12,13 +12,13 @@ symbolic, ladder) never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from typing import TYPE_CHECKING
 
+from ._value import Value
 from .approx import TransferFunction
 from .controllers import FOPID, Differintegrator, FOPDBracket, LeadLag, _echo
 from .errors import ValidationError
 
+TYPE_CHECKING = False  # typing's flag, without importing typing at run time
 if TYPE_CHECKING:
     import numpy as np
 
@@ -31,18 +31,16 @@ PHASE_TOL_DEG = 5.0
 MAX_GRID_POINTS = 10**6
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
+class FrequencyGrid(Value):
     """Strictly increasing, positive evaluation frequencies in a stated
     unit, finite in that unit and in rad/s."""
 
-    values: tuple
-    unit: str = "hz"
+    _fields = ("values", "unit")
 
-    def __post_init__(self):
-        if self.unit not in _UNITS:
+    def __init__(self, values: tuple, unit: str = "hz"):
+        if unit not in _UNITS:
             raise ValidationError(f"unit must be one of {_UNITS}")
-        values = tuple(float(v) for v in self.values)
+        values = tuple(float(v) for v in values)
         if not values:
             raise ValidationError("empty frequency grid")
         if not all(map(math.isfinite, values)):
@@ -51,9 +49,9 @@ class FrequencyGrid:
             raise ValidationError("grid must be strictly increasing")
         if values[0] <= 0:
             raise ValidationError("frequencies must be positive")
-        if self.unit == "hz" and values[-1] * (2 * math.pi) == math.inf:
+        if unit == "hz" and values[-1] * (2 * math.pi) == math.inf:
             raise ValidationError("frequencies must be finite in rad/s")
-        object.__setattr__(self, "values", values)
+        self._set(values, unit)
 
     def omega(self) -> np.ndarray:
         """Angular frequencies in rad/s."""
@@ -93,21 +91,19 @@ def log_grid(fmin, fmax, points_per_decade: int = 50, unit: str = "hz") -> Frequ
     return FrequencyGrid(tuple(values.tolist()), unit)
 
 
-@dataclass(frozen=True)
-class BodeSweep:
+class BodeSweep(Value):
     """Magnitude (dB) and phase (degrees) over a grid.
 
     Points where the evaluation hit a pole are non-finite rather than
     dropped, so indices always line up with the grid.
     """
 
-    grid: FrequencyGrid
-    mag_db: tuple
-    phase_deg: tuple
+    _fields = ("grid", "mag_db", "phase_deg")
 
-    def __post_init__(self):
-        if not (len(self.grid) == len(self.mag_db) == len(self.phase_deg)):
+    def __init__(self, grid: FrequencyGrid, mag_db: tuple, phase_deg: tuple):
+        if not (len(grid) == len(mag_db) == len(phase_deg)):
             raise ValidationError("sweep arrays must match the grid length")
+        self._set(grid, mag_db, phase_deg)
 
 
 def _tf_gain_value(tf: TransferFunction) -> float:
@@ -182,7 +178,7 @@ def ideal_response(spec, grid: FrequencyGrid) -> BodeSweep:
     w = grid.omega()
     if not isinstance(spec, (Differintegrator, FOPDBracket, LeadLag, FOPID)):
         raise ValidationError(f"no ideal response for {type(spec).__name__}")
-    if None in astuple(spec):
+    if None in vars(spec).values():
         raise ValidationError("ideal response needs numeric parameters")
     if isinstance(spec, Differintegrator):
         lam = float(spec.lam)
@@ -209,16 +205,27 @@ def ideal_response(spec, grid: FrequencyGrid) -> BodeSweep:
     return BodeSweep(grid, tuple(mag.tolist()), tuple(phase.tolist()))
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(Value):
     """Error summary of an approximation against its ideal over a band."""
 
-    max_phase_err_deg: float
-    mean_phase_err_deg: float
-    max_mag_err_db: float
-    mean_mag_err_db: float
-    band: tuple
-    constant_phase_band: tuple | None
+    _fields = (
+        "max_phase_err_deg", "mean_phase_err_deg", "max_mag_err_db", "mean_mag_err_db",
+        "band", "constant_phase_band",
+    )
+
+    def __init__(
+        self,
+        max_phase_err_deg: float,
+        mean_phase_err_deg: float,
+        max_mag_err_db: float,
+        mean_mag_err_db: float,
+        band: tuple,
+        constant_phase_band: tuple | None,
+    ):
+        self._set(
+            max_phase_err_deg, mean_phase_err_deg, max_mag_err_db, mean_mag_err_db,
+            band, constant_phase_band,
+        )
 
 
 def constant_phase_band(sweep: BodeSweep, target_deg: float, tol_deg: float):

@@ -9,10 +9,10 @@ SPICE-dialect netlist exporter closes the loop to a circuit description.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
+from ._value import Value
 from .approx import TransferFunction, cfe_to_tf, rational_to_cfe
 from .errors import DegenerateMathError, ValidationError
 from .exact import _signed_sum
@@ -21,14 +21,14 @@ _NIC_OPAMP_GAIN = "1e6"
 _NIC_RESISTOR = "1000"
 
 
-@dataclass(frozen=True)
-class LadderElement:
-    """One rung: a series impedance or shunt admittance g + h*s."""
+class LadderElement(Value):
+    """One rung: a series impedance (role "Z") or shunt admittance (role
+    "Y") g + h*s."""
 
-    role: str  # "Z" or "Y"
-    g: Fraction
-    h: Fraction
-    position: int
+    _fields = ("role", "g", "h", "position")
+
+    def __init__(self, role: str, g: Fraction, h: Fraction, position: int):
+        self._set(role, g, h, position)
 
     def __str__(self):
         slope = [(self.h < 0, f"{abs(self.h)}*s")] if self.h else []
@@ -36,14 +36,14 @@ class LadderElement:
         return f"{self.role}{self.position}(s) = {body}"
 
 
-@dataclass(frozen=True)
-class LadderNetwork:
+class LadderNetwork(Value):
     """Alternating Z/Y elements, Z first, positions 1..N."""
 
-    elements: tuple
+    _fields = ("elements",)
 
-    def __post_init__(self):
-        for i, el in enumerate(self.elements):
+    def __init__(self, elements: tuple):
+        self._set(elements)
+        for i, el in enumerate(elements):
             expected = "Z" if i % 2 == 0 else "Y"
             if el.role != expected:
                 raise ValidationError(
@@ -84,8 +84,7 @@ def ladder_to_tf(net: LadderNetwork) -> TransferFunction:
     return cfe_to_tf(tuple((el.g, el.h) for el in net.elements))
 
 
-@dataclass(frozen=True)
-class CircuitElement:
+class CircuitElement(Value):
     """Passive one-port piece realizing one sign-uniform part of a rung.
 
     Series impedances become a resistor (g ohms) in series with an inductor
@@ -97,12 +96,18 @@ class CircuitElement:
     the matching field None.
     """
 
-    role: str
-    position: int
-    resistance: Fraction | None = None
-    inductance: Fraction | None = None
-    capacitance: Fraction | None = None
-    nic_wrapped: bool = False
+    _fields = ("role", "position", "resistance", "inductance", "capacitance", "nic_wrapped")
+
+    def __init__(
+        self,
+        role: str,
+        position: int,
+        resistance: Fraction | None = None,
+        inductance: Fraction | None = None,
+        capacitance: Fraction | None = None,
+        nic_wrapped: bool = False,
+    ):
+        self._set(role, position, resistance, inductance, capacitance, nic_wrapped)
 
 
 def map_elements(net: LadderNetwork) -> list:

@@ -12,27 +12,26 @@ a ParamPoly raises TypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .errors import ValidationError
 from .exact import _coerce_rat
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Value):
     """Coefficients c0..cn of a series truncated at an explicit order.
 
     Trailing zeros are kept: the truncation order is part of the value, not
     inferred from the data.
     """
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple):
+        if not coeffs:
             raise ValidationError("a series needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        self._set(tuple(coeffs))
 
     @property
     def truncation_order(self) -> int:

@@ -403,13 +403,16 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
                "--order", "2", "--range", "low") == 2
     assert run("realize", "--controller", "leadlag", "--kc", "1", "--lambda", "1", "--x", "1/2",
                "--alpha", "1/2", "--order", "2", "--sign", "integrator") == 2
-    # missing input file, and an output in a missing directory
-    assert run("ladder", "--tf", str(tmp_path / "missing.json")) == 2
-    out = tmp_path / "missing" / "x.json"
+    # missing input file, and an output in a missing directory: the path
+    # once, then the OS's text for the error
     capsys.readouterr()
+    missing = tmp_path / "missing.json"
+    assert run("ladder", "--tf", str(missing)) == 2
+    assert capsys.readouterr().err == f"error: cannot read {missing}: {os.strerror(errno.ENOENT)}\n"
+    out = tmp_path / "missing" / "x.json"
     assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "3",
                "-o", str(out)) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
     assert not out.parent.exists()
 
 
@@ -977,6 +980,20 @@ def test_building_the_parser_loads_no_numpy():
         "fracrat.cli.build_parser()\n"
         "assert 'numpy' not in sys.modules\n"
     )
+
+
+def test_cli_start_up_loads_none_of_the_heavy_modules():
+    # isolated (-I) and without site (-S), so that nothing a site hook or
+    # the environment preloads hides a module that fracrat itself imports
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import fracrat.cli\n"
+        "fracrat.cli.build_parser()\n"
+        "print(*sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 def test_construction_commands_load_no_numpy(tmp_path):
