@@ -20,7 +20,8 @@ from . import polys
 from ._value import Value
 from .errors import DegenerateMathError, ValidationError
 from .exact import (
-    ParamPoly, _coerce_rat, _monomial, _product, _signed_sum, _substitute, clear_denominators,
+    ParamPoly, _coerce_rat, _monomial, _product, _ring, _signed_sum, _substitute,
+    clear_denominators,
 )
 from .series import PowerSeries
 
@@ -81,9 +82,10 @@ class TransferFunction(Value):
     is read off the coefficients by make_tf and recorded for readers of the
     TF: "float" if any coefficient is a float (baselines only), else
     "symbolic" if any is a ParamPoly in the tuning parameters, else
-    "rational" (Fraction). An optional GainTag carries an irrational scalar
-    prefactor. Notes record construction caveats (Pade defects and the
-    like) and do not take part in equality.
+    "rational". make_tf leaves every rational-ring coefficient, and every
+    scalar entry of a symbolic-ring TF, an int. An optional GainTag carries
+    an irrational scalar prefactor. Notes record construction caveats (Pade
+    defects and the like) and do not take part in equality.
     """
 
     _fields = ("num", "den", "ring", "gain", "notes")
@@ -167,10 +169,10 @@ def _negative(c) -> bool:
 
 
 def _coerce_exact(c):
-    """A TF coefficient: floats and non-constant ParamPolys as given, a
-    constant ParamPoly as its Fraction value, any other exact scalar through
-    _coerce_rat."""
-    if isinstance(c, float):
+    """A TF coefficient: floats, ints, Fractions and non-constant ParamPolys
+    as given, a constant ParamPoly as its Fraction value, anything else
+    (a bool, another int subclass) through _coerce_rat."""
+    if isinstance(c, (float, Fraction)) or type(c) is int:
         return c
     if isinstance(c, ParamPoly):
         return c.constant_value() if c.is_constant() else c
@@ -191,9 +193,12 @@ def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
     The ring is read off the coefficients (see TransferFunction): one float
     makes the whole TF float, and a float beside a ParamPoly raises
     ValidationError. Exact rings are scaled to collectively integer-primitive
-    coefficients with a positive leading denominator coefficient (a unit
-    content leaves them as given), and their zero TF is the rational
-    (0)/(1); the float ring is only trimmed. A zero denominator is rejected.
+    coefficients with a positive leading denominator coefficient, and their
+    zero TF is the rational (0)/(1); the float ring is only trimmed. A
+    zero denominator is rejected. The rational ring comes out as ints,
+    from one polys.primitive of num and den together; the symbolic ring is
+    divided by its polys.sequence_content (a unit content leaves it as
+    given) and its scalar entries are ints too.
     """
     num = [_coerce_exact(c) for c in num]
     den = [_coerce_exact(c) for c in den]
@@ -211,15 +216,18 @@ def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
             tuple(notes),
         )
     if not num:
-        return TransferFunction((Fraction(0),), (Fraction(1),), "rational", gain, tuple(notes))
-    inv = Fraction(1) / polys.sequence_content([num, den])
-    if inv != 1:
-        num = [c * inv for c in num]
-        den = [c * inv for c in den]
-    if _negative(den[-1]):
-        num = [-c for c in num]
-        den = [-c for c in den]
-    return TransferFunction(tuple(num), tuple(den), ring, gain, tuple(notes))
+        return TransferFunction((0,), (1,), "rational", gain, tuple(notes))
+    coeffs = num + den
+    if ring == "rational":
+        coeffs = polys.primitive(coeffs)[1]
+    else:
+        inv = Fraction(1) / polys.sequence_content([coeffs])
+        coeffs = [_ring(c * inv if inv != 1 else c) for c in coeffs]
+    if _negative(coeffs[-1]):
+        coeffs = [-c for c in coeffs]
+    return TransferFunction(
+        tuple(coeffs[: len(num)]), tuple(coeffs[len(num):]), ring, gain, tuple(notes)
+    )
 
 
 def tf_equal(a: TransferFunction, b: TransferFunction) -> bool:

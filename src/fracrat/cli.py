@@ -7,8 +7,10 @@ suppressible place (the "meta" key of JSON documents, one leading "# "
 comment line in CSV) so payloads diff cleanly.
 
 The interchange format for numeric transfer functions is the tf-document:
-JSON with descending-power coefficient strings, exact "p/q" in the
-rational ring and 15-significant-digit decimals in the float ring. A
+JSON with descending-power coefficient strings, the coprime integers of
+make_tf in the rational ring and 15-significant-digit decimals in the
+float ring. The reader takes exact "p/q" and decimal text in the rational
+ring as well, and reads a plain integer without Fraction's regex. A
 document produced here parses back and re-emits byte for byte. The
 symbolic command emits a separate symbolic-tf document whose coefficients
 are polynomial strings in the tuning parameters; that format is for
@@ -132,8 +134,9 @@ def emit_tf_document(
 ) -> str:
     """Serialize a numeric TF as tf-document JSON.
 
-    Coefficients are listed in descending powers of s: exact "p/q"
-    strings in the rational ring, 15-significant-digit decimals in the
+    Coefficients are listed in descending powers of s: exact strings in
+    the rational ring ("p/q", or an integer, as every coefficient of a
+    make_tf result is), 15-significant-digit decimals in the
     float ring. as_float converts an exact TF to the float display form
     (a one-way step; the exact strings are the canonical ones).
     """

@@ -48,11 +48,17 @@ def _echo(value) -> str:
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
-def _parse_rat(text: str, name: str) -> Fraction:
-    """Fraction(text), refusing first (ValidationError naming `name`) an
-    exponent larger in magnitude than the int-to-str digit cap, which int()
-    holds the digits to: Fraction builds 10**|exponent| before any range
-    check. A cap of 0 sets no bound."""
+def _parse_rat(text: str, name: str) -> int | Fraction:
+    """Fraction(text) in value and in the exceptions it raises, as an int
+    when text is an optionally signed run of ASCII digits, which int()
+    reads without Fraction's regex (and refuses past the int-to-str digit
+    cap with the ValueError Fraction raises there). Other text refuses
+    first (ValidationError naming `name`) an exponent larger in magnitude
+    than that cap, which int() holds the digits to: Fraction builds
+    10**|exponent| before any range check. A cap of 0 sets no bound."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isdigit() and digits.isascii():
+        return int(text)
     exponent = _EXPONENT.search(text)
     cap = getattr(sys, "get_int_max_str_digits", int)()  # no cap before CPython 3.10.7
     if exponent and cap and abs(int(exponent[1])) > cap:
@@ -72,7 +78,7 @@ def _rat(value, name: str) -> Fraction:
     source = str(value) if isinstance(value, float) else value
     if isinstance(source, (int, Fraction, str)):
         try:
-            return _parse_rat(source, name) if isinstance(source, str) else Fraction(source)
+            return Fraction(_parse_rat(source, name) if isinstance(source, str) else source)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError(f"{name} expects a rational number, got {_echo(value)}")

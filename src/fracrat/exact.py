@@ -8,14 +8,15 @@ products of integer polynomials never touch `Fraction`), each built by
 symbolic Pade kernel shares, and specialized by `_substitute`, which a
 transfer function shares among its coefficients; the grammar of a printed
 expression (`_signed_sum`, `_product`, `_monomial`, and `_poly_str`, whose
-monomial table a document shares among its coefficients); the one
-coercion every exact scalar of a numeric TF passes through (`_coerce_rat`,
-always to a Fraction); and an exact linear solver: fraction-free (Bareiss)
-elimination on exact scalars, with each row cleared to integers first, so
-every step is an exact integer division and the solution is formed by one
-division at the end. No library route calls it: it is the Toeplitz
-reference the tests check approx.pade against, and perfbench/tracing.py
-wraps it by name.
+monomial table a document shares among its coefficients); the coercion
+of an exact scalar to a Fraction (`_coerce_rat`), for the series kernels
+and the solver (approx.make_tf keeps an int or a Fraction as it is and
+passes it only a bool or another int subclass); and an exact linear
+solver: fraction-free (Bareiss) elimination on exact scalars, with each
+row cleared to integers first, so every step is an exact integer division
+and the solution is formed by one division at the end. No library route
+calls it: it is the Toeplitz reference the tests check approx.pade
+against, and perfbench/tracing.py wraps it by name.
 
 Everything here is immutable after construction and safe to share between
 threads; all operations return new objects.

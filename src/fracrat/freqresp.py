@@ -12,6 +12,7 @@ symbolic, ladder) never loads it.
 from __future__ import annotations
 
 import math
+import operator
 
 from ._value import Value
 from .approx import TransferFunction
@@ -40,12 +41,12 @@ class FrequencyGrid(Value):
     def __init__(self, values: tuple, unit: str = "hz"):
         if unit not in _UNITS:
             raise ValidationError(f"unit must be one of {_UNITS}")
-        values = tuple(float(v) for v in values)
+        values = tuple(map(float, values))
         if not values:
             raise ValidationError("empty frequency grid")
         if not all(map(math.isfinite, values)):
             raise ValidationError("frequencies must be finite")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if not all(map(operator.lt, values, values[1:])):
             raise ValidationError("grid must be strictly increasing")
         if values[0] <= 0:
             raise ValidationError("frequencies must be positive")
@@ -140,10 +141,21 @@ def _unwrap_deg(phases: np.ndarray) -> np.ndarray:
         offset = turned
 
 
+def _float(c) -> float:
+    """A TF coefficient as a float: an exact one (int or Fraction) as
+    numerator / denominator (see bode)."""
+    return c if isinstance(c, float) else c.numerator / c.denominator
+
+
 def bode(tf: TransferFunction, grid: FrequencyGrid) -> BodeSweep:
     """Sweep H(j*omega) over the grid with unwrapped phase.
 
     The coefficients must be numeric: a symbolic TF is a ValidationError.
+    An exact coefficient becomes a float as numerator / denominator, the
+    division Fraction.__float__ makes, so one past float range raises the
+    same OverflowError ("integer division result too large for a float")
+    whether it is an int or a Fraction; float() of an int would raise
+    another text.
     """
     import numpy as np
 
@@ -155,8 +167,8 @@ def bode(tf: TransferFunction, grid: FrequencyGrid) -> BodeSweep:
     # overflow and 0/0 leave inf or nan points, which the sweep returns as
     # values rather than warning about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num = np.polyval([float(c) for c in reversed(tf.num)], s)
-        den = np.polyval([float(c) for c in reversed(tf.den)], s)
+        num = np.polyval([_float(c) for c in reversed(tf.num)], s)
+        den = np.polyval([_float(c) for c in reversed(tf.den)], s)
         h = gain * num / den
         mag = 20.0 * np.log10(np.abs(h))
     pole = den == 0

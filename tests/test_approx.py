@@ -209,7 +209,7 @@ def test_make_tf_normalizes_exact_coefficients():
     assert t.ring == "rational"
     t = make_tf((2, 4), (6,))
     assert (t.num, t.den) == ((1, 2), (3,))
-    assert all(type(c) is Fraction for c in t.num + t.den)
+    assert all(type(c) is int for c in t.num + t.den)
     # trailing zeros drop, leading denominator coefficient stays positive
     t = make_tf((1, 0), (-2, -4, 0))
     assert t.num == (-1,)
@@ -218,6 +218,45 @@ def test_make_tf_normalizes_exact_coefficients():
     t = make_tf((0,), (5,))
     assert t.num == (0,)
     assert t.den == (1,)
+
+
+def _content_normalized(num, den):
+    """The reference for make_tf on an exact TF, on Fractions: divide by the
+    sequence content, then flip the sign to a positive leading denominator
+    coefficient; a zero numerator is (0)/(1)."""
+    num = [Fraction(c) for c in polys.trim(num)]
+    den = [Fraction(c) for c in polys.trim(den)]
+    if not num:
+        return (0,), (1,)
+    inv = 1 / polys.sequence_content([num, den])
+    sign = -1 if den[-1] < 0 else 1
+    return tuple(sign * inv * c for c in num), tuple(sign * inv * c for c in den)
+
+
+def test_make_tf_matches_the_content_normalization():
+    rng = random.Random(30)
+
+    def coeff():
+        n = rng.choice((0, rng.randint(-50, 50), rng.randint(-10**30, 10**30)))
+        return n if rng.random() < 0.5 else Fraction(n, rng.randint(1, 10**rng.randint(1, 12)))
+
+    def side(low):
+        return tuple(coeff() for _ in range(rng.randint(low, 6)))
+
+    # a zero numerator, and a negative leading denominator coefficient
+    cases = [((0,), (-3,)), ((), (Fraction(-2, 3), 5)), ((2, 4), (0, -6))]
+    cases += [((Fraction(1, 2),), (-1,))]
+    cases += [(side(0), side(1)) for _ in range(400)]
+    for num, den in cases:
+        if not polys.trim(den):
+            continue
+        t = make_tf(num, den)
+        assert (t.num, t.den) == _content_normalized(num, den), (num, den)
+        assert all(type(c) is int for c in t.num + t.den), (num, den)
+        assert t.den[-1] > 0
+    # a scalar entry of a symbolic TF is an int too
+    t = make_tf((Fraction(4, 3),), (Fraction(2, 3) * ParamPoly.var("lam"), Fraction(-8, 3)))
+    assert t.num == (-2,) and type(t.num[0]) is int
 
 
 def test_make_tf_normalizes_symbolic_coefficients():

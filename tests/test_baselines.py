@@ -204,7 +204,7 @@ def test_carlson_matches_the_fraction_iteration(lam, iterations):
     tf = carlson(lam, iterations)
     ref = _fraction_carlson(lam, iterations)
     assert (tf.num, tf.den) == (ref.num, ref.den)
-    assert all(type(c) is Fraction for c in tf.num + tf.den)
+    assert all(type(c) is int for c in tf.num + tf.den)
     assert tf.den == tuple(reversed(tf.num))
 
 

@@ -505,6 +505,19 @@ def test_bode_rejects_non_finite_documents(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_bode_refuses_an_integer_coefficient_past_float_range(tmp_path, capsys):
+    # the reader's int path and make_tf's int coefficients keep the one
+    # refusal line of an exact coefficient the sweep cannot take
+    tf_file = tmp_path / "big.json"
+    doc = {"format": "tf-document", "ring": "rational", "num": ["1" + "0" * 400], "den": ["1"]}
+    tf_file.write_text(json.dumps(doc))
+    out = tmp_path / "big.csv"
+    rc = run("bode", "--tf", str(tf_file), "--fmin", "1", "--fmax", "10", "-o", str(out))
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {tf_file} has a coefficient past float range\n"
+    assert not out.exists()
+
+
 def test_a_long_refused_coefficient_is_echoed_in_part(tmp_path, capsys):
     # 5000 digits: past the int-to-str cap in the rational ring and past
     # float range in the float ring; the one error line quotes the first
@@ -984,14 +997,16 @@ def test_building_the_parser_loads_no_numpy():
 
 def test_cli_start_up_loads_none_of_the_heavy_modules():
     # isolated (-I) and without site (-S), so that nothing a site hook or
-    # the environment preloads hides a module that fracrat itself imports
+    # the environment preloads hides a module that fracrat itself imports;
+    # -I also drops PYTHONDONTWRITEBYTECODE, so -B keeps the run from
+    # writing bytecode caches into src/
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
         "import fracrat.cli\n"
         "fracrat.cli.build_parser()\n"
         "print(*sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & set(sys.modules)))\n"
     )
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 

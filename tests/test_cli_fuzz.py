@@ -170,8 +170,17 @@ def test_compare_keeps_the_exit_contract(argv, with_report):
     assert rc == 2 or not _too_dense(argv), argv
 
 
+# integer spellings for the reader's int path: signs, non-ASCII digits,
+# underscores and spaces, and runs past the 4300-digit int-to-str cap
+_INT_TEXT = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(("", "+", "-", "--", " ")), st.integers(0, 10**400)),
+    st.text(alphabet="0123456789+-_ \u0663\uff17\u00b2", max_size=12),
+    st.sampled_from(("-0", "+0", "--5", "", "0" * 4301 + "1", "-" + "9" * 4301)),
+)
+
 _COEFF = st.one_of(
     _numbers(999),
+    _INT_TEXT,
     st.sampled_from(("1e999", "-1e999", "1e-999", "1e5000", "9" * 5000)),
     st.integers(-10**400, 10**400),
     st.floats(allow_nan=False, allow_infinity=False),

@@ -30,7 +30,9 @@ from fracrat import (
     tf_equal,
 )
 from fracrat import polys
-from fracrat.controllers import _binomial_pade, _homogenize, _kernel_pade
+from fracrat.controllers import (
+    _EXPONENT, _binomial_pade, _homogenize, _kernel_pade, _parse_rat,
+)
 from fracrat.exact import SYMBOLS
 
 
@@ -151,6 +153,64 @@ def test_spec_intake_refuses_an_exponent_past_the_digit_cap():
         assert Differintegrator("1e-4301").lam == Fraction(1, 10**4301)
     finally:
         sys.set_int_max_str_digits(cap)
+
+
+def _reads_like_fraction(text):
+    """_parse_rat(text) equals Fraction(text), or raises the exception type
+    Fraction raises; it is an int exactly when text is an optionally signed
+    run of ASCII digits. An exponent past the digit cap is refused first
+    (the test above), where Fraction would build 10**|exponent|."""
+    try:
+        value = _parse_rat(text, "c")
+    except ValidationError:
+        cap = sys.get_int_max_str_digits()
+        assert cap and abs(int(_EXPONENT.search(text)[1])) > cap, text
+        return
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            Fraction(text)
+        return
+    assert value == Fraction(text), text
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    assert type(value) is (int if digits.isascii() and digits.isdigit() else Fraction), text
+
+
+def test_parse_rat_reads_what_fraction_reads():
+    cap = sys.get_int_max_str_digits()
+    long_runs = ("9" * cap, "-" + "9" * cap, "9" * (cap + 1), "+" + "1" * (cap + 1),
+                 "0" * (cap + 1) + "7", "1/" + "3" * (cap + 1), "1." + "5" * (cap + 1))
+    for text in (
+        "0", "7", "-0", "+0", "-5", "+5", "007", "-007", "--5", "+-5", "-+5", "", "+", "-",
+        " 5", "5 ", " -5 ", "- 5", "1_0", "_1", "1_", "1__0", "1/2", "-3/4", "1/0", "0/0",
+        "1/-2", "1.5", ".5", "5.", "-.5", "1e3", "1E-3", "-2.5e+1", "1e", "e3", "0x10",
+        "\u0663", "\u0661\u0662", "-\u0667", "\uff11\uff12", "\u00b2", "1\u00b2", "\u0663/4",
+        "1\u0663", "5\n", "\t5", "1e99999", "-1e-4301", *long_runs,
+    ):
+        _reads_like_fraction(text)
+
+
+def test_parse_rat_reads_drawn_text_like_fraction():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cap = sys.get_int_max_str_digits()
+    pieces = st.sampled_from(
+        ("0", "1", "5", "9", "\u0663", "\uff17", "\u00b2", "+", "-", " ", "_", "/", ".", "e", "E")
+    )
+    exponent = st.integers(-999, 999).map("e{}".format)
+    digit_run = st.integers(cap - 2, cap + 2).map(lambda n: "8" * n)
+    texts = st.one_of(
+        st.lists(pieces, max_size=12).map("".join),
+        st.tuples(st.sampled_from(("", "+", "-", "--")), digit_run).map("".join),
+        st.tuples(st.lists(pieces, max_size=6).map("".join), exponent).map("".join),
+        st.integers().map(str),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(texts)
+    def check(text):
+        _reads_like_fraction(text)
+
+    check()
 
 
 def test_symbolic_low_integrator_specializes_to_numeric():

@@ -19,6 +19,7 @@ from fracrat import (
     GainTag,
     LeadLag,
     ParamPoly,
+    TransferFunction,
     ValidationError,
     bode,
     constant_phase_band,
@@ -148,6 +149,21 @@ def test_overflowing_sweep_returns_its_rows_without_warning():
     assert hashlib.sha256(rows).hexdigest() == (
         "118254b6a0777e50e7b39d62a18d22460c361e39a6db151f5ecabbaf64eebe31"
     )
+
+
+def test_a_coefficient_past_float_range_raises_the_fraction_division_text():
+    # the benchmark records `compare lam1_4-n5` (Carlson depth 5 at lam =
+    # 1/4) as a known defect by this exact text, which Fraction.__float__
+    # gives; an int coefficient must give it too, where float() of an int
+    # would say "int too large to convert to float"
+    grid = FrequencyGrid((1.0, 10.0))
+    as_int = make_tf((10**400,), (1,))
+    assert type(as_int.num[0]) is int
+    as_fraction = TransferFunction((Fraction(10**400),), (Fraction(1),), "rational")
+    for tf in (as_int, as_fraction):
+        with pytest.raises(OverflowError) as raised:
+            bode(tf, grid)
+        assert str(raised.value) == "integer division result too large for a float"
 
 
 def test_phase_unwraps_past_minus_180():
