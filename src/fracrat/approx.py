@@ -261,9 +261,8 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
     This is the general route for an arbitrary series, and the reference
     the controller realizations are tested against. They do not take it:
     their binomial and lead-lag kernels have closed-form diagonal
-    approximants (controllers._kernel_pade): the term ratio of
-    _binomial_pade for a numeric exponent, and for a symbolic one the int
-    polynomials in the exponent of _exponent_pade, lifted at it.
+    approximants (controllers._kernel_pade), one int recurrence for a
+    numeric or a symbolic exponent (controllers._exponent_pade).
     """
     if m < 0 or k < 0:
         raise ValidationError("Pade degrees must be non-negative")

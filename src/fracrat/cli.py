@@ -177,7 +177,7 @@ def parse_tf_document(text: str) -> tuple[TransferFunction, dict | None]:
         raise ValidationError("only the variable s is supported")
     ring = doc.get("ring", "rational")
     if ring not in ("rational", "float"):
-        raise ValidationError(f"cannot parse coefficients in ring {ring!r}")
+        raise ValidationError(f"cannot parse coefficients in ring {_echo(ring)}")
 
     def finite(text_value, what: str) -> float:
         try:
@@ -446,7 +446,7 @@ def _run_compare(args) -> int:
         raise ValidationError("--methods lists no methods")
     for m in methods:
         if m not in _METHODS:
-            raise ValidationError(f"unknown method {m!r}; choose from {', '.join(_METHODS)}")
+            raise ValidationError(f"unknown method {_echo(m)}; choose from {', '.join(_METHODS)}")
     if len(set(methods)) != len(methods):
         raise ValidationError("--methods lists a method twice")
     for key, (flag, readers) in _METHOD_FLAGS.items():

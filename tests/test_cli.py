@@ -537,6 +537,24 @@ def test_a_long_refused_coefficient_is_echoed_in_part(tmp_path, capsys):
             assert capsys.readouterr() == ("", err)
 
 
+def test_a_long_ring_or_method_name_is_echoed_in_part(tmp_path, capsys):
+    # 100,000 characters of an unknown ring or --methods entry: one short
+    # error line, as for a long coefficient
+    name = "x" * 100_000
+    tf_file = tmp_path / "ring.json"
+    doc = {"format": "tf-document", "ring": name, "num": ["1"], "den": ["1"]}
+    tf_file.write_text(json.dumps(doc))
+    assert run("bode", "--tf", str(tf_file), "--fmin", "1", "--fmax", "10") == 2
+    want = f"error: cannot parse coefficients in ring {name[:40]!r}... (100000 characters)\n"
+    assert capsys.readouterr() == ("", want)
+    assert run("compare", "--lambda", "1/2", "--order", "2", "--methods", name,
+               "--fmin", "1", "--fmax", "10") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: unknown method {name[:40]!r}... (100000 characters); ")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_sweeps_reject_a_non_finite_band(tmp_path, capsys):
     tf_file = tmp_path / "halfint.json"
     assert run("realize", "--controller", "diffint", "--lambda", "1/2", "--order", "2",

@@ -31,7 +31,7 @@ from fracrat import (
 )
 from fracrat import polys
 from fracrat.controllers import (
-    _EXPONENT, _binomial_pade, _homogenize, _kernel_pade, _parse_rat,
+    _EXPONENT, _homogenize, _kernel_pade, _parse_rat,
 )
 from fracrat.exact import SYMBOLS
 
@@ -711,9 +711,44 @@ def test_symbolic_pade_agrees_with_the_closed_form(n):
     Q*f - P has degree <= n + i <= 3n: D = 3n, checked at 3n + 1 points
     against the numeric solve of the Toeplitz system, an independent route.
     """
-    closed = make_tf(*_binomial_pade(ParamPoly.var("lam"), n))
+    p, q, notes = _kernel_pade(ParamPoly.var("lam"), n)
+    closed = make_tf(p, q, notes=notes)
     assert _max_degree(closed, "lam") <= n
     _agrees_at_points(closed, "lam", 3 * n, lambda a: pade(binomial_series(a, 2 * n), n, n))
+
+
+def _term_ratio_pade(a, n: int) -> tuple[list, list]:
+    """The reference [n/n] Pade approximant of (1 + z)^a, p[0] = q[0] = 1:
+    P(z) = 2F1(-n, -a-n; -2n; -z) and Q(z) = 2F1(-n, a-n; -2n; -z) by the
+    term ratio of the series, on Fractions, or on ParamPolys for a
+    ParamPoly a (coefficient k then has degree k in it)."""
+    sides = []
+    for b in (-a - n, a - n):
+        c = Fraction(1)
+        coeffs = [c]
+        for k in range(n):
+            c = c * ((k + b) * Fraction(k - n, (2 * n - k) * (k + 1)))
+            coeffs.append(c)
+        sides.append(coeffs)
+    return sides[0], sides[1]
+
+
+# the integers 2 and -3 zero the tail of q and of p from n >= 2 and n >= 3 on
+_GRID_EXPONENTS = [Fraction(1, 2), Fraction(37, 100), Fraction(-37, 100), Fraction(1, 10),
+                   Fraction(9, 10), Fraction(-71, 3), Fraction(123457, 1000000),
+                   Fraction(2), Fraction(-3)]
+
+
+@pytest.mark.parametrize("a", _GRID_EXPONENTS, ids=str)
+def test_numeric_kernel_is_the_primitive_term_ratio(a):
+    """The int recurrence at a = p/q is the Fraction term ratio divided by
+    the content of p and q together, entry for entry and as ints."""
+    for n in [*range(1, 21), 40, 60, 120, 300]:
+        p, q, notes = _kernel_pade(a, n)
+        ref_p, ref_q = _term_ratio_pade(a, n)
+        want = polys.primitive(ref_p + ref_q)[1]
+        assert (tuple(p), tuple(q), notes) == (want[: n + 1], want[n + 1:], ()), n
+        assert all(type(c) is int for c in p + q), n
 
 
 def _exponents():
@@ -746,7 +781,7 @@ def test_symbolic_kernel_matches_the_generic_recurrence(name, n):
     constant entry, then ParamPolys with int coefficients."""
     a = _exponents()[name]
     p, q, notes = _kernel_pade(a, n)
-    ref_p, ref_q = _binomial_pade(a, n)
+    ref_p, ref_q = _term_ratio_pade(a, n)
     content = polys.sequence_content([ref_p, ref_q])
     kept = polys.sequence_content([p, q])
     assert kept == 1 or name in ("2lam", "lam/2")
