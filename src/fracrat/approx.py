@@ -291,7 +291,7 @@ def pade(series: PowerSeries, m: int, k: int) -> TransferFunction:
 
 
 def _cancel_common_factor(num, den):
-    """Divide out the field GCD of two Fraction coefficient lists."""
+    """Divide out the field GCD of two coefficient lists of ints and Fractions."""
     if polys.degree(num) < 1 or polys.degree(den) < 1:
         return num, den
     g = polys.gcd_field(num, den)

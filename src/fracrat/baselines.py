@@ -19,8 +19,8 @@ Three classical constructions, frozen here so results are reproducible:
   from H_0 = 1, on the numerator alone (the denominator is its reverse).
 
 All three build the differentiator s^{+lambda}; take reciprocal() for
-the integrator. The two Oustaloup variants are numeric (float ring);
-Carlson is exact.
+the integrator. The Oustaloup variants are float (numpy), Carlson exact;
+each refuses a degree past _MAX_DEGREE before it builds anything.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .approx import TransferFunction, make_tf
 from .controllers import _rat
 from .errors import ValidationError
 
-# Largest Carlson degree built (lam = 1/4 reaches 781 at five iterations, 3906 at six)
+# Largest degree of any baseline (Carlson at lam = 1/4: 781 at five iterations, 3906 at six)
 _MAX_DEGREE = 4096
 
 
@@ -55,66 +55,60 @@ class BaselineConfig(Value):
         self._set(lam, wb, wh, N)
 
 
-def _poly_from_roots(roots) -> tuple:
-    """Ascending coefficients of prod (s + r)."""
-    out = (1.0,)
-    for r in roots:
-        out = polys.mul(out, (float(r), 1.0))
-    return out
-
-
-def _rung(cfg: BaselineConfig, k: int):
-    """Zero/pole frequencies of the k-th recursion rung, inf past float range."""
-    ratio = cfg.omega_h / cfg.omega_b
-    span = 2 * cfg.N + 1
-    try:
-        zero = cfg.omega_b * ratio ** ((k + cfg.N + (1 - cfg.lam) / 2) / span)
-        pole = cfg.omega_b * ratio ** ((k + cfg.N + (1 + cfg.lam) / 2) / span)
-    except OverflowError:
-        return math.inf, math.inf
-    return zero, pole
+def _past_float_range(cfg: BaselineConfig) -> ValidationError:
+    return ValidationError(f"baseline band [{cfg.omega_b:g}, {cfg.omega_h:g}] rad/s is past float range")
 
 
 def _core(cfg: BaselineConfig, extend: bool = False):
-    """Oustaloup zero/pole polynomials without gain.
+    """The Oustaloup zeros and poles, rungs k = -N..N, as two numpy arrays.
 
     With extend=True the rungs k = -(N+1) and k = N+1 are included,
-    which is the modified variant's boundary-correction biquad.
+    which is the modified variant's boundary-correction biquad. A degree
+    past _MAX_DEGREE is refused before any rung, and so is a rung past
+    float range. Each rung is a Python float power: numpy's vectorized
+    power differs from it in the last bit.
     """
-    lo = -cfg.N - 1 if extend else -cfg.N
-    hi = cfg.N + 1 if extend else cfg.N
-    zeros = []
-    poles = []
-    for k in range(lo, hi + 1):
-        zero, pole = _rung(cfg, k)
-        zeros.append(zero)
-        poles.append(pole)
-    return _poly_from_roots(zeros), _poly_from_roots(poles)
+    import numpy as np
+
+    reach = cfg.N + 1 if extend else cfg.N
+    if 2 * reach + 1 > _MAX_DEGREE:
+        name = "modified Oustaloup" if extend else "Oustaloup"
+        raise ValidationError(f"{name} degree passes {_MAX_DEGREE} at N = {cfg.N}")
+    ratio = cfg.omega_h / cfg.omega_b
+    span = 2 * cfg.N + 1
+    rungs = range(-reach, reach + 1)
+    try:
+        zeros = [cfg.omega_b * ratio ** ((k + cfg.N + (1 - cfg.lam) / 2) / span) for k in rungs]
+        poles = [cfg.omega_b * ratio ** ((k + cfg.N + (1 + cfg.lam) / 2) / span) for k in rungs]
+    except OverflowError:
+        raise _past_float_range(cfg) from None
+    return np.array(zeros), np.array(poles)
 
 
-def _polyval(coeffs, s):
-    value = 0j
-    for c in reversed(coeffs):
-        value = value * s + c
-    return value
+def _anchored(zeros, poles, cfg: BaselineConfig) -> TransferFunction:
+    """prod (s + z) / prod (s + p) scaled to |H| = omega_u^lam at the band
+    center omega_u; a band whose anchor magnitude or finished coefficients
+    leave the floats is refused. The anchor values divide as Python
+    complex, whose division differs from numpy's in the last bit."""
+    import numpy as np
 
-
-def _anchored(num, den, cfg: BaselineConfig) -> TransferFunction:
-    """The core scaled to |H| = omega_u^lam at the band center omega_u;
-    a band whose coefficients or anchor magnitude leave the floats is refused."""
+    num = np.poly(-zeros)  # descending coefficients
+    den = np.poly(-poles)
     wu = math.sqrt(cfg.omega_b * cfg.omega_h)
-    at_wu = _polyval(den, 1j * wu)
-    raw = abs(_polyval(num, 1j * wu) / at_wu) if at_wu else math.inf
-    if not (0 < raw < math.inf and all(map(math.isfinite, num + den))):
-        raise ValidationError(f"baseline band [{cfg.omega_b:g}, {cfg.omega_h:g}] rad/s is past float range")
-    gain = wu**cfg.lam / raw
-    return make_tf(tuple(gain * c for c in num), den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_wu = complex(np.polyval(den, 1j * wu))
+        raw = abs(complex(np.polyval(num, 1j * wu)) / at_wu) if at_wu else math.inf
+    gain = wu**cfg.lam / raw if 0 < raw < math.inf else math.nan
+    num = tuple(gain * c for c in reversed(num.tolist()))
+    den = tuple(reversed(den.tolist()))
+    if not all(map(math.isfinite, num + den)):
+        raise _past_float_range(cfg)
+    return make_tf(num, den)
 
 
 def oustaloup(cfg: BaselineConfig) -> TransferFunction:
     """Recursive zero/pole approximation of s^lam, order 2N+1."""
-    num, den = _core(cfg)
-    return _anchored(num, den, cfg)
+    return _anchored(*_core(cfg), cfg)
 
 
 def modified_oustaloup(cfg: BaselineConfig) -> TransferFunction:
@@ -124,8 +118,7 @@ def modified_oustaloup(cfg: BaselineConfig) -> TransferFunction:
     recursion droops toward zero; inside the band the extra rungs are
     far enough out to leave the fit unchanged.
     """
-    num, den = _core(cfg, extend=True)
-    return _anchored(num, den, cfg)
+    return _anchored(*_core(cfg, extend=True), cfg)
 
 
 def carlson(lam, iterations: int) -> TransferFunction:

@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate on `fractions.Fraction`.
+"""Exact arithmetic on ints, with `fractions.Fraction` where not integral.
 
 Sparse multivariate polynomials over the controller-parameter symbols
 (`ParamPoly`, whose terms are keyed by packed monomials and whose

@@ -1,7 +1,7 @@
 """Domino-ladder synthesis and passive-network mapping.
 
 A numeric rational impedance is expanded into alternating series/shunt
-affine elements Z1, Y2, Z3, ... (Cauer form). Elements with negative
+affine elements Z1, Y2, Z3, ... (domino form). Elements with negative
 coefficients are realized behind negative impedance converters. A small
 SPICE-dialect netlist exporter closes the loop to a circuit description.
 """

@@ -162,6 +162,10 @@ _ERRORS = (
     "compare --lambda 1/2 --order 3 --methods cfe-low --fmin 10 --fmax 1",
     "compare --lambda 3/2 --order 3 --methods cfe-low --fmin 1 --fmax 10",
     "compare --lambda 1/2 --order 9 --methods carlson --fmin 1 --fmax 10",
+    "compare --lambda 1/2 --order 1 --methods oustaloup --fmin 1 --fmax 100 --points-per-decade 1"
+    " --omega-b 1e80 --omega-h 1e100",
+    "compare --lambda 1/2 --order 3 --methods oustaloup --fmin 1 --fmax 10 --omega-b 1e-300",
+    "compare --lambda 1/2 --order 10000 --methods oustaloup --fmin 1 --fmax 10",
     "bode --tf r001.json --fmin 1e-3 --fmax 1e3 --points-per-decade 100000000",
     "compare --lambda 1/2 --order 3 --methods cfe-low --fmin 1e-3 --fmax 1e3 --points-per-decade 1"
     + "0" * 400,

@@ -218,6 +218,13 @@ def test_make_tf_normalizes_exact_coefficients():
     t = make_tf((0,), (5,))
     assert t.num == (0,)
     assert t.den == (1,)
+    # a bool is the int it stands for; a str or None is no coefficient
+    t = make_tf((True, 3), (2,))
+    assert (t.num, t.den) == ((1, 3), (2,))
+    assert all(type(c) is int for c in t.num + t.den)
+    for bad in ("1", None):
+        with pytest.raises(TypeError, match=f"^expected an exact scalar, got {type(bad).__name__}$"):
+            make_tf((bad,), (1,))
 
 
 def _content_normalized(num, den):

@@ -2,6 +2,7 @@
 corrected variant, and the exact fixed-point iterate."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -110,6 +111,100 @@ def test_reciprocal_gives_the_integrator():
     wu = math.sqrt(CFG.omega_b * CFG.omega_h)
     integ = oustaloup(CFG).reciprocal()
     assert _at(integ, wu)[0] == pytest.approx(wu**-CFG.lam, rel=1e-12)
+
+
+def test_an_anchor_gain_past_float_range_is_refused():
+    # the core's coefficients are finite; the gain that anchors it is not
+    for build in (oustaloup, modified_oustaloup):
+        with pytest.raises(ValidationError, match=r"^baseline band \[1e\+80, 1e\+100\] rad/s is past float range$"):
+            build(BaselineConfig(0.5, 1e80, 1e100, 1))
+
+
+def test_oustaloup_degree_budget_refuses_before_building():
+    # the modified variant's degree 2N+3 is 4095 at N = 2046, inside the budget,
+    # where coefficients near C(4095, 2047) leave the floats; at N = 2047 it is 4097
+    with pytest.raises(ValidationError, match="past float range"):
+        modified_oustaloup(BaselineConfig(0.5, 1.0, 10.0, 2046))
+    with pytest.raises(ValidationError, match="past float range"):
+        oustaloup(BaselineConfig(0.5, 1.0, 10.0, 2047))
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="^modified Oustaloup degree passes 4096 at N = 2047$"):
+        modified_oustaloup(BaselineConfig(0.5, 1.0, 10.0, 2047))
+    with pytest.raises(ValidationError, match="^Oustaloup degree passes 4096 at N = 10000$"):
+        oustaloup(BaselineConfig(0.5, 1.0, 10.0, 10000))
+    assert time.perf_counter() - start < 0.5
+
+
+def _float_oustaloup(cfg, extend):
+    """The Oustaloup filter as a product of floats: a Python power per rung,
+    polys.mul root by root and a Horner anchor. It raises ValidationError
+    where the library refuses a band, for N far inside the degree budget."""
+    ratio = cfg.omega_h / cfg.omega_b
+    span = 2 * cfg.N + 1
+    reach = cfg.N + 1 if extend else cfg.N
+    num = den = (1.0,)
+    for k in range(-reach, reach + 1):
+        try:
+            zero = cfg.omega_b * ratio ** ((k + cfg.N + (1 - cfg.lam) / 2) / span)
+            pole = cfg.omega_b * ratio ** ((k + cfg.N + (1 + cfg.lam) / 2) / span)
+        except OverflowError:
+            zero = pole = math.inf
+        num = polys.mul(num, (zero, 1.0))
+        den = polys.mul(den, (pole, 1.0))
+
+    def horner(coeffs, s):
+        value = 0j
+        for c in reversed(coeffs):
+            value = value * s + c
+        return value
+
+    wu = math.sqrt(cfg.omega_b * cfg.omega_h)
+    at_wu = horner(den, 1j * wu)
+    raw = abs(horner(num, 1j * wu) / at_wu) if at_wu else math.inf
+    if not (0 < raw < math.inf and all(map(math.isfinite, num + den))):
+        raise ValidationError("past float range")
+    num = tuple(wu**cfg.lam / raw * c for c in num)
+    if not all(map(math.isfinite, num)):
+        raise ValidationError("past float range")
+    return make_tf(num, den)
+
+
+def _random_band(rng, N):
+    """Three bands in four lie where the products of 2N+3 rungs reach to
+    near the ends of the floats; the rest lie anywhere, most past them."""
+    if rng.random() < 0.75:
+        center = rng.uniform(-330.0, 330.0) / (2 * N + 3)
+        half = rng.choice((rng.uniform(0.005, 2.0), rng.uniform(2.0, 20.0)))
+    else:
+        center = rng.uniform(-300.0, 300.0)
+        half = rng.uniform(0.005, 320.0)
+    low = min(max(center - half, -320.0), 307.0)
+    high = min(max(center + half, low + (1.0 if low < -307.0 else 0.001)), 308.0)
+    return 10.0**low, 10.0**high
+
+
+def test_oustaloup_equals_the_float_product_bit_for_bit():
+    rng = random.Random(20000)
+    checked = refused = 0
+    for _ in range(10_000):
+        lam = rng.random() or 0.5
+        if rng.random() < 0.2:
+            lam = rng.randint(1, 99) / 100
+        N = rng.randint(1, 14)
+        cfg = BaselineConfig(lam, *_random_band(rng, N), N)
+        for build, extend in ((oustaloup, False), (modified_oustaloup, True)):
+            try:
+                ref = _float_oustaloup(cfg, extend)
+            except ValidationError:
+                with pytest.raises(ValidationError, match="past float range"):
+                    build(cfg)
+                refused += 1
+            else:
+                tf = build(cfg)
+                assert (tf.num, tf.den) == (ref.num, ref.den), (cfg, extend)
+            checked += 1
+    assert checked == 20_000
+    assert 0.1 < refused / checked < 0.5
 
 
 def test_carlson_first_iterate_is_bilinear():

@@ -582,7 +582,7 @@ def test_sweeps_reject_a_non_finite_band(tmp_path, capsys):
         assert rc == 2, omega_h
         assert capsys.readouterr().err == "error: need 0 < omega_b < omega_h < inf\n"
         assert not out.exists() and not report.exists()
-    # nor must a finite band whose rungs, coefficients or anchor leave the floats
+    # nor must a finite band whose rungs, coefficients, anchor or anchor gain leave the floats
     for order, method, fmax, edges in (
         ("1", "mod-oustaloup", "2", ("--omega-h", "1e300")),
         ("3", "oustaloup", "10", ("--omega-b", "1e-300")),
@@ -591,6 +591,7 @@ def test_sweeps_reject_a_non_finite_band(tmp_path, capsys):
         ("2", "oustaloup", "10", ("--omega-b", "5e-324")),
         ("2", "mod-oustaloup", "10", ("--omega-b", "1e-300", "--omega-h", "1e300")),
         ("8", "oustaloup", "10", ("--omega-b", "1e-150", "--omega-h", "1e150")),
+        ("1", "oustaloup", "100", ("--omega-b", "1e80", "--omega-h", "1e100")),
     ):
         rc = run("compare", "--lambda", "1/2", "--order", order, "--methods", method,
                  "--fmin", "1", "--fmax", fmax, *edges, "-o", str(out), "--report", str(report))
