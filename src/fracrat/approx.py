@@ -14,14 +14,13 @@ ring off the coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isfinite
+from math import isfinite
 
 from . import polys
 from ._value import Value
 from .errors import DegenerateMathError, ValidationError
 from .exact import (
-    ParamPoly, _coerce_rat, _monomial, _product, _ring, _signed_sum, _substitute,
-    clear_denominators,
+    ParamPoly, _coerce_rat, _monomial, _product, _signed_sum, _substitute, clear_denominators,
 )
 from .series import PowerSeries
 
@@ -195,10 +194,9 @@ def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
     ValidationError. Exact rings are scaled to collectively integer-primitive
     coefficients with a positive leading denominator coefficient, and their
     zero TF is the rational (0)/(1); the float ring is only trimmed. A
-    zero denominator is rejected. The rational ring comes out as ints,
-    from one polys.primitive of num and den together; the symbolic ring is
-    divided by its polys.sequence_content (a unit content leaves it as
-    given) and its scalar entries are ints too.
+    zero denominator is rejected. Both exact rings take one
+    polys.primitive of num and den together, so every scalar entry and
+    every ParamPoly term coefficient comes out an int.
     """
     num = [_coerce_exact(c) for c in num]
     den = [_coerce_exact(c) for c in den]
@@ -217,12 +215,7 @@ def make_tf(num, den, gain=None, notes=()) -> TransferFunction:
         )
     if not num:
         return TransferFunction((0,), (1,), "rational", gain, tuple(notes))
-    coeffs = num + den
-    if ring == "rational":
-        coeffs = polys.primitive(coeffs)[1]
-    else:
-        inv = Fraction(1) / polys.sequence_content([coeffs])
-        coeffs = [_ring(c * inv if inv != 1 else c) for c in coeffs]
+    coeffs = polys.primitive(num + den)[1]
     if _negative(coeffs[-1]):
         coeffs = [-c for c in coeffs]
     return TransferFunction(
@@ -324,10 +317,11 @@ def cfe_to_tf(quotients) -> TransferFunction:
 
     The quotients must be ascending-power sequences of exact numbers, as
     rational_to_cfe and ladder rungs give; a symbolic or float quotient
-    raises ValidationError. The fold runs over int: with q = Q/d_q, d_q the lcm of q's denominators,
-    each step maps num/den to (Q*num + d_q*den)/(d_q*num) and divides the
-    pair by its integer content; without that division the coefficients
-    grow and the fold runs several times slower.
+    raises ValidationError. The fold runs over int: with q = Q/d_q, d_q the
+    lcm of q's denominators, each step maps num/den to
+    (Q*num + d_q*den)/(d_q*num) and takes the pair's polys.primitive part;
+    without that division the coefficients grow and the fold runs several
+    times slower.
     """
     if not quotients:
         raise DegenerateMathError("empty continued fraction")
@@ -340,8 +334,6 @@ def cfe_to_tf(quotients) -> TransferFunction:
     for q in reversed(quotients[:-1]):
         d, q = clear_denominators(polys.trim(q))
         num, den = polys.add(polys.mul(q, num), polys.scale(den, d)), polys.scale(num, d)
-        g = gcd(*num, *den)
-        if g > 1:
-            num = tuple(c // g for c in num)
-            den = tuple(c // g for c in den)
+        pair = polys.primitive(num + den)[1]
+        num, den = pair[: len(num)], pair[len(num):]
     return make_tf(num, den)

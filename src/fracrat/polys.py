@@ -5,6 +5,11 @@ ring operations return the ring of their inputs. The zero polynomial is the
 empty tuple. Used by the Pade construction, the continued-fraction
 expansion, the ladder synthesis and the Carlson iteration.
 
+sequence_content is the one content rule, and primitive divides by it on
+ints for make_tf, euclid and approx.cfe_to_tf; only two hot loops divide
+by a content of their own, prs_step's remainder and the lazy denominator
+of controllers._exponent_pade.
+
 Division takes exact scalars only and has one implementation, euclid: the
 remainder sequence, lazily, as the primitive polynomial remainder sequence
 (Collins, J. ACM 1967; von zur Gathen & Gerhard, Modern Computer Algebra,
@@ -23,10 +28,11 @@ approx.pade consume it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .errors import DegenerateMathError
-from .exact import ParamPoly, clear_denominators
+from .exact import ParamPoly, _poly, _ring
 
 
 def trim(coeffs) -> tuple:
@@ -42,13 +48,7 @@ def degree(coeffs) -> int:
 
 
 def add(a, b) -> tuple:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(x + y)
-    return trim(out)
+    return trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def mul(a, b) -> tuple:
@@ -73,12 +73,23 @@ def reverse(coeffs) -> tuple:
 
 
 def primitive(coeffs) -> tuple[Fraction, tuple]:
-    """(content, primitive part) of a nonzero exact scalar sequence: a
-    positive Fraction c and ints with gcd 1 whose product with c is the
-    input."""
-    den, ints = clear_denominators(coeffs)
-    g = gcd(*ints)
-    return Fraction(g, den), ints if g == 1 else tuple(c // g for c in ints)
+    """(content, primitive part) of a nonzero sequence of ints, Fractions
+    and ParamPolys: sequence_content, and the input divided by it on ints,
+    so every scalar entry and term coefficient is an int and their gcd is
+    1. At content 1 the entries come back as given, an integral Fraction as
+    its int."""
+    content = sequence_content([coeffs])
+    if content == 1:
+        return content, tuple([_ring(c) for c in coeffs])
+    g, den = content.numerator, content.denominator
+
+    def part(r):  # r / content
+        return r // g if den == 1 else r.numerator * (den // r.denominator) // g
+
+    return content, tuple([
+        _poly({key: part(r) for key, r in c.terms.items()}) if isinstance(c, ParamPoly) else part(c)
+        for c in coeffs
+    ])
 
 
 def prs_step(a, b) -> tuple[tuple, Fraction, tuple]:
@@ -183,16 +194,12 @@ def sequence_content(coeff_sequences) -> Fraction:
     """Positive rational content shared by several coefficient sequences.
 
     Accepts an iterable of sequences whose entries are int, Fraction or
-    ParamPoly. The content is gcd(numerators)/lcm(denominators) read off the
+    ParamPoly. The content is gcd(numerators)/lcm(denominators) over the
     rational scalars: each scalar entry, and every term coefficient of each
-    ParamPoly entry. All-zero input yields 0. make_tf normalizes the
-    symbolic ring with it; the rational ring takes primitive instead.
+    ParamPoly entry. All-zero input yields 0.
     """
-    num_gcd = 0
-    den_lcm = 1
-    for seq in coeff_sequences:
-        for c in seq:
-            for r in c.terms.values() if isinstance(c, ParamPoly) else (c,):
-                num_gcd = gcd(num_gcd, r.numerator)
-                den_lcm = den_lcm * r.denominator // gcd(den_lcm, r.denominator)
-    return Fraction(num_gcd, den_lcm)
+    scalars = [r for seq in coeff_sequences for c in seq
+               for r in (c.terms.values() if isinstance(c, ParamPoly) else (c,))]
+    # an int's denominator is 1, and math.lcm has no fast path for it
+    dens = [r.denominator for r in scalars if type(r) is not int]
+    return Fraction(gcd(*[r.numerator for r in scalars]), lcm(*dens))

@@ -1,6 +1,7 @@
 """Pade approximants, transfer-function normalization, and the
 continued-fraction expansion round trip."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -227,43 +228,138 @@ def test_make_tf_normalizes_exact_coefficients():
             make_tf((bad,), (1,))
 
 
+def _scalars(entries):
+    """Each scalar entry, and each term coefficient of a ParamPoly entry."""
+    out = []
+    for c in entries:
+        out += [v for _, v in c.items()] if isinstance(c, ParamPoly) else [c]
+    return out
+
+
+def _reference_content(entries):
+    """gcd of the numerators over lcm of the denominators, on Fractions."""
+    g, den = 0, 1
+    for r in map(Fraction, _scalars(entries)):
+        g, den = math.gcd(g, r.numerator), math.lcm(den, r.denominator)
+    return Fraction(g, den)
+
+
+def _divided(c, content):
+    if isinstance(c, ParamPoly):
+        return ParamPoly({e: Fraction(v) / content for e, v in c.items()})
+    return Fraction(c) / content
+
+
+def _leading(c):
+    """A scalar, or the coefficient of a ParamPoly's graded-lex greatest term."""
+    if isinstance(c, ParamPoly):
+        return max(c.items(), key=lambda t: (sum(t[0]), t[0]))[1]
+    return c
+
+
 def _content_normalized(num, den):
     """The reference for make_tf on an exact TF, on Fractions: divide by the
-    sequence content, then flip the sign to a positive leading denominator
-    coefficient; a zero numerator is (0)/(1)."""
-    num = [Fraction(c) for c in polys.trim(num)]
-    den = [Fraction(c) for c in polys.trim(den)]
+    content, then flip the sign to a positive leading denominator
+    coefficient; a zero numerator is (0)/(1). Constant ParamPolys are
+    their values."""
+
+    def side(coeffs):
+        coeffs = [c.constant_value() if isinstance(c, ParamPoly) and c.is_constant() else c
+                  for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return coeffs
+
+    num, den = side(num), side(den)
     if not num:
         return (0,), (1,)
-    inv = 1 / polys.sequence_content([num, den])
-    sign = -1 if den[-1] < 0 else 1
-    return tuple(sign * inv * c for c in num), tuple(sign * inv * c for c in den)
+    content = _reference_content(num + den)
+    if _leading(den[-1]) < 0:
+        content = -content
+    return tuple(_divided(c, content) for c in num), tuple(_divided(c, content) for c in den)
+
+
+def _assert_coprime_ints(coeffs, context):
+    """Every scalar entry and every term coefficient is an int, and their gcd is 1."""
+    ints = _scalars(coeffs)
+    assert all(type(v) is int for v in ints), context
+    assert math.gcd(*ints) == 1, context
 
 
 def test_make_tf_matches_the_content_normalization():
     rng = random.Random(30)
+    symbols = [ParamPoly.var(name) for name in ("lam", "mu", "Kp")]
 
     def coeff():
         n = rng.choice((0, rng.randint(-50, 50), rng.randint(-10**30, 10**30)))
         return n if rng.random() < 0.5 else Fraction(n, rng.randint(1, 10**rng.randint(1, 12)))
 
-    def side(low):
-        return tuple(coeff() for _ in range(rng.randint(low, 6)))
+    def symbolic():
+        """A non-constant ParamPoly with int and Fraction term coefficients."""
+        p = (coeff() or 1) * rng.choice(symbols) ** rng.randint(1, 3)
+        for _ in range(rng.randint(0, 3)):
+            p = p + coeff() * rng.choice(symbols) ** rng.randint(0, 2) * rng.choice(symbols)
+        return symbolic() if p.is_constant() else p
+
+    def side(low, p_symbolic=0.0):
+        return tuple(
+            symbolic() if rng.random() < p_symbolic else coeff()
+            for _ in range(rng.randint(low, 6))
+        )
 
     # a zero numerator, and a negative leading denominator coefficient
     cases = [((0,), (-3,)), ((), (Fraction(-2, 3), 5)), ((2, 4), (0, -6))]
     cases += [((Fraction(1, 2),), (-1,))]
+    # integral Fractions at content 1, in both rings
+    lam = symbols[0]
+    cases += [((Fraction(3), Fraction(2)), (Fraction(5),))]
+    cases += [((Fraction(3, 1), lam), (Fraction(-2, 1), Fraction(5, 1) * lam - 1))]
+    cases += [((Fraction(6), 2 * lam), (Fraction(-4), 3 * lam**2))]
     cases += [(side(0), side(1)) for _ in range(400)]
+    cases += [(side(0, 0.4), side(1, 0.4)) for _ in range(400)]
+    # a negative leading symbolic coefficient on the denominator
+    cases += [(side(0, 0.4), side(0, 0.4) + (-symbolic() if rng.random() < 0.5 else symbolic(),))
+              for _ in range(200)]
+    symbolic_cases = flipped = 0
     for num, den in cases:
         if not polys.trim(den):
             continue
         t = make_tf(num, den)
+        symbolic_cases += t.ring == "symbolic"
+        flipped += t.ring == "symbolic" and _leading(polys.trim(den)[-1]) < 0
         assert (t.num, t.den) == _content_normalized(num, den), (num, den)
-        assert all(type(c) is int for c in t.num + t.den), (num, den)
-        assert t.den[-1] > 0
+        _assert_coprime_ints(t.num + t.den, (num, den))
+        assert _leading(t.den[-1]) > 0
+    assert symbolic_cases >= 400 and flipped >= 150, (symbolic_cases, flipped)
     # a scalar entry of a symbolic TF is an int too
     t = make_tf((Fraction(4, 3),), (Fraction(2, 3) * ParamPoly.var("lam"), Fraction(-8, 3)))
     assert t.num == (-2,) and type(t.num[0]) is int
+
+
+def test_primitive_divides_param_poly_entries_by_their_content():
+    rng = random.Random(33)
+    lam, mu = ParamPoly.var("lam"), ParamPoly.var("mu")
+
+    def scalar():
+        return Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 12)))
+
+    for _ in range(300):
+        entries = [
+            scalar() * lam**2 + scalar() * lam * mu + scalar() + lam if rng.random() < 0.5
+            else scalar()
+            for _ in range(rng.randint(1, 5))
+        ]
+        entries.append(rng.choice((1, 6, Fraction(3, 4))) * lam + scalar())
+        content, part = polys.primitive(entries)
+        assert content == _reference_content(entries) > 0, entries
+        assert [content * c for c in part] == entries, entries
+        _assert_coprime_ints(part, entries)
+    # content 1 returns each entry as given, an integral Fraction as its int
+    entries = (Fraction(3), 2 * lam, Fraction(-5, 1))
+    content, part = polys.primitive(entries)
+    assert content == 1 and part == (3, 2 * lam, -5)
+    assert type(content) is Fraction and [type(c) for c in part] == [int, ParamPoly, int]
+    assert part[1] is entries[1]
 
 
 def test_make_tf_normalizes_symbolic_coefficients():
