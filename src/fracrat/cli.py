@@ -21,7 +21,10 @@ included), 3 degenerate mathematics.
 
 Each command's options are one entry of the _COMMANDS table, as the
 arguments of their add_argument calls, and both the command's own parser
-and the full tree add them through one helper.
+and the full tree add them through one helper. A rational flag's dest is
+the spec field it sets and the exact.SYMBOLS symbol that field becomes
+when omitted, so a controller family is one entry of _CONTROLLERS, its
+spec class and its realization, and takes the flags of its spec's fields.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from .approx import GainTag, TransferFunction, make_tf
 from .baselines import BaselineConfig, carlson, modified_oustaloup, oustaloup
 from .controllers import (
     FOPID,
+    _RANGES,
+    _SIGNS,
     Differintegrator,
     FOPDBracket,
     LeadLag,
@@ -56,28 +61,32 @@ from .controllers import (
 )
 from .errors import FracratError, ValidationError
 from .exact import ParamPoly, _poly_str
-from .freqresp import PHASE_TOL_DEG, _tf_gain_value, bode, fit_report, ideal_response, log_grid
+from .freqresp import PHASE_TOL_DEG, _UNITS, _tf_gain_value, bode, fit_report, ideal_response, log_grid
 from .ladder import export_netlist, map_elements, synthesize_ladder
 
-# (dest, flag, help) of the controllers' rational parameters: the parser
-# flags, the spec values and the meta keys all come from this one table
+# (dest, flag, help) of the controllers' rational parameters, in the order of
+# exact.SYMBOLS: a dest is the spec field the flag sets and the symbol that
+# field becomes when omitted. The parser flags and meta keys come from here
 _RAT_FLAGS = (
     ("lam", "--lambda", "fractional order, e.g. 1/2 or 0.5"),
     ("mu", "--mu", "fractional differential order"),
     ("alpha", "--alpha", "lead-lag exponent in [0, 1]"),
     ("x", "--x", "lead-lag pole/zero ratio in (0, 1]"),
-    ("kp", "--kp", "proportional gain"),
-    ("ki", "--ki", "integral gain"),
-    ("kd", "--kd", "derivative gain"),
-    ("kc", "--kc", "compensator gain"),
+    ("Kp", "--kp", "proportional gain"),
+    ("Ki", "--ki", "integral gain"),
+    ("Kd", "--kd", "derivative gain"),
+    ("Kc", "--kc", "compensator gain"),
     ("T", "--T", "time constant of the high-range form (default 1)"),
 )
 
-_CONTROLLER_PARAMS = {
-    "diffint": ("lam", "T"),
-    "fopid": ("kp", "ki", "kd", "lam", "mu"),
-    "fopd": ("kp", "kd", "mu"),
-    "leadlag": ("kc", "lam", "x", "alpha"),
+# family -> (spec class, realization at (spec, band, order)); its rational
+# parameters are the spec's fields that _RAT_FLAGS names. Each realization
+# is called through its module-level name, which perfbench/tracing.py wraps
+_CONTROLLERS = {
+    "diffint": (Differintegrator, lambda spec, rng, order: realize_differintegrator(spec, order)),
+    "fopid": (FOPID, lambda spec, rng, order: realize_fopid(spec, rng, order)),
+    "fopd": (FOPDBracket, lambda spec, rng, order: realize_fopd_bracket(spec, order)),
+    "leadlag": (LeadLag, lambda spec, rng, order: realize_leadlag(spec, order)),
 }
 
 # controllers whose expansion picks a frequency range
@@ -317,39 +326,31 @@ def _exact_tf(tf: TransferFunction) -> TransferFunction:
 
 def _build_controller(args, numeric: bool) -> TransferFunction:
     controller = args.controller
-    params = _CONTROLLER_PARAMS[controller]
+    spec_class, realize = _CONTROLLERS[controller]
+    fields = spec_class._fields
     values: dict = {}
     for name, flag, _ in _RAT_FLAGS:
         raw = getattr(args, name)
-        if raw is None:
-            values[name] = None
-        elif name not in params:
+        if name in fields:
+            values[name] = None if raw is None else _rat(raw, flag)
+        elif raw is not None:
             raise ValidationError(f"{flag} is not a {controller} parameter")
-        else:
-            values[name] = _rat(raw, flag)
     if args.range is not None and controller not in _RANGED:
         raise ValidationError(f"--range does not apply to {controller}")
     if args.sign is not None and controller != "diffint":
         raise ValidationError("--sign only applies to diffint")
-    if values["T"] is not None and args.range != "high":
+    if args.T is not None and args.range != "high":
         raise ValidationError("--T only applies to --range high")
     if numeric:
         flags = {name: flag for name, flag, _ in _RAT_FLAGS}
-        for name in params:
-            if name != "T" and values[name] is None:
+        for name in fields:
+            if name in values and name != "T" and values[name] is None:
                 raise ValidationError(f"{controller} needs {flags[name]}")
-    order = args.order
     rng = args.range or "low"
     if controller == "diffint":
         T = Fraction(1) if values["T"] is None else values["T"]
-        spec = Differintegrator(values["lam"], args.sign or "integrator", rng, T)
-        return realize_differintegrator(spec, order)
-    if controller == "fopid":
-        spec = FOPID(values["kp"], values["ki"], values["kd"], values["lam"], values["mu"])
-        return realize_fopid(spec, rng, order)
-    if controller == "fopd":
-        return realize_fopd_bracket(FOPDBracket(values["kp"], values["kd"], values["mu"]), order)
-    return realize_leadlag(LeadLag(values["kc"], values["lam"], values["x"], values["alpha"]), order)
+        values.update(sign=args.sign or "integrator", freq_range=rng, T=T)
+    return realize(spec_class(**values), rng, args.order)
 
 
 def _controller_meta(args) -> dict:
@@ -513,12 +514,11 @@ def _option(*flags, **keywords) -> tuple:
 
 
 _CONTROLLER_OPTIONS = (
-    _option("--controller", required=True, choices=sorted(_CONTROLLER_PARAMS), help="controller family"),
+    _option("--controller", required=True, choices=sorted(_CONTROLLERS), help="controller family"),
     _option("--order", required=True, type=int, help="order n of the [n/n] approximant"),
     *(_option(flag, dest=name, metavar="RAT", help=text) for name, flag, text in _RAT_FLAGS),
-    _option("--range", choices=("low", "high"), help="expansion band (default low)"),
-    _option("--sign", choices=("integrator", "differentiator"),
-            help="s^-lambda or s^+lambda (default integrator)"),
+    _option("--range", choices=_RANGES, help="expansion band (default low)"),
+    _option("--sign", choices=_SIGNS, help="s^-lambda or s^+lambda (default integrator)"),
 )
 _OUTPUT_OPTIONS = (
     _option("-o", "--output", metavar="FILE", help="write here instead of stdout"),
@@ -528,7 +528,7 @@ _SWEEP_OPTIONS = (
     _option("--fmin", required=True, type=float, help="sweep start frequency"),
     _option("--fmax", required=True, type=float, help="sweep end frequency"),
     _option("--points-per-decade", type=int, default=50, metavar="N"),
-    _option("--unit", choices=("hz", "rad"), default="hz", help="frequency unit"),
+    _option("--unit", choices=_UNITS, default="hz", help="frequency unit"),
 )
 
 # name -> (help, options, runner) of every subcommand, in the order the

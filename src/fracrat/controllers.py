@@ -1,18 +1,19 @@
 """Rational realizations of the four fractional-order controller families.
 
 Each builder accepts exact numeric parameters or leaves them symbolic
-(pass None) and produces a normalized TransferFunction; an omitted
-parameter becomes the symbol named after its field (Kp, lam, mu, x, ...),
-and the differintegrator follows the same rule. Irrational scalar
-prefactors (Kp^mu, Kc*x^alpha) are carried as opaque gain tags, never
-expanded into coefficients. Every family takes one route: the diagonal
-Pade approximant of (1 + z)^a on the integers (_kernel_pade, read off its
-hypergeometric closed form rather than solved for; at a = +1 or -1 it is
-(1 + z)^a itself), one change of variable (a scalar one by _homogenize,
-1/s by reversal in the low band, the lead-lag's Moebius map before its
-scalar one), and a single make_tf at the end. Both kinds of exponent run
-one integer recurrence (_exponent_pade): a number p/q as the constant p
-over q, a symbol as itself over 1, substituted once at the end.
+(pass None) and produces a normalized TransferFunction; in every family
+an omitted parameter becomes the symbol named after its field, one of
+exact.SYMBOLS (Kp, lam, mu, x, ...). Irrational scalar prefactors (Kp^mu,
+Kc*x^alpha) are carried as opaque gain tags, read off the spec's fields
+by those names and never expanded into coefficients. Every family takes
+one route: the diagonal Pade approximant of (1 + z)^a on the integers
+(_kernel_pade, read off its hypergeometric closed form rather than solved
+for; at a = +1 or -1 it is (1 + z)^a itself), one change of variable (a
+scalar one by _homogenize, 1/s by reversal in the low band, the
+lead-lag's Moebius map before its scalar one), and a single make_tf at
+the end. Both kinds of exponent run one integer recurrence
+(_exponent_pade): a number p/q as the constant p over q, a symbol as
+itself over 1, substituted once at the end.
 """
 
 from __future__ import annotations
@@ -183,9 +184,10 @@ def _check_order(order: int):
         raise ValidationError("order must be a positive integer")
 
 
-def _sym(value, name: str):
-    """The exact value when numeric, else the named symbol."""
-    return ParamPoly.var(name) if value is None else value
+def _values_or_symbols(spec) -> tuple:
+    """Each field of spec in order: its value, or where that is None (an
+    omitted parameter) the symbol of the field's name."""
+    return tuple(ParamPoly.var(name) if v is None else v for name, v in vars(spec).items())
 
 
 def _kernel_pade(a, n: int) -> tuple:
@@ -301,10 +303,11 @@ def realize_differintegrator(spec: Differintegrator, order: int) -> TransferFunc
     beyond-validated-order.
     """
     _check_order(order)
-    num, den, notes = _integrator(_sym(spec.lam, "lam"), spec.freq_range, order)
-    if spec.T != 1:
-        num, den = (_homogenize(c, spec.T, 1, order) for c in (num, den))
-    if spec.sign == "differentiator":
+    lam, sign, freq_range, T = _values_or_symbols(spec)
+    num, den, notes = _integrator(lam, freq_range, order)
+    if T != 1:
+        num, den = (_homogenize(c, T, 1, order) for c in (num, den))
+    if sign == "differentiator":
         num, den = den, num
     if spec.lam is None and order > 5:
         notes += ("beyond-validated-order",)
@@ -332,11 +335,7 @@ def realize_fopid(spec: FOPID, freq_range: str, order: int) -> TransferFunction:
     _check_order(order)
     if freq_range not in _RANGES:
         raise ValidationError(f"freq_range must be one of {_RANGES}")
-    kp = _sym(spec.Kp, "Kp")
-    ki = _sym(spec.Ki, "Ki")
-    kd = _sym(spec.Kd, "Kd")
-    lam = _sym(spec.lam, "lam")
-    mu = _sym(spec.mu, "mu")
+    kp, ki, kd, lam, mu = _values_or_symbols(spec)
     with_i = spec.Ki is None or spec.Ki != 0
     with_d = spec.Kd is None or spec.Kd != 0
     num: tuple = ()
@@ -367,12 +366,11 @@ def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
     a gain tag.
     """
     _check_order(order)
-    kp = _sym(spec.Kp, "Kp")
-    kd = _sym(spec.Kd, "Kd")
+    kp, kd, mu = _values_or_symbols(spec)
     # mu in (0,2) splits at its floor, 0 or 1; a symbolic mu is treated as
     # purely fractional, since the split needs a numeric value
     mu_int = 0 if spec.mu is None else int(spec.mu)
-    exponent = _sym(spec.mu, "mu") - mu_int
+    exponent = mu - mu_int
     if exponent == 0:
         # mu = 1: plain polynomial, no irrational prefactor
         return make_tf((kp, kd), (1,))
@@ -382,7 +380,7 @@ def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
     if mu_int:
         num = polys.mul(num, (kp, kd))
         den = polys.scale(den, kp)
-    gain = _gain_tag("Kp^mu", {"Kp": spec.Kp, "mu": spec.mu})
+    gain = _gain_tag("Kp^mu", vars(spec))
     return make_tf(num, den, gain=gain)
 
 
@@ -407,10 +405,8 @@ def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     gives at those values.
     """
     _check_order(order)
-    alpha = _sym(spec.alpha, "alpha")
-    x = _sym(spec.x, "x")
-    lam = _sym(spec.lam, "lam")
-    gain = _gain_tag("Kc*x^alpha", {"Kc": spec.Kc, "x": spec.x, "alpha": spec.alpha})
+    _, lam, x, alpha = _values_or_symbols(spec)
+    gain = _gain_tag("Kc*x^alpha", vars(spec))
     degenerate = (spec.alpha is not None and spec.alpha == 0) or (
         spec.x is not None and spec.x == 1
     )

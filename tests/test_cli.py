@@ -19,9 +19,11 @@ from fracrat import (
     FOPID,
     BaselineConfig,
     Differintegrator,
+    FOPDBracket,
     GainTag,
     LadderElement,
     LadderNetwork,
+    LeadLag,
     ParamPoly,
     ValidationError,
     bode,
@@ -31,7 +33,9 @@ from fracrat import (
     modified_oustaloup,
     oustaloup,
     realize_differintegrator,
+    realize_fopd_bracket,
     realize_fopid,
+    realize_leadlag,
     tf_equal,
 )
 from fracrat import cli
@@ -42,6 +46,7 @@ from fracrat.cli import (
     main,
     parse_tf_document,
 )
+from fracrat.exact import SYMBOLS
 
 
 SRC = Path(fracrat.__file__).resolve().parents[1]
@@ -851,7 +856,7 @@ def test_one_subcommand_parser_gives_the_full_namespace():
     # a command's flat parser reads the flags after the command name to the
     # namespace the full tree gives for the whole argv: every flag, default,
     # the runner and the command name, and no flag has left either parser
-    controller = {"controller", "order", "lam", "mu", "alpha", "x", "kp", "ki", "kd", "kc",
+    controller = {"controller", "order", "lam", "mu", "alpha", "x", "Kp", "Ki", "Kd", "Kc",
                   "T", "range", "sign"}
     output = {"command", "run", "output", "no_meta"}
     sweep = {"fmin", "fmax", "points_per_decade", "unit"}
@@ -881,6 +886,42 @@ def test_one_subcommand_parser_gives_the_full_namespace():
                              (build_parser(), [name, *flags, name])):
             with pytest.raises(ValidationError, match=rf"^unrecognized arguments: {name}$"):
                 parser.parse_args(argv)
+
+
+# each controller family's spec class and its realization in the low band
+# unless the spec picks its own
+_FAMILIES = {
+    "diffint": (Differintegrator, realize_differintegrator),
+    "fopid": (FOPID, lambda spec, order: realize_fopid(spec, "low", order)),
+    "fopd": (FOPDBracket, realize_fopd_bracket),
+    "leadlag": (LeadLag, realize_leadlag),
+}
+
+
+def test_a_controller_parameter_has_one_name(capsys):
+    # a rational flag's dest is the spec field it sets and the symbol that
+    # field becomes when omitted: the dests are exact.SYMBOLS in order, and
+    # every spec field but the sign and the band is one of them
+    assert [dest for dest, _, _ in cli._RAT_FLAGS] == list(SYMBOLS)
+    for spec_class, _ in _FAMILIES.values():
+        assert set(spec_class._fields) - {"sign", "freq_range"} <= set(SYMBOLS)
+    # each family takes exactly the flags whose dest is one of its spec's
+    # fields, each setting that field, and refuses every other one
+    for family, (spec_class, realize) in _FAMILIES.items():
+        for dest, flag, _ in cli._RAT_FLAGS:
+            value, band = (Fraction(2), ("--range", "high")) if dest == "T" else (Fraction(1, 2), ())
+            rc = run("symbolic", "--controller", family, "--order", "2", flag, str(value), *band,
+                     "--no-meta")
+            out, err = capsys.readouterr()
+            if dest not in spec_class._fields:
+                assert (rc, out, err) == (2, "", f"error: {flag} is not a {family} parameter\n")
+                continue
+            fields = {name: None for name in spec_class._fields if name in SYMBOLS and name != "T"}
+            fields[dest] = value
+            if band:
+                fields["freq_range"] = "high"
+            assert (rc, err) == (0, "")
+            assert out == emit_symbolic_document(realize(spec_class(**fields), 2))
 
 
 _FAILING_STDOUT = {

@@ -6,6 +6,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import fracrat.cli  # noqa: F401  (the tracer wraps names in every fracrat module)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -41,3 +43,20 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert fracrat.approx.pade is original
+
+
+@pytest.mark.parametrize("family", ["diffint", "fopid", "fopd", "leadlag"])
+def test_the_traced_cli_reaches_each_realization_through_its_wrapper(family, capsys):
+    # the CLI calls a realization by its module-level name, so the tracer's
+    # wrapper of that name counts the call
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert fracrat.cli.main(["symbolic", "--controller", family, "--order", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    realization = {"diffint": "realize_differintegrator", "fopid": "realize_fopid",
+                   "fopd": "realize_fopd_bracket", "leadlag": "realize_leadlag"}[family]
+    assert tracer.layer_totals()[f"controllers.{realization}"][0] == 1
