@@ -30,8 +30,9 @@ import math
 from . import polys
 from ._value import Value
 from .approx import TransferFunction, make_tf
-from .controllers import _rat
+from .controllers import _check_count, _rat
 from .errors import ValidationError
+from .freqresp import _floats
 
 # Largest degree of any baseline (Carlson at lam = 1/4: 781 at five iterations, 3906 at six)
 _MAX_DEGREE = 4096
@@ -43,15 +44,13 @@ class BaselineConfig(Value):
     _fields = ("lam", "omega_b", "omega_h", "N")
 
     def __init__(self, lam: float, omega_b: float, omega_h: float, N: int):
-        lam = float(lam)
+        (lam,) = _floats((lam,), "lam must lie in (0, 1)")
         if not 0 < lam < 1:
             raise ValidationError("lam must lie in (0, 1)")
-        wb = float(omega_b)
-        wh = float(omega_h)
+        wb, wh = _floats((omega_b, omega_h), "need 0 < omega_b < omega_h < inf")
         if not 0 < wb < wh < math.inf:
             raise ValidationError("need 0 < omega_b < omega_h < inf")
-        if N < 1:
-            raise ValidationError("N must be at least 1")
+        _check_count(N, "N")
         self._set(lam, wb, wh, N)
 
 
@@ -136,8 +135,7 @@ def carlson(lam, iterations: int) -> TransferFunction:
     lam = _rat(lam, "lam")
     if lam <= 0:
         raise ValidationError("lam must be positive")
-    if iterations < 1:
-        raise ValidationError("iterations must be at least 1")
+    _check_count(iterations, "iterations")
     m = lam.numerator
     q = lam.denominator
     if q == 1:

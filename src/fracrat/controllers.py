@@ -3,10 +3,14 @@
 Each builder accepts exact numeric parameters or leaves them symbolic
 (pass None) and produces a normalized TransferFunction; in every family
 an omitted parameter becomes the symbol named after its field, one of
-exact.SYMBOLS (Kp, lam, mu, x, ...). Irrational scalar prefactors (Kp^mu,
-Kc*x^alpha) are carried as opaque gain tags, read off the spec's fields
-by those names and never expanded into coefficients. Every family takes
-one route: the diagonal Pade approximant of (1 + z)^a on the integers
+exact.SYMBOLS (Kp, lam, mu, x, ...). A spec admits its fields through
+one range rule (_require): a set field outside its range is refused by
+name, an omitted, symbolic one passes. Every count (the realizations'
+order, the Oustaloup depth N, the Carlson iteration count) goes through
+one rule (_check_count): a positive int. Irrational scalar prefactors
+(Kp^mu, Kc*x^alpha) are carried as opaque gain tags, read off the spec's
+fields by those names and never expanded into coefficients. Every family
+takes one route: the diagonal Pade approximant of (1 + z)^a on the integers
 (_kernel_pade, read off its hypergeometric closed form rather than solved
 for; at a = +1 or -1 it is (1 + z)^a itself), one change of variable (a
 scalar one by _homogenize, 1/s by reversal in the low band, the
@@ -89,6 +93,23 @@ def _rat_or_none(value, name: str) -> Fraction | None:
     return None if value is None else _rat(value, name)
 
 
+def _require(spec, names: tuple, ok, text: str):
+    """The range rule of every spec: the first of the fields `names`, in
+    order, that is set and fails `ok` is refused as "<field> <text>". An
+    omitted field (None, a symbol) passes."""
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not ok(value):
+            raise ValidationError(f"{name} {text}")
+
+
+def _check_count(value, name: str):
+    """The count rule: an order, a recursion depth or an iteration count
+    is a positive int (bool is an int, so True counts 1)."""
+    if not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer")
+
+
 class Differintegrator(Value):
     """s^(-lam) (integrator) or s^(+lam) (differentiator) to approximate.
 
@@ -111,12 +132,10 @@ class Differintegrator(Value):
             raise ValidationError(f"sign must be one of {_SIGNS}")
         if self.freq_range not in _RANGES:
             raise ValidationError(f"freq_range must be one of {_RANGES}")
-        if self.T <= 0:
-            raise ValidationError("T must be positive")
+        _require(self, ("T",), lambda v: v > 0, "must be positive")
         if self.freq_range == "low" and self.T != 1:
             raise ValidationError(f"T = {self.T} only applies to the high band, not the low one")
-        if self.lam is not None and not 0 < self.lam <= 1:
-            raise ValidationError("lam must lie in (0, 1]")
+        _require(self, ("lam",), lambda v: 0 < v <= 1, "must lie in (0, 1]")
 
 
 class FOPID(Value):
@@ -133,14 +152,8 @@ class FOPID(Value):
         mu: Fraction | None,
     ):
         self._set(*map(_rat_or_none, (Kp, Ki, Kd, lam, mu), self._fields))
-        for name in ("Kp", "Ki", "Kd"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValidationError(f"{name} must be non-negative")
-        for name in ("lam", "mu"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < 2:
-                raise ValidationError(f"{name} must lie in (0, 2)")
+        _require(self, ("Kp", "Ki", "Kd"), lambda v: v >= 0, "must be non-negative")
+        _require(self, ("lam", "mu"), lambda v: 0 < v < 2, "must lie in (0, 2)")
 
 
 class FOPDBracket(Value):
@@ -150,14 +163,10 @@ class FOPDBracket(Value):
 
     def __init__(self, Kp: Fraction | None, Kd: Fraction | None, mu: Fraction | None):
         self._set(*map(_rat_or_none, (Kp, Kd, mu), self._fields))
-        if self.Kp is not None and self.Kp == 0:
+        if self.Kp == 0:
             raise ValidationError("not expandable about s=0")
-        for name in ("Kp", "Kd"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.mu is not None and not 0 < self.mu < 2:
-            raise ValidationError("mu must lie in (0, 2)")
+        _require(self, ("Kp", "Kd"), lambda v: v > 0, "must be positive")
+        _require(self, ("mu",), lambda v: 0 < v < 2, "must lie in (0, 2)")
 
 
 class LeadLag(Value):
@@ -169,19 +178,9 @@ class LeadLag(Value):
         self, Kc: Fraction | None, lam: Fraction | None, x: Fraction | None, alpha: Fraction | None
     ):
         self._set(*map(_rat_or_none, (Kc, lam, x, alpha), self._fields))
-        if self.Kc is not None and self.Kc <= 0:
-            raise ValidationError("Kc must be positive")
-        if self.lam is not None and self.lam <= 0:
-            raise ValidationError("lam must be positive")
-        if self.x is not None and not 0 < self.x <= 1:
-            raise ValidationError("x must lie in (0, 1]")
-        if self.alpha is not None and not 0 <= self.alpha <= 1:
-            raise ValidationError("alpha must lie in [0, 1]")
-
-
-def _check_order(order: int):
-    if not isinstance(order, int) or order < 1:
-        raise ValidationError("order must be a positive integer")
+        _require(self, ("Kc", "lam"), lambda v: v > 0, "must be positive")
+        _require(self, ("x",), lambda v: 0 < v <= 1, "must lie in (0, 1]")
+        _require(self, ("alpha",), lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 
 
 def _values_or_symbols(spec) -> tuple:
@@ -302,7 +301,7 @@ def realize_differintegrator(spec: Differintegrator, order: int) -> TransferFunc
     a symbolic linear solve; orders beyond 5 work but are noted
     beyond-validated-order.
     """
-    _check_order(order)
+    _check_count(order, "order")
     lam, sign, freq_range, T = _values_or_symbols(spec)
     num, den, notes = _integrator(lam, freq_range, order)
     if T != 1:
@@ -332,7 +331,7 @@ def realize_fopid(spec: FOPID, freq_range: str, order: int) -> TransferFunction:
     Each branch's Pade notes (an integer order reports its defect) carry
     over prefixed "int:" or "diff:".
     """
-    _check_order(order)
+    _check_count(order, "order")
     if freq_range not in _RANGES:
         raise ValidationError(f"freq_range must be one of {_RANGES}")
     kp, ki, kd, lam, mu = _values_or_symbols(spec)
@@ -365,7 +364,7 @@ def realize_fopd_bracket(spec: FOPDBracket, order: int) -> TransferFunction:
     Kp^mu stays rational only for integer mu; otherwise it rides along as
     a gain tag.
     """
-    _check_order(order)
+    _check_count(order, "order")
     kp, kd, mu = _values_or_symbols(spec)
     # mu in (0,2) splits at its floor, 0 or 1; a symbolic mu is treated as
     # purely fractional, since the split needs a numeric value
@@ -404,7 +403,7 @@ def realize_leadlag(spec: LeadLag, order: int) -> TransferFunction:
     the same tag, whose value is then Kc: the form symbolic-then-substitute
     gives at those values.
     """
-    _check_order(order)
+    _check_count(order, "order")
     _, lam, x, alpha = _values_or_symbols(spec)
     gain = _gain_tag("Kc*x^alpha", vars(spec))
     degenerate = (spec.alpha is not None and spec.alpha == 0) or (

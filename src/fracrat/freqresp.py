@@ -32,6 +32,15 @@ PHASE_TOL_DEG = 5.0
 MAX_GRID_POINTS = 10**6
 
 
+def _floats(values, text: str) -> tuple:
+    """tuple(map(float, values)), refusing as `text` an int or Fraction
+    past float range, which float() does not map to inf but raises on."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise ValidationError(text) from None
+
+
 class FrequencyGrid(Value):
     """Strictly increasing, positive evaluation frequencies in a stated
     unit, finite in that unit and in rad/s."""
@@ -41,7 +50,7 @@ class FrequencyGrid(Value):
     def __init__(self, values: tuple, unit: str = "hz"):
         if unit not in _UNITS:
             raise ValidationError(f"unit must be one of {_UNITS}")
-        values = tuple(map(float, values))
+        values = _floats(values, "frequencies must be finite")
         if not values:
             raise ValidationError("empty frequency grid")
         if not all(map(math.isfinite, values)):
@@ -71,8 +80,7 @@ def log_grid(fmin, fmax, points_per_decade: int = 50, unit: str = "hz") -> Frequ
     ValidationError before a float product or an allocation."""
     import numpy as np
 
-    fmin = float(fmin)
-    fmax = float(fmax)
+    fmin, fmax = _floats((fmin, fmax), "need 0 < fmin < fmax < inf")
     if not 0 < fmin < fmax < math.inf:
         raise ValidationError("need 0 < fmin < fmax < inf")
     if points_per_decade < 1:

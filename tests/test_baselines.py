@@ -49,6 +49,34 @@ def test_config_validation():
             BaselineConfig(0.5, wb, wh, 3)
 
 
+def test_an_int_past_float_range_is_refused_where_it_enters():
+    # float() raises OverflowError on such an int, where a float input
+    # that large is inf; either is refused with the range text
+    with pytest.raises(ValidationError, match=r"^need 0 < omega_b < omega_h < inf$"):
+        BaselineConfig(Fraction(1, 2), 1, 10**400, 2)
+    with pytest.raises(ValidationError, match=r"^need 0 < omega_b < omega_h < inf$"):
+        BaselineConfig(Fraction(1, 2), Fraction(-(10**400), 3), 10, 2)
+    with pytest.raises(ValidationError, match=r"^lam must lie in \(0, 1\)$"):
+        BaselineConfig(10**400, 1, 10, 2)
+
+
+@pytest.mark.parametrize("count", (0, -1, 2.5, np.int64(2), Fraction(2), "2"), ids=repr)
+def test_the_depth_and_the_iteration_count_are_positive_ints(count):
+    with pytest.raises(ValidationError, match="^N must be a positive integer$"):
+        BaselineConfig(0.5, 1.0, 10.0, count)
+    with pytest.raises(ValidationError, match="^iterations must be a positive integer$"):
+        carlson(Fraction(1, 2), count)
+    # lam is parsed and refused before the count
+    with pytest.raises(ValidationError, match="^lam must be positive$"):
+        carlson(Fraction(-1, 2), count)
+    # and the band before the depth
+    with pytest.raises(ValidationError, match="^need 0 < omega_b"):
+        BaselineConfig(0.5, 10.0, 1.0, count)
+    # True is the int 1
+    assert BaselineConfig(0.5, 1.0, 10.0, True).N == 1
+    assert carlson(Fraction(1, 2), True) == carlson(Fraction(1, 2), 1)
+
+
 def test_oustaloup_order_and_ring():
     tf = oustaloup(CFG)
     assert tf.ring == "float"

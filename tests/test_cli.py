@@ -621,6 +621,18 @@ def test_sweeps_reject_a_grid_without_points(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("method, name", [
+    ("cfe-low", "order"), ("cfe-high", "order"), ("oustaloup", "N"), ("mod-oustaloup", "N"),
+    ("carlson", "iterations"),
+])
+def test_compare_refuses_a_zero_order_through_one_count_rule(capsys, method, name):
+    # --order is the [n/n] order, the recursion depth N or the iteration count
+    argv = ("compare", "--lambda", "1/2", "--order", "0", "--methods", method, "--fmin", "1", "--fmax", "10")
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {name} must be a positive integer\n")
+
+
 @pytest.mark.parametrize("density", ["100000000", "1" + "0" * 400], ids=["1e8", "1e400"])
 def test_sweeps_refuse_a_density_past_the_grid_bound(tmp_path, capsys, density):
     # 6e8 points would take 4.5 GiB, and a 401-digit density overflows a

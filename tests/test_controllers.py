@@ -514,6 +514,98 @@ def test_leadlag_validation():
         LeadLag(Fraction(1), Fraction(1), HALF, Fraction(3, 2))
 
 
+# A valid spec of each family, and each range its fields are admitted
+# through, in the order the spec checks them: a field, values it refuses,
+# values at the edge it admits, and the text of the refusal. sign and
+# freq_range are choices, not ranges, and None is not one of them.
+_VALID = {
+    Differintegrator: {"lam": HALF, "sign": "integrator", "freq_range": "high", "T": 1},
+    FOPID: {"Kp": 1, "Ki": 1, "Kd": 1, "lam": HALF, "mu": HALF},
+    FOPDBracket: {"Kp": 1, "Kd": 1, "mu": HALF},
+    LeadLag: {"Kc": 1, "lam": 1, "x": HALF, "alpha": HALF},
+}
+_RANGES = [
+    (Differintegrator, "T", (0, -1), (Fraction(1, 1000),), "T must be positive"),
+    (Differintegrator, "lam", (0, -HALF, Fraction(1001, 1000)), (1,), "lam must lie in (0, 1]"),
+    (FOPID, "Kp", (-1, -Fraction(1, 1000)), (0,), "Kp must be non-negative"),
+    (FOPID, "Ki", (-1,), (0,), "Ki must be non-negative"),
+    (FOPID, "Kd", (-1,), (0,), "Kd must be non-negative"),
+    (FOPID, "lam", (0, 2, -1), (Fraction(1999, 1000),), "lam must lie in (0, 2)"),
+    (FOPID, "mu", (0, 2, 3), (Fraction(1, 1000),), "mu must lie in (0, 2)"),
+    (FOPDBracket, "Kp", (-1,), (Fraction(1, 1000),), "Kp must be positive"),
+    (FOPDBracket, "Kd", (0, -1), (Fraction(1, 1000),), "Kd must be positive"),
+    (FOPDBracket, "mu", (0, 2), (1, Fraction(1999, 1000)), "mu must lie in (0, 2)"),
+    (LeadLag, "Kc", (0, -1), (Fraction(1, 1000),), "Kc must be positive"),
+    (LeadLag, "lam", (0, -1), (Fraction(1, 1000),), "lam must be positive"),
+    (LeadLag, "x", (0, Fraction(1001, 1000)), (1,), "x must lie in (0, 1]"),
+    (LeadLag, "alpha", (-Fraction(1, 1000), Fraction(1001, 1000)), (0, 1), "alpha must lie in [0, 1]"),
+]
+
+
+def _spec(cls, **fields):
+    return cls(**{**_VALID[cls], **fields})
+
+
+@pytest.mark.parametrize(
+    "cls, field, refused, admitted, text", _RANGES, ids=[f"{r[0].__name__}-{r[1]}" for r in _RANGES]
+)
+def test_each_spec_field_is_refused_outside_its_range(cls, field, refused, admitted, text):
+    for value in refused:
+        with pytest.raises(ValidationError) as info:
+            _spec(cls, **{field: value})
+        assert str(info.value) == text, value
+    for value in admitted:
+        assert getattr(_spec(cls, **{field: value}), field) == value
+
+
+def test_the_first_field_out_of_range_is_refused():
+    # two fields out of range: the spec refuses the one it checks first
+    for i, (cls, first, refused, _, text) in enumerate(_RANGES):
+        for later_cls, later, later_refused, _, _ in _RANGES[i + 1:]:
+            if later_cls is cls:
+                with pytest.raises(ValidationError) as info:
+                    _spec(cls, **{first: refused[0], later: later_refused[0]})
+                assert str(info.value) == text, later
+    # Kp = 0 has no expansion about s = 0, whatever else is out of range
+    with pytest.raises(ValidationError, match="^not expandable about s=0$"):
+        FOPDBracket(0, -1, 3)
+    # the differintegrator checks T > 0, then T = 1 in the low band, then lam
+    with pytest.raises(ValidationError, match="^T must be positive$"):
+        Differintegrator(0, "integrator", "low", -1)
+    with pytest.raises(ValidationError, match=r"^T = 2 only applies to the high band"):
+        Differintegrator(0, "integrator", "low", 2)
+    # the choices come before every range
+    with pytest.raises(ValidationError, match="^sign must be one of"):
+        Differintegrator(0, None, "high", 0)
+    with pytest.raises(ValidationError, match="^freq_range must be one of"):
+        Differintegrator(0, "integrator", None, 0)
+
+
+def test_an_omitted_field_passes_every_range():
+    # None leaves a field symbolic; T and the two choices are never omitted
+    for cls, valid in _VALID.items():
+        omitted = dict.fromkeys(name for name in valid if name not in ("sign", "freq_range", "T"))
+        for name in omitted:
+            assert getattr(_spec(cls, **{name: None}), name) is None
+        spec = _spec(cls, **omitted)
+        assert all(getattr(spec, name) is None for name in omitted)
+
+
+@pytest.mark.parametrize("order", (0, -1, 2.5, Fraction(3), "3", None))
+def test_every_realization_takes_a_positive_int_order(order):
+    realizations = (
+        lambda n: realize_differintegrator(Differintegrator(HALF), n),
+        lambda n: realize_fopid(FOPID(1, 1, 1, HALF, HALF), "low", n),
+        lambda n: realize_fopd_bracket(FOPDBracket(1, 1, HALF), n),
+        lambda n: realize_leadlag(LeadLag(1, 1, HALF, HALF), n),
+    )
+    for realize in realizations:
+        with pytest.raises(ValidationError, match="^order must be a positive integer$"):
+            realize(order)
+        # True is the int 1
+        assert realize(True) == realize(1)
+
+
 def test_float_parameters_are_read_as_decimals():
     # 0.5 means exactly 1/2, not the nearest binary double
     spec = Differintegrator(0.5)

@@ -56,6 +56,17 @@ def test_grid_validation():
         log_grid(1e-200, 1e200)
 
 
+def test_an_int_past_float_range_is_refused_where_it_enters():
+    # float() raises OverflowError on such an int or Fraction, where a
+    # float input that large is inf; either is refused with the range text
+    for values in ((1, 10**400), (Fraction(10**400, 3),)):
+        with pytest.raises(ValidationError, match="^frequencies must be finite$"):
+            FrequencyGrid(values, "hz")
+    for fmin, fmax in ((1, 10**400), (-(10**400), 10)):
+        with pytest.raises(ValidationError, match="^need 0 < fmin < fmax < inf$"):
+            log_grid(fmin, fmax)
+
+
 def test_grid_units():
     hz = FrequencyGrid((1.0, 10.0), "hz")
     assert hz.omega()[0] == pytest.approx(2 * math.pi)
